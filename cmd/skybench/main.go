@@ -19,12 +19,11 @@
 // sweep), tenants (multi-tenant frontend sweep), skew (adaptive
 // placement under skew). Repeatable.
 //
-// Host-side accelerators: -hostcache on|off gates the walk-memo and
-// decode caches, -superblock on|off gates superblock direct-threaded
-// execution and block-granular cache charging, and -j N runs experiment
-// units and their independent cells on N workers. All three change only
-// host wall-clock: simulated results, stdout, metrics, trace, and report
-// are byte-identical for every combination.
+// Host-side accelerators: -superblock on|off gates superblock
+// direct-threaded execution and block-granular cache charging, and -j N
+// runs experiment units and their independent cells on N workers. Both
+// change only host wall-clock: simulated results, stdout, metrics, trace,
+// and report are byte-identical for every combination.
 //
 // -trace writes a Chrome trace-event JSON (open in Perfetto / chrome://
 // tracing; 1 timestamp unit = 1 simulated cycle, one track per simulated
@@ -43,6 +42,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -114,14 +114,13 @@ func main() {
 		reportOut  = flag.String("report", "", "write the per-call phase-breakdown report (JSON) to this file and print its table")
 
 		jobs       = flag.Int("j", 1, "run experiments (and their independent cells) on N parallel workers (output stays in declaration order, byte-identical for any N)")
-		hostCache  = flag.String("hostcache", "on", "host-side walk-memo and decode caches: on|off (simulated results are identical either way)")
 		superblock = flag.String("superblock", "on", "superblock direct-threaded execution and block-granular cache charging: on|off (simulated results are identical either way)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 	)
 	benchOuts := map[string]string{}
-	flag.Func("benchout", "run a standalone benchmark and write its JSON: <kind>=<path>, kind one of host|scaling|async|db|tenants|skew (repeatable)",
+	flag.Func("benchout", "run a standalone benchmark and write its JSON: <kind>=<path>, kind one of "+strings.Join(benchKindNames(), "|")+" (repeatable)",
 		func(v string) error { return parseBenchOut(benchOuts, v) })
 	flag.Parse()
 
@@ -132,17 +131,6 @@ func main() {
 		return
 	}
 
-	switch *hostCache {
-	case "on":
-		hw.SetHostFastPaths(true)
-		isa.SetDecodeCache(true)
-	case "off":
-		hw.SetHostFastPaths(false)
-		isa.SetDecodeCache(false)
-	default:
-		fmt.Fprintf(os.Stderr, "skybench: -hostcache must be on or off, got %q\n", *hostCache)
-		os.Exit(2)
-	}
 	switch *superblock {
 	case "on":
 		isa.SetSuperblock(true)
@@ -237,6 +225,56 @@ func main() {
 	}
 }
 
+// benchKind is one -benchout kind: its name and the run that writes its
+// JSON document to path.
+type benchKind struct {
+	name string
+	run  func(path string, sel map[string]bool, opts bench.Options, jobs int) error
+}
+
+// benchKinds declares every -benchout kind, in the order runBenchOuts runs
+// them.
+var benchKinds = []benchKind{
+	{"host", runHostBench},
+	{"scaling", sweep(func(o bench.Options) (*bench.ScalingResult, error) {
+		return bench.Scaling(bench.ScalingConfig{Records: o.Records, TotalOps: o.KVOps})
+	}, bench.WriteScalingBench)},
+	{"async", sweep(func(o bench.Options) (*bench.AsyncResult, error) {
+		return bench.Async(bench.AsyncConfig{Records: o.Records, TotalOps: o.KVOps})
+	}, bench.WriteAsyncBench)},
+	{"db", sweep(func(o bench.Options) (*bench.DBScaleResult, error) {
+		return bench.DBScale(bench.DBScaleConfig{Records: o.Records / 4, OpsPerClient: o.Ops})
+	}, bench.WriteDBBench)},
+	{"tenants", sweep(func(o bench.Options) (*bench.TenantsResult, error) {
+		return bench.Tenants(bench.TenantsConfig{MaxTenants: o.Tenants})
+	}, bench.WriteTenantsBench)},
+	{"skew", sweep(func(o bench.Options) (*bench.SkewResult, error) {
+		return bench.Skew(bench.SkewConfig{TotalOps: 8 * o.KVOps})
+	}, bench.WriteSkewBench)},
+}
+
+// sweep adapts a standalone sweep to a -benchout run: it prints the
+// result's table and writes the result's JSON document to path.
+func sweep[R interface{ Render() string }](run func(bench.Options) (R, error), write func(io.Writer, R) error) func(string, map[string]bool, bench.Options, int) error {
+	return func(path string, _ map[string]bool, opts bench.Options, _ int) error {
+		r, err := run(opts)
+		if err != nil {
+			return err
+		}
+		fmt.Print(r.Render())
+		return writeFile(path, func(w io.Writer) error { return write(w, r) })
+	}
+}
+
+// benchKindNames returns the -benchout kind names in declaration order.
+func benchKindNames() []string {
+	names := make([]string, len(benchKinds))
+	for i, k := range benchKinds {
+		names[i] = k.name
+	}
+	return names
+}
+
 // parseBenchOut parses one -benchout value (<kind>=<path>) into outs,
 // rejecting unknown kinds and duplicate keys.
 func parseBenchOut(outs map[string]string, v string) error {
@@ -245,10 +283,8 @@ func parseBenchOut(outs map[string]string, v string) error {
 		return fmt.Errorf("want <kind>=<path>, got %q", v)
 	}
 	kind = strings.ToLower(strings.TrimSpace(kind))
-	switch kind {
-	case "host", "scaling", "async", "db", "tenants", "skew":
-	default:
-		return fmt.Errorf("unknown benchmark kind %q (host, scaling, async, db, tenants, skew)", kind)
+	if !slices.Contains(benchKindNames(), kind) {
+		return fmt.Errorf("unknown benchmark kind %q (%s)", kind, strings.Join(benchKindNames(), ", "))
 	}
 	if prev, dup := outs[kind]; dup {
 		return fmt.Errorf("duplicate -benchout kind %q (already writing %s)", kind, prev)
@@ -257,71 +293,21 @@ func parseBenchOut(outs map[string]string, v string) error {
 	return nil
 }
 
-// runBenchOuts runs the requested standalone benchmarks in a fixed order
-// (host, scaling, async, db, tenants, skew) and writes each result where
-// -benchout asked.
+// runBenchOuts runs the requested standalone benchmarks in benchKinds
+// order and writes each result where -benchout asked.
 func runBenchOuts(outs map[string]string, sel map[string]bool, opts bench.Options, jobs int) error {
-	if path, ok := outs["host"]; ok {
-		if err := runHostBench(path, sel, opts, jobs); err != nil {
-			return err
-		}
-	}
-	if path, ok := outs["scaling"]; ok {
-		r, err := bench.Scaling(bench.ScalingConfig{Records: opts.Records, TotalOps: opts.KVOps})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if err := writeFile(path, func(w io.Writer) error { return bench.WriteScalingBench(w, r) }); err != nil {
-			return err
-		}
-	}
-	if path, ok := outs["async"]; ok {
-		r, err := bench.Async(bench.AsyncConfig{Records: opts.Records, TotalOps: opts.KVOps})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if err := writeFile(path, func(w io.Writer) error { return bench.WriteAsyncBench(w, r) }); err != nil {
-			return err
-		}
-	}
-	if path, ok := outs["db"]; ok {
-		r, err := bench.DBScale(bench.DBScaleConfig{Records: opts.Records / 4, OpsPerClient: opts.Ops})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if err := writeFile(path, func(w io.Writer) error { return bench.WriteDBBench(w, r) }); err != nil {
-			return err
-		}
-	}
-	if path, ok := outs["tenants"]; ok {
-		r, err := bench.Tenants(bench.TenantsConfig{MaxTenants: opts.Tenants})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if err := writeFile(path, func(w io.Writer) error { return bench.WriteTenantsBench(w, r) }); err != nil {
-			return err
-		}
-	}
-	if path, ok := outs["skew"]; ok {
-		r, err := bench.Skew(bench.SkewConfig{TotalOps: 8 * opts.KVOps})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Render())
-		if err := writeFile(path, func(w io.Writer) error { return bench.WriteSkewBench(w, r) }); err != nil {
-			return err
+	for _, k := range benchKinds {
+		if path, ok := outs[k.name]; ok {
+			if err := k.run(path, sel, opts, jobs); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// runHostBench times the selected suite four ways — serial with every host
-// accelerator off, serial with the walk-memo/decode caches on (the PR 2
-// configuration), serial with superblock execution on top, and parallel
+// runHostBench times the selected suite three ways — serial with every
+// host accelerator off, serial with superblock execution on, and parallel
 // with everything on — plus the superblock dispatch microbenchmark, and
 // writes the result as BENCH_host.json. Simulated results are identical in
 // every cell (that is the whole point of the host fast paths); only host
@@ -343,22 +329,16 @@ func runHostBench(path string, sel map[string]bool, opts bench.Options, jobs int
 
 	// Snapshot the flag-derived settings so later -benchout kinds run
 	// under the configuration the user asked for.
-	prevFast := hw.SetHostFastPaths(true)
-	prevDec := isa.SetDecodeCache(true)
 	prevSB := isa.SetSuperblock(true)
 	prevBC := hw.SetBlockCharge(true)
 	prevJobs := bench.SetJobs(1)
 	defer func() {
-		hw.SetHostFastPaths(prevFast)
-		isa.SetDecodeCache(prevDec)
 		isa.SetSuperblock(prevSB)
 		hw.SetBlockCharge(prevBC)
 		bench.SetJobs(prevJobs)
 	}()
 
-	run := func(cachesOn, superblockOn bool, j int) (float64, error) {
-		hw.SetHostFastPaths(cachesOn)
-		isa.SetDecodeCache(cachesOn)
+	run := func(superblockOn bool, j int) (float64, error) {
 		isa.SetSuperblock(superblockOn)
 		hw.SetBlockCharge(superblockOn)
 		bench.SetJobs(j)
@@ -367,16 +347,13 @@ func runHostBench(path string, sel map[string]bool, opts bench.Options, jobs int
 		return time.Since(start).Seconds(), err
 	}
 	var err error
-	if res.SerialCachesOffSec, err = run(false, false, 1); err != nil {
+	if res.SerialCachesOffSec, err = run(false, 1); err != nil {
 		return err
 	}
-	if res.SerialCachesOnSec, err = run(true, false, 1); err != nil {
+	if res.SerialSuperblockOnSec, err = run(true, 1); err != nil {
 		return err
 	}
-	if res.SerialSuperblockOnSec, err = run(true, true, 1); err != nil {
-		return err
-	}
-	if res.ParallelSec, err = run(true, true, jobs); err != nil {
+	if res.ParallelSec, err = run(true, jobs); err != nil {
 		return err
 	}
 	res.Micro = bench.RunSuperblockMicro(0)

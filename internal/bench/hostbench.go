@@ -21,17 +21,13 @@ type HostBenchResult struct {
 	// Experiments is the selector list the timings cover.
 	Experiments []string `json:"experiments"`
 
-	// Serial wall-clock with every host accelerator off vs. the PR 2
-	// configuration (walk-memo + decode caches on, superblocks off).
+	// Serial wall-clock with every host accelerator off (-superblock off).
 	SerialCachesOffSec float64 `json:"serial_caches_off_sec"`
-	SerialCachesOnSec  float64 `json:"serial_caches_on_sec"`
-	// CacheSpeedup = off / on.
-	CacheSpeedup float64 `json:"cache_speedup"`
 
 	// Serial wall-clock with superblock (direct-threaded) execution and
-	// block charging on top of the caches (-superblock on, the default).
+	// block charging on (-superblock on, the default).
 	SerialSuperblockOnSec float64 `json:"serial_superblock_on_sec"`
-	// SuperblockSpeedup = caches-on / superblock-on.
+	// SuperblockSpeedup = caches-off / superblock-on.
 	SuperblockSpeedup float64 `json:"superblock_speedup"`
 
 	// Parallel wall-clock with all accelerators on, and the worker count.
@@ -47,8 +43,8 @@ type HostBenchResult struct {
 // SuperblockMicro is the in-process equivalent of BenchmarkSuperblockStep /
 // BenchmarkSuperblockOffStep: host nanoseconds per simulated instruction
 // through the interpreter hot loop (the 1..100 sum loop), with superblock
-// direct-threaded dispatch on vs off (decode cache on in both), and the
-// block-length histogram of the superblock-on run.
+// direct-threaded dispatch on vs off, and the block-length histogram of
+// the superblock-on run.
 type SuperblockMicro struct {
 	NsPerInstrOn  float64 `json:"ns_per_instr_on"`
 	NsPerInstrOff float64 `json:"ns_per_instr_off"`
@@ -69,8 +65,8 @@ type SBLenBucket struct {
 }
 
 // microLoopProgram assembles the sum-1..n loop the isa dispatch benchmarks
-// use: a 3-instruction body re-executed n times, the decode cache's and
-// superblock cache's bread and butter.
+// use: a 3-instruction body re-executed n times, the superblock cache's
+// bread and butter.
 func microLoopProgram(n int32) []byte {
 	var a isa.Asm
 	a.MovRI32(isa.RAX, 0)
@@ -94,9 +90,8 @@ func microLoopProgram(n int32) []byte {
 // toggle pinned, returning ns per retired instruction and the interpreter
 // (for its SBStats).
 func runMicroLoop(iters int, superblock bool) (float64, *isa.Interp) {
-	prevDec := isa.SetDecodeCache(true)
 	prevSB := isa.SetSuperblock(superblock)
-	defer func() { isa.SetDecodeCache(prevDec); isa.SetSuperblock(prevSB) }()
+	defer isa.SetSuperblock(prevSB)
 	ip := isa.NewInterp()
 	ip.AddRegion(0x400000, microLoopProgram(100))
 	var instrs int
@@ -146,11 +141,8 @@ func RunSuperblockMicro(iters int) *SuperblockMicro {
 
 // WriteHostBench serializes r as the BENCH_host.json document.
 func WriteHostBench(w io.Writer, r HostBenchResult) error {
-	if r.SerialCachesOnSec > 0 {
-		r.CacheSpeedup = r.SerialCachesOffSec / r.SerialCachesOnSec
-	}
 	if r.SerialSuperblockOnSec > 0 {
-		r.SuperblockSpeedup = r.SerialCachesOnSec / r.SerialSuperblockOnSec
+		r.SuperblockSpeedup = r.SerialCachesOffSec / r.SerialSuperblockOnSec
 	}
 	if r.ParallelSec > 0 {
 		r.ParallelSpeedup = r.SerialSuperblockOnSec / r.ParallelSec

@@ -194,21 +194,17 @@ func SetJobs(n int) int {
 }
 
 // runCells runs n independent experiment cells on the package worker pool
-// (SetJobs), each in its own sub-Session — own worlds, own registry, own
-// sub-tracer when s traces — and merges the sub-sessions into s strictly
-// in index order. Because Merge reproduces a serial run byte-for-byte,
-// the session state after runCells is identical for any worker count;
-// with one worker the cells run directly against s, no sub-sessions.
+// (SetJobs), each in its own sub-Session (newSub), and merges the
+// sub-sessions into s strictly in index order. Because Merge reproduces a
+// serial run byte-for-byte, the session state after runCells is identical
+// for any worker count; with one worker the cells run directly against s,
+// no sub-sessions.
 //
 // run must build all simulated state inside the sub-session it is handed
 // and write any host-side result into an index-addressed slot (never
 // append to shared slices).
 func runCells(s *Session, n int, run func(sub *Session, i int) error) error {
-	jobs := cellJobs
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
+	if min(cellJobs, n) <= 1 {
 		for i := 0; i < n; i++ {
 			if err := run(s, i); err != nil {
 				return err
@@ -216,9 +212,30 @@ func runCells(s *Session, n int, run func(sub *Session, i int) error) error {
 		}
 		return nil
 	}
-
 	subs := make([]*Session, n)
 	errs := make([]error, n)
+	return runOrdered(n, cellJobs, func(i int) {
+		subs[i] = s.newSub()
+		errs[i] = run(subs[i], i)
+	}, func(i int) error {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		s.Merge(subs[i])
+		return nil
+	})
+}
+
+// runOrdered calls work(i) for every i in [0, n) on min(jobs, n) workers
+// (at least one), and calls emit(i) on the calling goroutine strictly in
+// index order, as soon as work(i) and every earlier work call have
+// returned. emit may be nil. The first emit error stops further emits and
+// is returned once every work call has finished.
+func runOrdered(n, jobs int, work func(i int), emit func(i int) error) error {
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
 	idxCh := make(chan int)
 	go func() {
 		for i := 0; i < n; i++ {
@@ -227,30 +244,37 @@ func runCells(s *Session, n int, run func(sub *Session, i int) error) error {
 		close(idxCh)
 	}()
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := max(1, min(jobs, n)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				var subTrace *obs.Tracer
-				if s.Trace != nil {
-					subTrace = obs.NewTracer()
-					subTrace.EventCap = s.Trace.EventCap
-				}
-				sub := NewSession(subTrace)
-				errs[i] = run(sub, i)
-				subs[i] = sub
+				work(i)
+				close(done[i])
 			}
 		}()
 	}
-	wg.Wait()
+	var err error
 	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return errs[i]
+		<-done[i]
+		if err == nil && emit != nil {
+			err = emit(i)
 		}
-		s.Merge(subs[i])
 	}
-	return nil
+	wg.Wait()
+	return err
+}
+
+// newSub returns a fresh sub-session for one independent unit of work —
+// own worlds, own registry, and its own sub-tracer when s traces — to be
+// folded back with Merge.
+func (s *Session) newSub() *Session {
+	var t *obs.Tracer
+	if s.Trace != nil {
+		t = obs.NewTracer()
+		t.EventCap = s.Trace.EventCap
+	}
+	return NewSession(t)
 }
 
 // Merge folds a completed sub-session into s: records append in call
@@ -278,8 +302,7 @@ func (s *Session) Merge(sub *Session) {
 }
 
 // RunAll runs the selected catalog units (sel nil selects everything) on a
-// pool of jobs workers, each unit in its own sub-Session — own worlds, own
-// machines, own metric registry, own sub-tracer when master traces — and
+// pool of jobs workers, each unit in its own sub-Session (newSub), and
 // merges results into master strictly in declaration order, streaming each
 // unit's rendered output to out (which may be nil) as soon as all earlier
 // units have been emitted.
@@ -296,65 +319,20 @@ func RunAll(sel map[string]bool, o Options, jobs int, master *Session, out io.Wr
 	if len(units) == 0 {
 		return fmt.Errorf("bench: no experiments selected")
 	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(units) {
-		jobs = len(units)
-	}
-
-	type result struct {
-		out  string
-		sub  *Session
-		err  error
-		done chan struct{}
-	}
-	results := make([]result, len(units))
-	for i := range results {
-		results[i].done = make(chan struct{})
-	}
-
-	idxCh := make(chan int)
-	go func() {
-		for i := range units {
-			idxCh <- i
+	subs := make([]*Session, len(units))
+	outs := make([]string, len(units))
+	errs := make([]error, len(units))
+	return runOrdered(len(units), jobs, func(i int) {
+		subs[i] = master.newSub()
+		outs[i], errs[i] = units[i].Run(subs[i], o)
+	}, func(i int) error {
+		if errs[i] != nil {
+			return fmt.Errorf("%s: %w", units[i].Label, errs[i])
 		}
-		close(idxCh)
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				var subTrace *obs.Tracer
-				if master.Trace != nil {
-					subTrace = obs.NewTracer()
-					subTrace.EventCap = master.Trace.EventCap
-				}
-				sub := NewSession(subTrace)
-				text, err := units[i].Run(sub, o)
-				results[i].out, results[i].sub, results[i].err = text, sub, err
-				close(results[i].done)
-			}
-		}()
-	}
-
-	var firstErr error
-	for i := range units {
-		<-results[i].done
-		if firstErr != nil {
-			continue
-		}
-		if results[i].err != nil {
-			firstErr = fmt.Errorf("%s: %w", units[i].Label, results[i].err)
-			continue
-		}
-		master.Merge(results[i].sub)
+		master.Merge(subs[i])
 		if out != nil {
-			fmt.Fprintln(out, results[i].out)
+			fmt.Fprintln(out, outs[i])
 		}
-	}
-	wg.Wait()
-	return firstErr
+		return nil
+	})
 }

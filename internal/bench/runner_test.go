@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"skybridge/internal/hw"
-	"skybridge/internal/isa"
 	"skybridge/internal/obs"
 )
 
@@ -81,31 +79,6 @@ func TestCellJobsByteIdentical(t *testing.T) {
 		if !bytes.Equal(tN, t1) {
 			t.Errorf("SetJobs(%d) trace differs from serial", jobs)
 		}
-	}
-}
-
-// TestRunAllHostCacheOffByteIdentical: disabling the host-side fast paths
-// must not change a single output byte — the caches are pure host-side
-// accelerators.
-func TestRunAllHostCacheOffByteIdentical(t *testing.T) {
-	sel := map[string]bool{"table2": true, "fig2": true}
-	setCaches := func(on bool) (bool, bool) {
-		return hw.SetHostFastPaths(on), isa.SetDecodeCache(on)
-	}
-	prevHW, prevISA := setCaches(true)
-	t.Cleanup(func() { hw.SetHostFastPaths(prevHW); isa.SetDecodeCache(prevISA) })
-
-	outOn, mOn, tOn := runSuite(t, sel, 1)
-	setCaches(false)
-	outOff, mOff, tOff := runSuite(t, sel, 1)
-	if outOn != outOff {
-		t.Error("stdout differs between -hostcache on and off")
-	}
-	if !bytes.Equal(mOn, mOff) {
-		t.Error("metrics differ between -hostcache on and off")
-	}
-	if !bytes.Equal(tOn, tOff) {
-		t.Error("trace differs between -hostcache on and off")
 	}
 }
 

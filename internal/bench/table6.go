@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"skybridge/internal/isa"
 	"skybridge/internal/rewrite"
@@ -106,34 +105,7 @@ func Table6(scale int) (*Table6Result, error) {
 		res.Rows[ri] = row
 	}
 
-	jobs := cellJobs
-	if jobs > len(table6Corpus) {
-		jobs = len(table6Corpus)
-	}
-	if jobs <= 1 {
-		for ri := range table6Corpus {
-			scanRow(ri)
-		}
-	} else {
-		idxCh := make(chan int)
-		go func() {
-			for ri := range table6Corpus {
-				idxCh <- ri
-			}
-			close(idxCh)
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ri := range idxCh {
-					scanRow(ri)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	runOrdered(len(table6Corpus), cellJobs, scanRow, nil)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -11,9 +11,8 @@ package hw
 // so simulated clocks, counters, LRU stamps, and eviction decisions are
 // byte-identical either way; only host wall-clock changes.
 //
-// The toggle rides the same flag family as the other host fast paths
-// (skybench -superblock on|off) and is snapshotted per CPU at machine
-// construction, mirroring SetHostFastPaths.
+// The toggle rides the superblock flag (skybench -superblock on|off) and
+// is snapshotted per CPU at machine construction.
 
 // blockCharge gates the block-level charge fast path in machines
 // constructed afterwards.

@@ -91,14 +91,10 @@ type CPU struct {
 	FlowID uint64
 
 	// Host-side scratch state (never observable in the simulation).
-	// eptTrace is the reused EPT walk-trace buffer; walkRec collects the
-	// cache charges of an in-progress walk for the walk memo while
-	// recording is set (see hostmemo.go). blockCharge, snapshotted at
-	// machine construction, selects burst-wise cache charging
-	// (blockcharge.go).
+	// eptTrace is the reused EPT walk-trace buffer. blockCharge,
+	// snapshotted at machine construction, selects burst-wise cache
+	// charging (blockcharge.go).
 	eptTrace    []HPA
-	walkRec     []memoCharge
-	recording   bool
 	blockCharge bool
 }
 
@@ -129,143 +125,66 @@ func (c *CPU) tlbTag() TLBTag {
 }
 
 // resolveGPA translates a guest-physical address to host-physical, charging
-// one L1D access per EPT entry read, and returns the EPT leaf permissions
-// of the resolved page (EPTAll with no EPT active, where GPA == HPA).
-func (c *CPU) resolveGPA(g GPA, acc Access) (HPA, EPTFlags, error) {
+// one L1D access per EPT entry read.
+func (c *CPU) resolveGPA(g GPA, acc Access) (HPA, error) {
 	if c.ept == nil {
 		if uint64(g) >= c.mach.Mem.Size() {
-			return 0, 0, &EPTViolation{GPA: g, Access: acc, Level: 4}
+			return 0, &EPTViolation{GPA: g, Access: acc, Level: 4}
 		}
-		return HPA(g), EPTAll, nil
+		return HPA(g), nil
 	}
-	hpa, trace, leaf, v := c.ept.TranslateInto(g, acc, c.eptTrace[:0])
+	hpa, trace, v := c.ept.TranslateInto(g, acc, c.eptTrace[:0])
 	c.eptTrace = trace[:0] // keep the (possibly grown) buffer for reuse
 	for _, slot := range trace {
 		c.Clock += c.L1D.Access(slot, false)
 		c.Counters.EPTWalkReads++
-		if c.recording {
-			c.walkRec = append(c.walkRec, memoCharge{slot: slot, eptRead: true})
-		}
 	}
 	if v != nil {
-		return 0, 0, c.raiseEPTViolation(v)
+		return 0, c.mach.deliverExit(c, &VMExit{Reason: ExitEPTViolation, Violation: v})
 	}
-	return hpa, leaf, nil
-}
-
-// raiseEPTViolation packages an EPT violation as a VM exit and dispatches
-// it to the machine's exit handler (the Rootkernel).
-func (c *CPU) raiseEPTViolation(v *EPTViolation) error {
-	// The handler may run arbitrary kernel code (including nested walks);
-	// abandon any in-progress walk recording rather than corrupt it.
-	c.recording = false
-	return c.mach.deliverExit(c, &VMExit{Reason: ExitEPTViolation, Violation: v})
+	return hpa, nil
 }
 
 // walkGuest performs a full two-dimensional page walk for va: four guest
 // page-table levels, each entry read through the EPT, charging cache
 // accesses for every entry touched. On success it returns the host-physical
 // address of the page and the guest leaf flags, and fills the TLB.
-//
-// When the machine has a host-side walk memo, a memoized walk is served by
-// replaying its recorded charge sequence through the live cache model —
-// identical slots in identical order, so clock, counters, and cache state
-// evolve exactly as a re-executed walk (see hostmemo.go). Permissions are
-// re-checked against the current access and mode on every hit; a would-be
-// fault always takes the real walk so fault charging stays authoritative.
 func (c *CPU) walkGuest(va VA, acc Access, tlb *TLB) (HPA, PTFlags, error) {
-	memo := c.mach.memo
-	var eptp HPA
-	if c.ept != nil {
-		eptp = c.ept.Root
-	}
-	if memo != nil {
-		if m := memo.lookup(c.CR3, eptp, va.PageNum()); m != nil {
-			if checkPTPerms(m.flags, acc, c.Mode, va) == nil && m.eptLeaf&eptNeed(acc) != 0 {
-				memo.noteHit()
-				c.Counters.PageWalks++
-				for _, ch := range m.charges {
-					c.Clock += c.L1D.Access(ch.slot, false)
-					if ch.eptRead {
-						c.Counters.EPTWalkReads++
-					}
-				}
-				tlb.Insert(c.tlbTag(), va.PageNum(), m.pageBase, m.flags)
-				return m.pageBase, m.flags, nil
-			}
-			memo.Stats.PermFallbacks++
-		} else {
-			memo.Stats.Misses++
-		}
-		if memo.shouldStore() {
-			c.walkRec = c.walkRec[:0]
-			c.recording = true
-		}
-	}
-
 	c.Counters.PageWalks++
 	table := GPA(c.CR3)
 	for level := 4; level > 1; level-- {
 		entryGPA := table + GPA(8*va.Index(level))
-		entryHPA, _, err := c.resolveGPA(entryGPA, AccessRead)
+		entryHPA, err := c.resolveGPA(entryGPA, AccessRead)
 		if err != nil {
-			c.recording = false
 			return 0, 0, err
 		}
 		c.Clock += c.L1D.Access(entryHPA, false)
-		if c.recording {
-			c.walkRec = append(c.walkRec, memoCharge{slot: entryHPA})
-		}
 		e := c.mach.Mem.ReadU64(entryHPA)
 		if PTFlags(e)&PTEPresent == 0 {
-			c.recording = false
 			return 0, 0, &PageFault{VA: va, Access: acc, Mode: c.Mode}
 		}
 		table = GPA(e & pteAddrMask)
 	}
 	entryGPA := table + GPA(8*va.Index(1))
-	entryHPA, _, err := c.resolveGPA(entryGPA, AccessRead)
+	entryHPA, err := c.resolveGPA(entryGPA, AccessRead)
 	if err != nil {
-		c.recording = false
 		return 0, 0, err
 	}
 	c.Clock += c.L1D.Access(entryHPA, false)
-	if c.recording {
-		c.walkRec = append(c.walkRec, memoCharge{slot: entryHPA})
-	}
 	e := c.mach.Mem.ReadU64(entryHPA)
 	flags := PTFlags(e) &^ PTFlags(pteAddrMask)
 	if flags&PTEPresent == 0 {
-		c.recording = false
 		return 0, 0, &PageFault{VA: va, Access: acc, Mode: c.Mode}
 	}
 	if err := checkPTPerms(flags, acc, c.Mode, va); err != nil {
-		c.recording = false
 		return 0, 0, err
 	}
 	// Translate the data page itself through the EPT to get the frame.
-	pageHPA, eptLeaf, err := c.resolveGPA(GPA(e&pteAddrMask), acc)
+	pageHPA, err := c.resolveGPA(GPA(e&pteAddrMask), acc)
 	if err != nil {
-		c.recording = false
 		return 0, 0, err
 	}
 	tlb.Insert(c.tlbTag(), va.PageNum(), pageHPA.PageBase(), flags)
-	if memo != nil && c.recording {
-		// Record the walk outcome and watch every frame it read, so any
-		// later write into a guest PT page or EPT table page (or a recycle
-		// of one) drops the memo before it could go stale.
-		c.recording = false
-		charges := append([]memoCharge(nil), c.walkRec...)
-		memo.store(GPA(c.CR3), eptp, va.PageNum(), &memoEntry{
-			charges:  charges,
-			pageBase: pageHPA.PageBase(),
-			flags:    flags,
-			eptLeaf:  eptLeaf,
-		})
-		for _, ch := range charges {
-			c.mach.Mem.WatchFrame(ch.slot)
-		}
-	}
 	return pageHPA.PageBase(), flags, nil
 }
 
@@ -455,11 +374,6 @@ func (c *CPU) WriteCR3(root GPA, pcid uint16) error {
 	}
 	c.CR3 = root
 	c.PCID = pcid
-	// Host-side note: the walk memo is deliberately NOT touched here. Its
-	// entries are keyed by root and stay valid until the frames they were
-	// derived from change, which the PhysMem dirty watch tracks; dropping
-	// per-root state on CR3 loads thrashed the memo on kernels that switch
-	// CR3 on every IPC (see hostmemo.go).
 	return nil
 }
 

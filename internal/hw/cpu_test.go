@@ -423,3 +423,254 @@ func TestVMCSEPTPListLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Walk-after-mutation tests. Each reads through a mapping, changes the
+// translation state behind it, then reads again where no TLB entry can
+// answer, and checks the bytes or the fault the fresh walk produces. (The
+// TestWalkMemo* names date from a host-side walk memo that once sat in
+// front of walkGuest; the scenarios outlived it.)
+
+// newWalkMachine builds a 2-core machine with a tiny DTLB and one page
+// table loaded on both cores, running natively in user mode.
+func newWalkMachine(t *testing.T) (*Machine, *PageTable) {
+	t.Helper()
+	m := NewMachine(MachineConfig{Cores: 2, MemBytes: 1 << 26, DTLBEntries: 4})
+	pt := NewPageTable(m.Mem)
+	for _, cpu := range m.Cores {
+		cpu.CR3 = pt.Root
+		cpu.Mode = ModeUser
+	}
+	return m, pt
+}
+
+// readByte reads the byte at va on cpu, failing the test on a fault.
+func readByte(t *testing.T, cpu *CPU, va VA) byte {
+	t.Helper()
+	var b [1]byte
+	if err := cpu.ReadData(va, b[:], 1); err != nil {
+		t.Fatalf("cpu%d read of %#x: %v", cpu.ID, uint64(va), err)
+	}
+	return b[0]
+}
+
+// TestWalkMemoHitAcrossCores: a walk on core 0 fills only core 0's TLB;
+// core 1 walks the same table itself and reads the same bytes.
+func TestWalkMemoHitAcrossCores(t *testing.T) {
+	m, pt := newWalkMachine(t)
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("walked")
+	m.Mem.Write(0x8000, msg)
+
+	c0, c1 := m.Cores[0], m.Cores[1]
+	if err := c0.ReadData(0x40_0000, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(msg))
+	if err := c1.ReadData(0x40_0000, got, len(got)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("core 1 read %q, want %q", got, msg)
+	}
+	if c0.Counters.PageWalks != 1 || c1.Counters.PageWalks != 1 {
+		t.Fatalf("page walks: core 0 %d, core 1 %d, want 1 each",
+			c0.Counters.PageWalks, c1.Counters.PageWalks)
+	}
+}
+
+// TestWalkMemoStalePTEEdit: after a PTE remap, a TLB-cold core reads the
+// new frame.
+func TestWalkMemoStalePTEEdit(t *testing.T) {
+	m, pt := newWalkMachine(t)
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xAA})
+	m.Mem.Write(0x9000, []byte{0xBB})
+
+	c0, c1 := m.Cores[0], m.Cores[1]
+	if b := readByte(t, c0, 0x40_0000); b != 0xAA {
+		t.Fatalf("before remap: got %#x, want 0xAA", b)
+	}
+	if err := pt.Map(0x40_0000, 0x9000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	if b := readByte(t, c1, 0x40_0000); b != 0xBB {
+		t.Fatalf("after remap: got %#x, want 0xBB", b)
+	}
+}
+
+// TestWalkMemoCR3Reload: reloading CR3 with a second table (fresh PCID, so
+// the TLB cannot answer) resolves through that table; reloading the first
+// table after editing it sees the edit.
+func TestWalkMemoCR3Reload(t *testing.T) {
+	m, pt1 := newWalkMachine(t)
+	pt2 := NewPageTable(m.Mem)
+	if err := pt1.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt2.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xA1})
+	m.Mem.Write(0x9000, []byte{0xB2})
+
+	c0 := m.Cores[0]
+	load := func(root GPA, pcid uint16) {
+		t.Helper()
+		c0.Mode = ModeKernel
+		if err := c0.WriteCR3(root, pcid); err != nil {
+			t.Fatal(err)
+		}
+		c0.Mode = ModeUser
+	}
+	if b := readByte(t, c0, 0x40_0000); b != 0xA1 {
+		t.Fatalf("under pt1: got %#x, want 0xA1", b)
+	}
+	load(pt2.Root, 2)
+	if b := readByte(t, c0, 0x40_0000); b != 0xB2 {
+		t.Fatalf("after CR3 switch to pt2: got %#x, want 0xB2", b)
+	}
+	load(pt1.Root, 3)
+	if b := readByte(t, c0, 0x40_0000); b != 0xA1 {
+		t.Fatalf("back on pt1: got %#x, want 0xA1", b)
+	}
+	if err := pt1.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	load(pt1.Root, 4)
+	if b := readByte(t, c0, 0x40_0000); b != 0xB2 {
+		t.Fatalf("after pt1 edit: got %#x, want 0xB2", b)
+	}
+}
+
+// TestWalkMemoTLBShootdown: a stale TLB entry keeps serving the old frame
+// until it is flushed; after FlushAll, and again after FlushTag, the next
+// access walks and reads the current mapping.
+func TestWalkMemoTLBShootdown(t *testing.T) {
+	m, pt := newWalkMachine(t)
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xAA})
+	m.Mem.Write(0x9000, []byte{0xBB})
+
+	c0 := m.Cores[0]
+	if b := readByte(t, c0, 0x40_0000); b != 0xAA {
+		t.Fatalf("first read: got %#x, want 0xAA", b)
+	}
+	if err := pt.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	if b := readByte(t, c0, 0x40_0000); b != 0xAA {
+		t.Fatalf("before shootdown: got %#x, want the TLB's stale 0xAA", b)
+	}
+	walks := c0.Counters.PageWalks
+	c0.DTLB.FlushAll()
+	if b := readByte(t, c0, 0x40_0000); b != 0xBB {
+		t.Fatalf("after FlushAll: got %#x, want 0xBB", b)
+	}
+	if c0.Counters.PageWalks != walks+1 {
+		t.Fatalf("FlushAll: %d walks, want 1", c0.Counters.PageWalks-walks)
+	}
+
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	c0.DTLB.FlushTag(c0.tlbTag())
+	if b := readByte(t, c0, 0x40_0000); b != 0xAA {
+		t.Fatalf("after FlushTag: got %#x, want 0xAA", b)
+	}
+}
+
+// TestWalkMemoEPTPermissionDowngrade: after an EPT downgrade of the data
+// frame to read-only and a TLB flush, reads still succeed and a write
+// raises an EPT violation.
+func TestWalkMemoEPTPermissionDowngrade(t *testing.T) {
+	m, pt := newWalkMachine(t)
+	cpu := m.Cores[0]
+	ept, _ := installVirt(t, m, cpu)
+	var got *VMExit
+	m.SetExitHandler(func(c *CPU, e *VMExit) error {
+		got = e
+		return e
+	})
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := cpu.WriteData(0x40_0000, []byte{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ept.RemapGPA(0x8000, 0x8000, EPTRead); err != nil {
+		t.Fatal(err)
+	}
+	cpu.DTLB.FlushAll()
+	if b := readByte(t, cpu, 0x40_0000); b != 1 {
+		t.Fatalf("read after downgrade: got %d, want 1", b)
+	}
+	if got != nil {
+		t.Fatalf("read after downgrade exited: %+v", got)
+	}
+	cpu.DTLB.FlushAll()
+	err := cpu.WriteData(0x40_0000, []byte{2}, 1)
+	if err == nil {
+		t.Fatal("write after EPT downgrade succeeded")
+	}
+	if got == nil || got.Reason != ExitEPTViolation || got.Violation.GPA != 0x8000 {
+		t.Fatalf("exit %+v, err %v", got, err)
+	}
+}
+
+// TestWalkMemoFrameRecycle: a page-table root frame that is freed and
+// handed out again comes back zeroed; a TLB-cold core walking it faults,
+// and once a new table is built in it, reads the new mapping.
+func TestWalkMemoFrameRecycle(t *testing.T) {
+	m, pt := newWalkMachine(t)
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xAA})
+	m.Mem.Write(0x9000, []byte{0xBB})
+	c0, c1 := m.Cores[0], m.Cores[1]
+	if b := readByte(t, c0, 0x40_0000); b != 0xAA {
+		t.Fatalf("first read: got %#x, want 0xAA", b)
+	}
+
+	m.Mem.FreeFrame(HPA(pt.Root))
+	pt2 := NewPageTable(m.Mem) // reuses the freed frame as its root
+	if pt2.Root != pt.Root {
+		t.Fatalf("recycled root %#x, want %#x", uint64(pt2.Root), uint64(pt.Root))
+	}
+	var pf *PageFault
+	if err := c1.ReadData(0x40_0000, nil, 1); !errors.As(err, &pf) {
+		t.Fatalf("read through zeroed root: got %v, want PageFault", err)
+	}
+	if err := pt2.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	if b := readByte(t, c1, 0x40_0000); b != 0xBB {
+		t.Fatalf("read through rebuilt root: got %#x, want 0xBB", b)
+	}
+}
+
+// TestWalkMemoPermFallback: a TLB-cold core writing a read-only page walks
+// and takes the page fault, while its reads succeed.
+func TestWalkMemoPermFallback(t *testing.T) {
+	m, pt := newWalkMachine(t)
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := m.Cores[0], m.Cores[1]
+	if err := c0.ReadData(0x40_0000, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	var pf *PageFault
+	if err := c1.WriteData(0x40_0000, []byte{1}, 1); !errors.As(err, &pf) {
+		t.Fatalf("write through read-only mapping: got %v, want PageFault", err)
+	}
+	if err := c1.ReadData(0x40_0000, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+}

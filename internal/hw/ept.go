@@ -276,7 +276,7 @@ func (e *EPT) Translate(gpa GPA, acc Access) (HPA, *EPTViolation) {
 // cache accesses for the walk (this is where the 2-level-translation cost
 // the paper discusses comes from).
 func (e *EPT) TranslateTrace(gpa GPA, acc Access) (HPA, []HPA, *EPTViolation) {
-	hpa, trace, _, v := e.TranslateInto(gpa, acc, nil)
+	hpa, trace, v := e.TranslateInto(gpa, acc, nil)
 	return hpa, trace, v
 }
 
@@ -291,12 +291,10 @@ func eptNeed(acc Access) EPTFlags {
 	return EPTRead
 }
 
-// TranslateInto is TranslateTrace with two hot-path additions: the walk
-// appends entry slots to the caller-provided trace buffer (pass a reused
-// scratch slice to avoid the per-walk allocation), and on success it also
-// returns the leaf entry's permission flags, which the host-side walk memo
-// stores so a memo hit can re-check permissions without re-walking.
-func (e *EPT) TranslateInto(gpa GPA, acc Access, trace []HPA) (HPA, []HPA, EPTFlags, *EPTViolation) {
+// TranslateInto is TranslateTrace appending entry slots to the
+// caller-provided trace buffer (pass a reused scratch slice to avoid the
+// per-walk allocation).
+func (e *EPT) TranslateInto(gpa GPA, acc Access, trace []HPA) (HPA, []HPA, *EPTViolation) {
 	need := eptNeed(acc)
 	table := e.Root
 	for level := 4; level >= 1; level-- {
@@ -304,11 +302,11 @@ func (e *EPT) TranslateInto(gpa GPA, acc Access, trace []HPA) (HPA, []HPA, EPTFl
 		trace = append(trace, slot)
 		entry := e.mem.ReadU64(slot)
 		if EPTFlags(entry)&EPTAll == 0 {
-			return 0, trace, 0, &EPTViolation{GPA: gpa, Access: acc, Level: level}
+			return 0, trace, &EPTViolation{GPA: gpa, Access: acc, Level: level}
 		}
 		if level == 1 || EPTFlags(entry)&EPTPS != 0 {
 			if EPTFlags(entry)&need == 0 {
-				return 0, trace, 0, &EPTViolation{GPA: gpa, Access: acc, Level: 0}
+				return 0, trace, &EPTViolation{GPA: gpa, Access: acc, Level: 0}
 			}
 			var size uint64
 			switch level {
@@ -319,12 +317,12 @@ func (e *EPT) TranslateInto(gpa GPA, acc Access, trace []HPA) (HPA, []HPA, EPTFl
 			case 3:
 				size = Page1GSize
 			default:
-				return 0, trace, 0, &EPTViolation{GPA: gpa, Access: acc, Level: level}
+				return 0, trace, &EPTViolation{GPA: gpa, Access: acc, Level: level}
 			}
 			base := entry & eptAddrMask
-			return HPA(base + uint64(gpa)%size), trace, EPTFlags(entry) & EPTAll, nil
+			return HPA(base + uint64(gpa)%size), trace, nil
 		}
 		table = HPA(entry & eptAddrMask)
 	}
-	return 0, trace, 0, &EPTViolation{GPA: gpa, Access: acc, Level: 1}
+	return 0, trace, &EPTViolation{GPA: gpa, Access: acc, Level: 1}
 }

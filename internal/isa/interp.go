@@ -1,23 +1,9 @@
 package isa
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
-
-// decodeCacheOn gates the decoded-instruction cache in interpreters
-// constructed afterwards. It exists as an escape hatch (skybench
-// -hostcache=off) and for on/off equivalence tests.
-var decodeCacheOn = true
-
-// SetDecodeCache enables or disables the decoded-instruction cache for
-// interpreters constructed afterwards, returning the previous setting.
-func SetDecodeCache(on bool) bool {
-	prev := decodeCacheOn
-	decodeCacheOn = on
-	return prev
-}
 
 // superblockOn gates superblock (direct-threaded) execution in interpreters
 // constructed afterwards (skybench -superblock on|off). Architectural
@@ -61,18 +47,6 @@ type Interp struct {
 	// Steps counts executed instructions.
 	Steps int
 
-	// Decoded-instruction cache (host-side; execution semantics are
-	// unaffected). Keyed by RIP; every hit is validated by comparing the
-	// cached instruction's Raw bytes (a copy made at decode time) against
-	// the current region bytes, so an in-place code write — including a
-	// rewrite pass mutating a region slice it retained — transparently
-	// forces a re-decode. AddRegion and InvalidateCode also drop entries.
-	decCache            map[uint64]Inst
-	decOn               bool
-	DecodeHits          uint64 // host-side diagnostics only
-	DecodeMisses        uint64
-	DecodeInvalidations uint64
-
 	// Superblock (direct-threaded) execution state: straight-line decoded
 	// runs fused into blocks dispatched as one host call (superblock.go).
 	// sbCache is keyed by block entry RIP; every dispatch revalidates the
@@ -88,7 +62,7 @@ type Interp struct {
 }
 
 // NewInterp returns an empty interpreter.
-func NewInterp() *Interp { return &Interp{decOn: decodeCacheOn, sbOn: superblockOn} }
+func NewInterp() *Interp { return &Interp{sbOn: superblockOn} }
 
 // AddRegion maps data at base. Regions must not overlap.
 func (ip *Interp) AddRegion(base uint64, data []byte) {
@@ -101,44 +75,14 @@ func (ip *Interp) AddRegion(base uint64, data []byte) {
 	ip.InvalidateCode()
 }
 
-// InvalidateCode drops every cached decoded instruction and superblock.
-// Callers that mutate code bytes in place do not need to call this — hit
-// validation catches byte changes — but rewriters may call it for
-// explicitness.
+// InvalidateCode drops every cached superblock. Callers that mutate code
+// bytes in place do not need to call this — dispatch revalidates block
+// bytes — but rewriters may call it for explicitness.
 func (ip *Interp) InvalidateCode() {
-	if len(ip.decCache) > 0 {
-		ip.DecodeInvalidations++
-		clear(ip.decCache)
-	}
 	if len(ip.sbCache) > 0 {
 		ip.SBStats.Invalidations++
 		clear(ip.sbCache)
 	}
-}
-
-// decode returns the decoded instruction at the current RIP, serving it
-// from the decode cache when the underlying bytes still match.
-func (ip *Interp) decode(code []byte) (Inst, error) {
-	if !ip.decOn {
-		return Decode(code)
-	}
-	if in, ok := ip.decCache[ip.RIP]; ok {
-		if n := len(in.Raw); len(code) >= n && bytes.Equal(in.Raw, code[:n]) {
-			ip.DecodeHits++
-			return in, nil
-		}
-		// Stale bytes under a cached entry: fall through and re-decode.
-	}
-	in, err := Decode(code)
-	if err != nil {
-		return in, err
-	}
-	ip.DecodeMisses++
-	if ip.decCache == nil {
-		ip.decCache = make(map[uint64]Inst)
-	}
-	ip.decCache[ip.RIP] = in
-	return in, nil
 }
 
 func (ip *Interp) region(addr uint64, n int) ([]byte, error) {
@@ -250,7 +194,7 @@ func (ip *Interp) Step() error {
 	if err != nil {
 		return err
 	}
-	in, err := ip.decode(code)
+	in, err := Decode(code)
 	if err != nil {
 		return fmt.Errorf("isa: at rip %#x: %w", ip.RIP, err)
 	}

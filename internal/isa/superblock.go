@@ -14,13 +14,13 @@ import (
 // region, a decode failure, or the SBMaxLen cap. Each instruction gets a
 // direct-threaded handler closure specialized at formation time, so
 // dispatch is one indirect call per instruction with no per-instruction
-// fetch, decode-cache probe, or operand re-resolution.
+// fetch, decode, or operand re-resolution.
 //
 // Correctness invariants (the feature must be architecturally invisible):
 //   - One byte-validation per dispatch: the block's formation-time byte
 //     copy is compared against the live region bytes; any mismatch drops
 //     the block and re-forms from the current bytes, so rewrite-over-code
-//     between dispatches behaves exactly like the per-step decode cache.
+//     between dispatches executes the new bytes, exactly like Step.
 //   - Self-modifying code inside a block: every data store is tracked
 //     (storeSeq/lastStore); a store overlapping the block's own
 //     not-yet-executed bytes bails out of the block, letting Step()
@@ -28,7 +28,7 @@ import (
 //   - Step accounting is exact: the maxSteps bound is checked before every
 //     fused instruction, so Run's "exceeded N steps" error fires at the
 //     same Steps/RIP as per-step execution.
-//   - AddRegion/InvalidateCode drop all blocks, mirroring the decode cache.
+//   - AddRegion/InvalidateCode drop all blocks.
 
 // SBMaxLen caps the number of instructions fused into one superblock.
 const SBMaxLen = 64

@@ -18,7 +18,28 @@ type sbState struct {
 	Data, Stack    []byte
 }
 
-// runProgram executes code with the given toggle and returns the final
+// loopProgram assembles a sum-1..n loop, which re-executes the same RIPs
+// many times.
+func loopProgram(n int32) []byte {
+	var a Asm
+	a.MovRI32(RAX, 0)
+	a.MovRI32(RCX, n)
+	top := a.Len()
+	a.AluRR(ADD, RAX, RCX)
+	a.AluRI8(SUB, RCX, 1)
+	body := a.Len()
+	a.Jcc(CondNE, 0)
+	rel := int32(top - (body + 6))
+	b := a.Bytes()
+	b[body+2] = byte(rel)
+	b[body+3] = byte(rel >> 8)
+	b[body+4] = byte(rel >> 16)
+	b[body+5] = byte(rel >> 24)
+	a.Hlt()
+	return a.Bytes()
+}
+
+// runSBProgram executes code with the given toggle and returns the final
 // state, including copies of the data and stack regions.
 func runSBProgram(t *testing.T, code []byte, superblock bool, maxSteps int) (sbState, *Interp) {
 	t.Helper()
@@ -290,8 +311,8 @@ func TestSuperblockRewriteBetweenDispatches(t *testing.T) {
 	}
 }
 
-// TestSuperblockInvalidateOnAddRegion mirrors the decode-cache test:
-// mapping a new region drops every cached block.
+// TestSuperblockInvalidateOnAddRegion: mapping a new region drops every
+// cached block.
 func TestSuperblockInvalidateOnAddRegion(t *testing.T) {
 	prev := SetSuperblock(true)
 	defer SetSuperblock(prev)
@@ -364,5 +385,125 @@ func TestSuperblockStats(t *testing.T) {
 	}
 	if got := st.MeanLen(); got != 10 {
 		t.Fatalf("MeanLen = %v, want 10", got)
+	}
+}
+
+// runPatched runs code, overwrites it in place with patch (no
+// InvalidateCode call), and runs it again from the same entry.
+func runPatched(t *testing.T, code, patch []byte, superblock bool) *Interp {
+	t.Helper()
+	if len(patch) != len(code) {
+		t.Fatalf("patch length %d != code length %d", len(patch), len(code))
+	}
+	prev := SetSuperblock(superblock)
+	defer SetSuperblock(prev)
+	region := append([]byte(nil), code...)
+	ip := NewInterp()
+	ip.AddRegion(0x400000, region) // ip shares the backing slice
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			copy(region, patch)
+		}
+		ip.RIP = 0x400000
+		ip.Halted = false
+		if err := ip.Run(100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ip
+}
+
+// TestDecodeCacheTransparent: the sum loop ends in the same architectural
+// state under Step and superblock dispatch, with the superblock run
+// serving its loop body from cached blocks.
+func TestDecodeCacheTransparent(t *testing.T) {
+	code := loopProgram(100)
+	on, ipOn := runSBProgram(t, code, true, 10000)
+	off, _ := runSBProgram(t, code, false, 10000)
+	diffState(t, on, off)
+	if on.Regs[RAX] != 5050 {
+		t.Fatalf("rax = %d, want 5050", on.Regs[RAX])
+	}
+	if ipOn.SBStats.Hits == 0 {
+		t.Fatal("loop reused no cached block")
+	}
+}
+
+// TestDecodeCacheSelfModifyingCode overwrites already-executed code bytes
+// in place (same instruction length); both Step and superblock dispatch
+// must execute the new bytes on the second run.
+func TestDecodeCacheSelfModifyingCode(t *testing.T) {
+	prog := func(v int32) []byte {
+		var a Asm
+		a.MovRI32(RAX, v)
+		a.Hlt()
+		return a.Bytes()
+	}
+	step := runPatched(t, prog(1), prog(2), false)
+	sb := runPatched(t, prog(1), prog(2), true)
+	if step.Regs[RAX] != 2 || sb.Regs[RAX] != 2 {
+		t.Fatalf("after in-place patch: rax step=%d superblock=%d, want 2", step.Regs[RAX], sb.Regs[RAX])
+	}
+	if step.Steps != sb.Steps {
+		t.Fatalf("steps diverged: step=%d superblock=%d", step.Steps, sb.Steps)
+	}
+}
+
+// TestDecodeCacheLengthChangingPatch overwrites executed code with
+// instructions of different lengths, shifting every decode boundary.
+func TestDecodeCacheLengthChangingPatch(t *testing.T) {
+	var a Asm
+	for i := 0; i < 12; i++ {
+		a.Nop()
+	}
+	a.Hlt()
+	code := a.Bytes()
+	var b Asm
+	b.MovRI32(RBX, 7) // 5+ bytes where single-byte NOPs ran
+	for b.Len() < len(code)-1 {
+		b.Nop()
+	}
+	b.Hlt()
+	step := runPatched(t, code, b.Bytes(), false)
+	sb := runPatched(t, code, b.Bytes(), true)
+	if step.Regs[RBX] != 7 || sb.Regs[RBX] != 7 {
+		t.Fatalf("rbx step=%d superblock=%d, want 7 (stale decode across shifted boundaries)",
+			step.Regs[RBX], sb.Regs[RBX])
+	}
+	if step.Regs != sb.Regs || step.Steps != sb.Steps {
+		t.Fatalf("diverged: step regs=%#x steps=%d, superblock regs=%#x steps=%d",
+			step.Regs, step.Steps, sb.Regs, sb.Steps)
+	}
+}
+
+// TestDecodeCacheInvalidateOnAddRegion: after a region is added to a
+// running interpreter, code in it runs the same under Step and superblock
+// dispatch, and the superblock cache was dropped.
+func TestDecodeCacheInvalidateOnAddRegion(t *testing.T) {
+	run := func(superblock bool) *Interp {
+		prev := SetSuperblock(superblock)
+		defer SetSuperblock(prev)
+		ip := NewInterp()
+		ip.AddRegion(0x400000, loopProgram(3))
+		ip.RIP = 0x400000
+		if err := ip.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		inv := ip.SBStats.Invalidations
+		ip.AddRegion(0x500000, loopProgram(4))
+		if superblock && ip.SBStats.Invalidations != inv+1 {
+			t.Fatalf("AddRegion did not invalidate (got %d, want %d)", ip.SBStats.Invalidations, inv+1)
+		}
+		ip.RIP = 0x500000
+		ip.Halted = false
+		if err := ip.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		return ip
+	}
+	step, sb := run(false), run(true)
+	if sb.Regs[RAX] != 10 || step.Regs != sb.Regs || step.Steps != sb.Steps {
+		t.Fatalf("second region: step rax=%d steps=%d, superblock rax=%d steps=%d, want rax 10",
+			step.Regs[RAX], step.Steps, sb.Regs[RAX], sb.Steps)
 	}
 }

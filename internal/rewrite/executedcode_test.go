@@ -7,12 +7,11 @@ import (
 )
 
 // TestRewritePassOverExecutedCode models the deployment sequence the
-// host-side code caches must survive: a process executes its code
-// (populating the interpreter's decode cache and, in superblock mode, its
-// fused-block cache), then the Rootkernel's rewrite pass patches the
-// mapped code page in place. Re-execution must follow the rewritten
-// bytes — zero VMFUNCs and equivalent architectural results — not stale
-// cached decodes or fused blocks of the original.
+// interpreter must survive: a process executes its code (in superblock
+// mode, populating the fused-block cache), then the Rootkernel's rewrite
+// pass patches the mapped code page in place. Re-execution must follow the
+// rewritten bytes — zero VMFUNCs and equivalent architectural results —
+// not stale fused blocks of the original. The step arm is the reference.
 func TestRewritePassOverExecutedCode(t *testing.T) {
 	for _, superblock := range []bool{false, true} {
 		name := "step"
@@ -20,9 +19,8 @@ func TestRewritePassOverExecutedCode(t *testing.T) {
 			name = "superblock"
 		}
 		t.Run(name, func(t *testing.T) {
-			prevCache := isa.SetDecodeCache(true)
 			prevSB := isa.SetSuperblock(superblock)
-			defer func() { isa.SetDecodeCache(prevCache); isa.SetSuperblock(prevSB) }()
+			defer isa.SetSuperblock(prevSB)
 
 			code := buildProgram(func(a *isa.Asm) {
 				a.MovRI32(isa.RAX, 1)
@@ -39,8 +37,8 @@ func TestRewritePassOverExecutedCode(t *testing.T) {
 			}
 
 			// The interpreter shares the region's backing slice, so copying the
-			// rewritten bytes over it is an in-place patch of already-executed,
-			// already-cached code.
+			// rewritten bytes over it is an in-place patch of already-executed
+			// code.
 			region := append([]byte(nil), code...)
 			ip := isa.NewInterp()
 			ip.AddRegion(testCodeBase, region)
@@ -57,12 +55,8 @@ func TestRewritePassOverExecutedCode(t *testing.T) {
 				t.Fatalf("original code executed %d VMFUNCs, want 1", ip.VMFuncCount)
 			}
 			wantRAX, wantRBX := ip.Regs[isa.RAX], ip.Regs[isa.RBX]
-			if superblock {
-				if ip.SBStats.Formed == 0 {
-					t.Fatal("first run fused nothing")
-				}
-			} else if ip.DecodeMisses == 0 {
-				t.Fatal("first run cached nothing")
+			if superblock && ip.SBStats.Formed == 0 {
+				t.Fatal("first run fused nothing")
 			}
 
 			copy(region, res.Code) // the rewrite pass lands
