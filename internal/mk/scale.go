@@ -23,8 +23,8 @@ func NewGate() *Gate { return &Gate{open: true} }
 func (g *Gate) Open() bool { return g.open }
 
 // Shut marks the core out of service; the owning thread must call Wait
-// next. Host-side state only — callers hold the simulator's one-thread
-// baton, so no atomics are needed.
+// next. Host-side state only — the engine runs one simulated thread at a
+// time, so no atomics are needed.
 func (g *Gate) Shut() {
 	if g.open {
 		g.open = false

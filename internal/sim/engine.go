@@ -1,13 +1,15 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event execution engine for
 // simulated threads running on the cores of a hw.Machine.
 //
-// Each simulated thread is a goroutine, but exactly one runs at a time: the
-// engine resumes the thread whose pending event has the lowest timestamp,
-// the thread executes until it parks (blocks) or checkpoints, and control
-// returns to the engine. A thread bound to core C advances C's cycle clock
-// as it executes hardware operations; when a thread is resumed by an event
-// with timestamp t, its start time is max(t, C.Clock), which serializes
-// threads sharing a core without any explicit core scheduler.
+// Each simulated thread is a coroutine (iter.Pull), and exactly one runs at
+// a time: Run resumes the thread whose pending event has the lowest
+// timestamp, the thread executes until it parks (blocks) or checkpoints,
+// and control switches back to Run. A thread bound to core C advances C's
+// cycle clock as it executes hardware operations; when a thread is resumed
+// by an event with timestamp t, its start time is max(t, C.Clock), which
+// serializes threads sharing a core without any explicit core scheduler.
 //
 // Interaction points (locks, IPC endpoints) call Checkpoint first, so
 // shared resources are claimed in global time order and runs are fully
@@ -16,12 +18,13 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"skybridge/internal/hw"
 )
 
 // event is a scheduled occurrence: either resuming a parked thread or
-// running a closure on the engine goroutine.
+// running a closure inside Run.
 type event struct {
 	t   uint64
 	seq uint64
@@ -93,38 +96,31 @@ type Thread struct {
 	// Ctx lets higher layers (the microkernel) attach per-thread state.
 	Ctx any
 
-	eng    *Engine
-	resume chan any
-	state  ThreadState
+	eng   *Engine
+	state ThreadState
+	// next runs the thread's coroutine until it parks or finishes; yield,
+	// called by Park, switches back to Run.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// val carries the wake value from Run to the Park it resumes.
+	val any
 }
 
-// Engine owns the event queue and the machine.
-//
-// Scheduling uses a baton handoff: exactly one goroutine at a time holds the
-// right to touch engine state (the event heap, seq). Run seeds the baton by
-// dispatching the first event; from then on, every thread that parks or
-// finishes runs the dispatch loop itself and hands the baton directly to the
-// next thread via its resume channel. A context switch therefore costs one
-// channel handoff, not a park-then-resume round trip through a central
-// scheduler goroutine — the event order processed is identical (the heap is
-// the same; only which goroutine pops it changes).
+// Engine owns the event queue and the machine. Run pops events on its
+// caller's goroutine and switches into one thread's coroutine at a time,
+// so engine state (the event heap, seq) is only ever touched by whichever
+// coroutine is running and needs no locking.
 type Engine struct {
 	Mach *hw.Machine
 
 	events  eventHeap
 	seq     uint64
-	done    chan struct{}
 	threads []*Thread
-	// Delivery errors (wake of a running thread) recorded by dispatch and
-	// returned by Run.
-	err error
 }
 
 // NewEngine creates an engine over the machine.
 func NewEngine(m *hw.Machine) *Engine {
-	// done is buffered so the drain signal can be sent from Run's own
-	// goroutine when the queue empties without ever handing off to a thread.
-	return &Engine{Mach: m, done: make(chan struct{}, 1)}
+	return &Engine{Mach: m}
 }
 
 func (e *Engine) push(ev event) {
@@ -146,47 +142,46 @@ func (e *Engine) pop() event {
 }
 
 // Go creates a thread on the given core and schedules its first run at the
-// core's current time. The body runs when Run is called.
+// core's current time. The body runs as the thread's coroutine once Run
+// reaches that event.
 func (e *Engine) Go(name string, core *hw.CPU, body func(t *Thread)) *Thread {
-	// resume is buffered so the dispatcher can hand a thread the baton and
-	// return immediately — including the case where a parking thread's
-	// dispatch loop resumes that same thread (its own wake is the next
-	// event), where an unbuffered send from the sole goroutine would
-	// deadlock.
-	th := &Thread{Name: name, Core: core, eng: e, resume: make(chan any, 1), state: StateParked}
-	e.threads = append(e.threads, th)
-	go func() {
-		<-th.resume
-		th.state = StateRunning
+	th := &Thread{Name: name, Core: core, eng: e, state: StateParked}
+	// The coroutine is never stopped early: a thread still parked when Run
+	// drains is reported as deadlocked and stays suspended.
+	th.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		th.yield = yield
 		body(th)
 		th.state = StateFinished
-		e.dispatch()
-	}()
+	})
+	e.threads = append(e.threads, th)
 	e.push(event{t: core.Clock, thread: th})
 	return th
 }
 
-// At schedules fn to run on the engine goroutine at time t. fn must not
-// block; it may wake parked threads.
+// At schedules fn to run inside Run at time t. fn must not block; it may
+// wake parked threads.
 func (e *Engine) At(t uint64, fn func()) {
 	e.push(event{t: t, fn: fn})
 }
 
 // Wake schedules a parked thread to resume at time at, delivering val as
 // the return value of its Park call. Waking a non-parked thread is an
-// engine-usage bug detected at delivery time (the event is dropped with an
-// error recorded if the thread has finished, ignored if it is running ---
-// the caller must own the thread's lifecycle).
+// engine-usage bug detected at delivery time (the event is dropped if the
+// thread has finished, and Run returns an error if it is running --- the
+// caller must own the thread's lifecycle).
 func (e *Engine) Wake(t *Thread, at uint64, val any) {
 	e.push(event{t: at, thread: t, val: val})
 }
 
-// dispatch runs the event loop on the calling goroutine until control is
-// handed to a thread (a send on its resume channel, after which the caller
-// must stop touching engine state) or the queue drains, which signals Run.
-// It is called by Run to seed the baton and by every thread as it parks or
-// finishes.
-func (e *Engine) dispatch() {
+// Run processes events until none remain. It returns an error if threads
+// are still parked when the queue drains (deadlock) or if one was woken
+// while running. Run may be called again after it returns, with threads
+// created by Go in between.
+//
+// Thread bodies run as coroutines that Run switches into, so a panic in a
+// body propagates out of Run on its caller's goroutine, where the caller
+// may recover it; the engine is not usable afterwards.
+func (e *Engine) Run() error {
 	for len(e.events) > 0 {
 		ev := e.pop()
 		if ev.fn != nil {
@@ -198,9 +193,7 @@ func (e *Engine) dispatch() {
 		case StateFinished:
 			continue // stale wake (e.g. expired timeout)
 		case StateRunning:
-			e.err = fmt.Errorf("sim: wake of running thread %q", th.Name)
-			e.done <- struct{}{}
-			return
+			return fmt.Errorf("sim: wake of running thread %q", th.Name)
 		}
 		// Serialize threads sharing a core: never start before the core's
 		// clock.
@@ -208,21 +201,8 @@ func (e *Engine) dispatch() {
 			th.Core.Clock = ev.t
 		}
 		th.state = StateRunning
-		th.resume <- ev.val
-		return
-	}
-	e.done <- struct{}{}
-}
-
-// Run processes events until none remain. It returns an error if threads
-// are still parked when the queue drains (deadlock) or if one was woken in
-// an invalid state.
-func (e *Engine) Run() error {
-	e.dispatch()
-	<-e.done
-	if err := e.err; err != nil {
-		e.err = nil
-		return err
+		th.val = ev.val
+		th.next()
 	}
 	var stuck []string
 	for _, th := range e.threads {
@@ -240,13 +220,13 @@ func (e *Engine) Run() error {
 func (t *Thread) Now() uint64 { return t.Core.Clock }
 
 // Park blocks the thread until another thread or closure wakes it. It
-// returns the value passed to Wake. The parking goroutine dispatches the
-// next event itself before blocking, handing the scheduling baton on.
+// returns the value passed to Wake. The thread's coroutine yields back to
+// Run, which resumes it when it pops the wake.
 func (t *Thread) Park() any {
 	t.state = StateParked
-	t.eng.dispatch()
-	v := <-t.resume
-	t.state = StateRunning
+	t.yield(struct{}{})
+	v := t.val
+	t.val = nil
 	return v
 }
 
