@@ -14,10 +14,13 @@
 // -kvops, -clients, -scale, -tenants.
 //
 // -benchout <kind>=<path> runs a standalone benchmark and writes its JSON
-// document: host (suite wall-clock timings), scaling (multicore sweep),
-// async (ring queue-depth sweep), db (SQLite/FS lock-and-fast-path
-// sweep), tenants (multi-tenant frontend sweep), skew (adaptive
-// placement under skew). Repeatable.
+// document. Repeatable. The kinds are host (suite wall-clock timings)
+// plus the kind of every catalog unit that declares one
+// (bench.Experiment.Bench): scaling (multicore sweep), async (ring
+// queue-depth sweep), db (SQLite/FS lock-and-fast-path sweep), tenants
+// (multi-tenant frontend sweep), skew (adaptive placement under skew).
+// A unit's kind runs it at the paper-scale knobs, prints its table, and
+// writes its result.
 //
 // Host-side accelerators: -superblock on|off gates superblock
 // direct-threaded execution and block-granular cache charging, and -j N
@@ -97,17 +100,18 @@ func selectExperiments(runList string) (map[string]bool, error) {
 }
 
 func main() {
+	opts := bench.DefaultOptions
+	flag.IntVar(&opts.Records, "records", opts.Records, "YCSB records per client (paper: 10000)")
+	flag.IntVar(&opts.Ops, "ops", opts.Ops, "YCSB operations per client thread")
+	flag.IntVar(&opts.KVOps, "kvops", opts.KVOps, "KV-store operations per configuration")
+	flag.IntVar(&opts.Clients, "clients", opts.Clients, "SQLite clients (Table 4)")
+	flag.IntVar(&opts.OpsPerKind, "opskind", opts.OpsPerKind, "SQLite ops per kind per client (Table 4)")
+	flag.IntVar(&opts.Preload, "preload", opts.Preload, "SQLite preloaded rows per client (Table 4)")
+	flag.IntVar(&opts.Scale, "scale", opts.Scale, "Table 6 corpus scale divisor (1 = paper scale)")
+	flag.IntVar(&opts.Tenants, "tenants", opts.Tenants, "multi-tenant sweep population ceiling (clips the 64/256/1024 ladder)")
 	var (
 		list    = flag.Bool("list", false, "print the experiment names, one per line, and exit")
 		runList = flag.String("run", "all", "comma-separated experiments (or 'all')")
-		records = flag.Int("records", 1000, "YCSB records per client (paper: 10000)")
-		ops     = flag.Int("ops", 60, "YCSB operations per client thread")
-		kvops   = flag.Int("kvops", 512, "KV-store operations per configuration")
-		clients = flag.Int("clients", 4, "SQLite clients (Table 4)")
-		opsKind = flag.Int("opskind", 40, "SQLite ops per kind per client (Table 4)")
-		preload = flag.Int("preload", 200, "SQLite preloaded rows per client (Table 4)")
-		scale   = flag.Int("scale", 8, "Table 6 corpus scale divisor (1 = paper scale)")
-		tenants = flag.Int("tenants", 1024, "multi-tenant sweep population ceiling (clips the 64/256/1024 ladder)")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON to this file")
 		metricsOut = flag.String("metrics", "", "write machine-readable experiment records (JSON) to this file")
@@ -120,7 +124,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 	)
 	benchOuts := map[string]string{}
-	flag.Func("benchout", "run a standalone benchmark and write its JSON: <kind>=<path>, kind one of "+strings.Join(benchKindNames(), "|")+" (repeatable)",
+	flag.Func("benchout", "run a standalone benchmark and write its JSON: <kind>=<path>, kind one of "+strings.Join(benchKinds, "|")+" (repeatable)",
 		func(v string) error { return parseBenchOut(benchOuts, v) })
 	flag.Parse()
 
@@ -176,12 +180,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := bench.Options{
-		Records: *records, Ops: *ops, KVOps: *kvops,
-		Clients: *clients, OpsPerKind: *opsKind, Preload: *preload,
-		Scale: *scale, Tenants: *tenants,
-	}
-
 	if len(benchOuts) > 0 {
 		if *reportOut != "" || *traceOut != "" || *metricsOut != "" {
 			fmt.Fprintln(os.Stderr, "skybench: note: -report/-trace/-metrics apply to experiment runs (-run), not -benchout; ignoring them")
@@ -225,55 +223,17 @@ func main() {
 	}
 }
 
-// benchKind is one -benchout kind: its name and the run that writes its
-// JSON document to path.
-type benchKind struct {
-	name string
-	run  func(path string, sel map[string]bool, opts bench.Options, jobs int) error
-}
-
-// benchKinds declares every -benchout kind, in the order runBenchOuts runs
-// them.
-var benchKinds = []benchKind{
-	{"host", runHostBench},
-	{"scaling", sweep(func(o bench.Options) (*bench.ScalingResult, error) {
-		return bench.Scaling(bench.ScalingConfig{Records: o.Records, TotalOps: o.KVOps})
-	}, bench.WriteScalingBench)},
-	{"async", sweep(func(o bench.Options) (*bench.AsyncResult, error) {
-		return bench.Async(bench.AsyncConfig{Records: o.Records, TotalOps: o.KVOps})
-	}, bench.WriteAsyncBench)},
-	{"db", sweep(func(o bench.Options) (*bench.DBScaleResult, error) {
-		return bench.DBScale(bench.DBScaleConfig{Records: o.Records / 4, OpsPerClient: o.Ops})
-	}, bench.WriteDBBench)},
-	{"tenants", sweep(func(o bench.Options) (*bench.TenantsResult, error) {
-		return bench.Tenants(bench.TenantsConfig{MaxTenants: o.Tenants})
-	}, bench.WriteTenantsBench)},
-	{"skew", sweep(func(o bench.Options) (*bench.SkewResult, error) {
-		return bench.Skew(bench.SkewConfig{TotalOps: 8 * o.KVOps})
-	}, bench.WriteSkewBench)},
-}
-
-// sweep adapts a standalone sweep to a -benchout run: it prints the
-// result's table and writes the result's JSON document to path.
-func sweep[R interface{ Render() string }](run func(bench.Options) (R, error), write func(io.Writer, R) error) func(string, map[string]bool, bench.Options, int) error {
-	return func(path string, _ map[string]bool, opts bench.Options, _ int) error {
-		r, err := run(opts)
-		if err != nil {
-			return err
+// benchKinds lists the -benchout kinds in run order: host, then every
+// catalog unit's Bench kind in catalog order.
+var benchKinds = func() []string {
+	kinds := []string{"host"}
+	for _, u := range bench.Catalog() {
+		if u.Bench != "" {
+			kinds = append(kinds, u.Bench)
 		}
-		fmt.Print(r.Render())
-		return writeFile(path, func(w io.Writer) error { return write(w, r) })
 	}
-}
-
-// benchKindNames returns the -benchout kind names in declaration order.
-func benchKindNames() []string {
-	names := make([]string, len(benchKinds))
-	for i, k := range benchKinds {
-		names[i] = k.name
-	}
-	return names
-}
+	return kinds
+}()
 
 // parseBenchOut parses one -benchout value (<kind>=<path>) into outs,
 // rejecting unknown kinds and duplicate keys.
@@ -283,8 +243,8 @@ func parseBenchOut(outs map[string]string, v string) error {
 		return fmt.Errorf("want <kind>=<path>, got %q", v)
 	}
 	kind = strings.ToLower(strings.TrimSpace(kind))
-	if !slices.Contains(benchKindNames(), kind) {
-		return fmt.Errorf("unknown benchmark kind %q (%s)", kind, strings.Join(benchKindNames(), ", "))
+	if !slices.Contains(benchKinds, kind) {
+		return fmt.Errorf("unknown benchmark kind %q (%s)", kind, strings.Join(benchKinds, ", "))
 	}
 	if prev, dup := outs[kind]; dup {
 		return fmt.Errorf("duplicate -benchout kind %q (already writing %s)", kind, prev)
@@ -294,24 +254,37 @@ func parseBenchOut(outs map[string]string, v string) error {
 }
 
 // runBenchOuts runs the requested standalone benchmarks in benchKinds
-// order and writes each result where -benchout asked.
+// order and writes each result where -benchout asked: each catalog kind
+// runs its unit in a throwaway session, prints the unit's table, and
+// writes the unit's result as JSON.
 func runBenchOuts(outs map[string]string, sel map[string]bool, opts bench.Options, jobs int) error {
-	for _, k := range benchKinds {
-		if path, ok := outs[k.name]; ok {
-			if err := k.run(path, sel, opts, jobs); err != nil {
-				return err
-			}
+	if path, ok := outs["host"]; ok {
+		if err := runHostBench(path, sel, opts, jobs); err != nil {
+			return err
+		}
+	}
+	for _, u := range bench.Catalog() {
+		path, ok := outs[u.Bench]
+		if u.Bench == "" || !ok {
+			continue
+		}
+		r, err := u.Run(bench.NewSession(nil), opts)
+		if err != nil {
+			return err
+		}
+		fmt.Print(r.Render())
+		if err := writeFile(path, func(w io.Writer) error { return bench.WriteJSON(w, r) }); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// runHostBench times the selected suite three ways — serial with every
-// host accelerator off, serial with superblock execution on, and parallel
-// with everything on — plus the superblock dispatch microbenchmark, and
-// writes the result as BENCH_host.json. Simulated results are identical in
-// every cell (that is the whole point of the host fast paths); only host
-// wall-clock differs.
+// runHostBench times the selected suite three ways — serial with
+// superblock execution off, serial with it on, and parallel with it on —
+// and writes the result as BENCH_host.json. Simulated results are
+// identical in every cell (that is the whole point of the host fast
+// paths); only host wall-clock differs.
 func runHostBench(path string, sel map[string]bool, opts bench.Options, jobs int) error {
 	if jobs <= 1 {
 		jobs = runtime.NumCPU()
@@ -347,7 +320,7 @@ func runHostBench(path string, sel map[string]bool, opts bench.Options, jobs int
 		return time.Since(start).Seconds(), err
 	}
 	var err error
-	if res.SerialCachesOffSec, err = run(false, 1); err != nil {
+	if res.SerialSuperblockOffSec, err = run(false, 1); err != nil {
 		return err
 	}
 	if res.SerialSuperblockOnSec, err = run(true, 1); err != nil {
@@ -356,8 +329,9 @@ func runHostBench(path string, sel map[string]bool, opts bench.Options, jobs int
 	if res.ParallelSec, err = run(true, jobs); err != nil {
 		return err
 	}
-	res.Micro = bench.RunSuperblockMicro(0)
-	return writeFile(path, func(w io.Writer) error { return bench.WriteHostBench(w, res) })
+	res.SuperblockSpeedup = res.SerialSuperblockOffSec / res.SerialSuperblockOnSec
+	res.ParallelSpeedup = res.SerialSuperblockOnSec / res.ParallelSec
+	return writeFile(path, func(w io.Writer) error { return bench.WriteJSON(w, res) })
 }
 
 // writeFile creates path and streams write into it.

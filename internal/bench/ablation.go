@@ -268,9 +268,12 @@ func AblationVPID() *AblationResult {
 	}
 }
 
+// AblationResults is the ablation suite's outcome, one comparison each.
+type AblationResults []*AblationResult
+
 // Ablations runs all design-choice ablations.
-func Ablations() []*AblationResult {
-	var out []*AblationResult
+func Ablations() AblationResults {
+	var out AblationResults
 	out = append(out, AblationEPTClone())
 	out = append(out, AblationHugepageEPT()...)
 	out = append(out, AblationExitless())
@@ -280,8 +283,8 @@ func Ablations() []*AblationResult {
 	return out
 }
 
-// RenderAblations formats the ablation summary.
-func RenderAblations(rs []*AblationResult) string {
+// Render formats the ablation summary.
+func (rs AblationResults) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Design-choice ablations (DESIGN.md §4)\n")
 	for _, r := range rs {

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"skybridge/internal/core"
@@ -26,9 +24,8 @@ import (
 // doorbell/wakeup counters attribute every crossing and IPI the adaptive
 // policy did or did not take.
 
-// AsyncConfig parameterizes the asynchronous sweep.
+// AsyncConfig parameterizes the asynchronous sweep (seL4 flavor).
 type AsyncConfig struct {
-	Flavor mk.Flavor
 	// CoreCounts are the machine widths swept (default 1, 2, 4).
 	CoreCounts []int
 	// Workloads are the YCSB mixes driven (default A, C).
@@ -59,17 +56,8 @@ type AsyncCell struct {
 	// Crossing accounting: sync cells take one crossing per op
 	// (DirectCalls); async cells take none per op (RingOps) and only
 	// doorbell when a server sleeps.
-	DirectCalls      uint64 `json:"direct_calls"`
-	RingOps          uint64 `json:"ring_ops"`
-	Doorbells        uint64 `json:"doorbells"`
-	DoorbellsSkipped uint64 `json:"doorbells_skipped"`
-
-	// Adaptive-wakeup accounting (both sides' waits).
-	SpinWakes  uint64 `json:"spin_wakes"`
-	Parks      uint64 `json:"parks"`
-	LocalWakes uint64 `json:"local_wakes"`
-	IPIWakes   uint64 `json:"ipi_wakes"`
-	IPIs       uint64 `json:"ipis"`
+	DirectCalls uint64 `json:"direct_calls"`
+	wakeCounters
 
 	// Ring occupancy over the run (mean/max of per-submit depth).
 	DepthMean float64 `json:"depth_mean,omitempty"`
@@ -94,12 +82,7 @@ type AsyncResult struct {
 	Cells      []*AsyncCell `json:"cells"`
 }
 
-// Async runs the sweep with catalog options.
-func Async(cfg AsyncConfig) (*AsyncResult, error) {
-	return NewSession(nil).Async(cfg)
-}
-
-// Async is the session form: each cell feeds a per-op latency histogram
+// Async runs the sweep: each cell feeds a per-op latency histogram
 // "async/<workload>/<cores>c/<mode>" and emits one Record.
 func (s *Session) Async(cfg AsyncConfig) (*AsyncResult, error) {
 	if len(cfg.CoreCounts) == 0 {
@@ -116,8 +99,8 @@ func (s *Session) Async(cfg AsyncConfig) (*AsyncResult, error) {
 		CoreCounts: cfg.CoreCounts, Depths: cfg.Depths,
 	}
 	// Every (workload, cores, qd) cell — the sync baseline is qd 0 —
-	// builds its own world, so the sweep partitions onto the -j worker
-	// pool (runCells) with declaration-ordered merge.
+	// builds its own world, so the sweep partitions into independent
+	// cells.
 	type cellSpec struct {
 		w         ycsb.Workload
 		cores, qd int
@@ -132,11 +115,8 @@ func (s *Session) Async(cfg AsyncConfig) (*AsyncResult, error) {
 			}
 		}
 	}
-	cells := make([]*AsyncCell, len(specs))
-	err := runCells(s, len(specs), func(sub *Session, i int) error {
-		c, err := sub.runAsyncCell(cfg, specs[i].w, specs[i].cores, specs[i].qd)
-		cells[i] = c
-		return err
+	cells, err := sweep(s, specs, func(sub *Session, sp cellSpec) (*AsyncCell, error) {
+		return sub.runAsyncCell(cfg, sp.w, sp.cores, sp.qd)
 	})
 	if err != nil {
 		return nil, err
@@ -168,7 +148,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 		mode = fmt.Sprintf("qd%d", qd)
 	}
 	label := fmt.Sprintf("async/%s/%dc/%s", w.Name, cores, mode)
-	world := s.world(label, WorldConfig{Flavor: cfg.Flavor, Cores: cores, SkyBridge: true})
+	world := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
 	h := s.hist(label)
 	k := world.K
 	pl := k.Placement()
@@ -181,7 +161,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	nslots := 2*cfg.Records/shards + 128
 	stores := kv.NewStoreShards(k, "kv", shards, nslots, slotSize)
 	kvIDs := make([]int, shards)
-	var regErr error
+	var errs firstErr
 	for i := range stores {
 		i := i
 		stores[i].Proc.Spawn("shard", pl.Core(clients+i), func(env *mk.Env) {
@@ -190,24 +170,21 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 				if kv.ShardOf(key, shards) != i {
 					continue
 				}
-				if err := stores[i].Preload(env, key, []byte(ycsb.RecordValue(w, r))); err != nil && regErr == nil {
-					regErr = fmt.Errorf("shard %d preload: %w", i, err)
+				if err := stores[i].Preload(env, key, []byte(ycsb.RecordValue(w, r))); err != nil {
+					errs.set(fmt.Errorf("shard %d preload: %w", i, err))
 					return
 				}
 			}
 			id, err := svc.RegisterSkyBridgeServer(world.SB, env, 2*clients, stores[i].Handler())
-			if err != nil && regErr == nil {
-				regErr = fmt.Errorf("shard %d register: %w", i, err)
+			if err != nil {
+				errs.set(fmt.Errorf("shard %d register: %w", i, err))
 				return
 			}
 			kvIDs[i] = id
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if regErr != nil {
-		return nil, regErr
 	}
 	pol := mk.WakePolicy{}
 	ringServers := make([]*core.RingServer, 0, shards)
@@ -226,7 +203,6 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	procs := make([]*mk.Process, clients)
 	syncKVs := make([]*svc.Sharded, clients)
 	asyncKVs := make([]*kv.AsyncKV, clients)
-	var bindErr error
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		procs[ci] = k.NewProcess(fmt.Sprintf("cli%d", ci))
@@ -236,9 +212,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 				for i, id := range kvIDs {
 					c, err := svc.NewSkyBridge(world.SB, env, id)
 					if err != nil {
-						if bindErr == nil {
-							bindErr = fmt.Errorf("client %d bind shard %d: %w", ci, i, err)
-						}
+						errs.set(fmt.Errorf("client %d bind shard %d: %w", ci, i, err))
 						return
 					}
 					conns[i] = c
@@ -250,9 +224,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 			for i, id := range kvIDs {
 				c, err := svc.OpenAsync(world.SB, env, id, qd, slotSize+64, pol)
 				if err != nil {
-					if bindErr == nil {
-						bindErr = fmt.Errorf("client %d ring to shard %d: %w", ci, i, err)
-					}
+					errs.set(fmt.Errorf("client %d ring to shard %d: %w", ci, i, err))
 					return
 				}
 				rings[i] = c
@@ -260,11 +232,8 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 			asyncKVs[ci] = kv.NewAsyncKV(rings)
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if bindErr != nil {
-		return nil, bindErr
 	}
 
 	// Measurement: align the core clocks (setup charged unevenly — boot
@@ -277,26 +246,18 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	k.Mach.ResetStats()
 	s.callSite(label).Obs.Reset() // breakdown covers the window, not binding
 	baseDirect := world.SB.DirectCalls
-	baseRing, baseBells, baseSkip := world.SB.RingOps, world.SB.RingDoorbells, world.SB.RingDoorbellsSkipped
-	baseSpin, baseParks, baseLocal, baseIPIW := k.SpinWakes, k.Parks, k.LocalWakes, k.IPIWakes
+	baseWake := readWake(world)
 
-	var srvErr error
 	for i, rs := range ringServers {
 		i, rs := i, rs
 		stores[i].Proc.Spawn("poll", pl.Core(clients+i), func(env *mk.Env) {
-			if err := rs.Serve(env); err != nil && srvErr == nil {
-				srvErr = fmt.Errorf("shard %d poll: %w", i, err)
+			if err := rs.Serve(env); err != nil {
+				errs.set(fmt.Errorf("shard %d poll: %w", i, err))
 			}
 		})
 	}
 	durations := make([]uint64, clients)
 	remaining := clients
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		ops := cfg.TotalOps / clients
@@ -321,11 +282,11 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 					t := env.Now()
 					resp, err := c.Invoke(env, asyncReq(op))
 					if err != nil {
-						fail(fmt.Errorf("client %d op %d: %w", ci, done, err))
+						errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
 						return
 					}
 					if err := kv.CheckResp(resp); err != nil {
-						fail(fmt.Errorf("client %d op %d: %w", ci, done, err))
+						errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
 						return
 					}
 					completed++
@@ -350,12 +311,12 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 						resps, err = a.Reap(env)
 					}
 					if err != nil {
-						fail(fmt.Errorf("client %d op %d: %w", ci, done, err))
+						errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
 						return
 					}
 					for _, r := range resps {
 						if err := kv.CheckResp(r); err != nil {
-							fail(fmt.Errorf("client %d: %w", ci, err))
+							errs.set(fmt.Errorf("client %d: %w", ci, err))
 							return
 						}
 						completed++
@@ -364,60 +325,35 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 				}
 				resps, err := a.Drain(env)
 				if err != nil {
-					fail(fmt.Errorf("client %d drain: %w", ci, err))
+					errs.set(fmt.Errorf("client %d drain: %w", ci, err))
 					return
 				}
 				for _, r := range resps {
 					if err := kv.CheckResp(r); err != nil {
-						fail(fmt.Errorf("client %d: %w", ci, err))
+						errs.set(fmt.Errorf("client %d: %w", ci, err))
 						return
 					}
 					completed++
 				}
 			}
 			if completed != ops {
-				fail(fmt.Errorf("client %d completed %d of %d ops", ci, completed, ops))
+				errs.set(fmt.Errorf("client %d completed %d of %d ops", ci, completed, ops))
 				return
 			}
 			durations[ci] = env.Now() - start
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if srvErr != nil {
-		return nil, srvErr
 	}
 
 	cell := &AsyncCell{
 		Workload: w.Name, Cores: cores, Mode: mode, QD: qd,
-		ClientCycles:     durations,
-		DirectCalls:      world.SB.DirectCalls - baseDirect,
-		RingOps:          world.SB.RingOps - baseRing,
-		Doorbells:        world.SB.RingDoorbells - baseBells,
-		DoorbellsSkipped: world.SB.RingDoorbellsSkipped - baseSkip,
-		SpinWakes:        k.SpinWakes - baseSpin,
-		Parks:            k.Parks - baseParks,
-		LocalWakes:       k.LocalWakes - baseLocal,
-		IPIWakes:         k.IPIWakes - baseIPIW,
-		IPIs:             k.Mach.Obs.Value("machine.ipis"),
+		ClientCycles: durations,
+		DirectCalls:  world.SB.DirectCalls - baseDirect,
+		wakeCounters: readWake(world).since(baseWake),
 	}
-	var sum uint64
-	for _, d := range durations {
-		sum += d
-		if d > cell.Makespan {
-			cell.Makespan = d
-		}
-	}
-	if cell.Makespan > 0 {
-		cell.OpsPerMcyc = float64(cfg.TotalOps) * 1e6 / float64(cell.Makespan)
-	}
-	if cfg.TotalOps > 0 {
-		cell.CyclesPerOp = float64(sum) / float64(cfg.TotalOps)
-	}
+	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	if qd > 0 {
 		// Merge every client ring's per-submit depth histogram into the
 		// session registry (label + "/depth") so the sweep's occupancy
@@ -445,20 +381,13 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 		"makespan_cycles":    float64(cell.Makespan),
 		"ops_per_sec":        OpsPerSec(cfg.TotalOps, cell.Makespan),
 		"direct_calls":       float64(cell.DirectCalls),
-		"ring_ops":           float64(cell.RingOps),
-		"doorbells":          float64(cell.Doorbells),
-		"doorbells_skipped":  float64(cell.DoorbellsSkipped),
-		"spin_wakes":         float64(cell.SpinWakes),
-		"parks":              float64(cell.Parks),
-		"local_wakes":        float64(cell.LocalWakes),
-		"ipi_wakes":          float64(cell.IPIWakes),
-		"ipis":               float64(cell.IPIs),
 		"depth_mean":         cell.DepthMean,
 		"depth_max":          float64(cell.DepthMax),
 		"vmfuncs":            float64(reg.SumSuffix(".vmfuncs")),
 		"l1d_misses":         float64(reg.SumSuffix(".L1D.misses")),
 		"spin_cycles_parked": float64(k.SpinCycles),
 	}
+	cell.wakeCounters.addTo(values)
 	for i, d := range durations {
 		values[fmt.Sprintf("client%d_cycles", i)] = float64(d)
 	}
@@ -540,15 +469,4 @@ func (r *AsyncResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteAsyncBench serializes r as the BENCH_async.json document.
-func WriteAsyncBench(w io.Writer, r *AsyncResult) error {
-	buf, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

@@ -27,7 +27,7 @@ func testAsyncConfig() AsyncConfig {
 // the rings, and pipelining beats the sync baseline once client and
 // server have their own cores.
 func TestAsyncSweep(t *testing.T) {
-	r, err := Async(testAsyncConfig())
+	r, err := NewSession(nil).Async(testAsyncConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestAsyncSweep(t *testing.T) {
 // async experiment across repeat runs and -j values.
 func TestAsyncDeterministic(t *testing.T) {
 	run := func() (string, []byte) {
-		r, err := Async(testAsyncConfig())
+		r, err := NewSession(nil).Async(testAsyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteAsyncBench(&buf, r); err != nil {
+		if err := WriteJSON(&buf, r); err != nil {
 			t.Fatal(err)
 		}
 		return r.Render(), buf.Bytes()

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"skybridge/internal/core"
@@ -31,9 +29,8 @@ import (
 // the 4-page ring buffer holds next to the submission/completion queues.
 const dbRingQD = 3
 
-// DBScaleConfig parameterizes the sweep.
+// DBScaleConfig parameterizes the sweep (seL4 flavor).
 type DBScaleConfig struct {
-	Flavor mk.Flavor
 	// CoreCounts are the machine widths swept (default 1, 2, 4); each
 	// core runs one closed-loop SQLite client.
 	CoreCounts []int
@@ -95,12 +92,7 @@ type DBScaleResult struct {
 	Cells        []*DBScaleCell `json:"cells"`
 }
 
-// DBScale runs the sweep with catalog options.
-func DBScale(cfg DBScaleConfig) (*DBScaleResult, error) {
-	return NewSession(nil).DBScale(cfg)
-}
-
-// DBScale is the session form: each cell feeds a per-op latency histogram
+// DBScale runs the sweep: each cell feeds a per-op latency histogram
 // "dbscale/<workload>/<cores>c/<lock>+<io>" and emits one Record.
 func (s *Session) DBScale(cfg DBScaleConfig) (*DBScaleResult, error) {
 	if len(cfg.CoreCounts) == 0 {
@@ -140,12 +132,8 @@ func (s *Session) DBScale(cfg DBScaleConfig) (*DBScaleResult, error) {
 			}
 		}
 	}
-	cells := make([]*DBScaleCell, len(specs))
-	err := runCells(s, len(specs), func(sub *Session, i int) error {
-		sp := specs[i]
-		c, err := sub.runDBScaleCell(cfg, sp.w, sp.cores, sp.lock, sp.io)
-		cells[i] = c
-		return err
+	cells, err := sweep(s, specs, func(sub *Session, sp cellSpec) (*DBScaleCell, error) {
+		return sub.runDBScaleCell(cfg, sp.w, sp.cores, sp.lock, sp.io)
 	})
 	if err != nil {
 		return nil, err
@@ -190,7 +178,7 @@ func dbOps(cfg DBScaleConfig, w ycsb.Workload) int {
 // runDBScaleCell measures one (workload, cores, lock, io) configuration.
 func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, lock, ioMode string) (*DBScaleCell, error) {
 	label := fmt.Sprintf("dbscale/%s/%dc/%s+%s", w.Name, cores, lock, ioMode)
-	world := s.world(label, WorldConfig{Flavor: cfg.Flavor, Cores: cores, SkyBridge: true})
+	world := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
 	h := s.hist(label)
 	k := world.K
 	pl := k.Placement()
@@ -222,72 +210,64 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	dbs := make([]*db.DB, clients)
 	tabs := make([]*db.Table, clients)
 	rings := make([]*svc.AsyncConn, clients)
-	var loadErr error
-	fail := func(err error) {
-		if loadErr == nil {
-			loadErr = err
-		}
-	}
+	var errs firstErr
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		procs[ci] = k.NewProcess(fmt.Sprintf("sql%d", ci))
 		procs[ci].Spawn("load", pl.Core(ci), func(env *mk.Env) {
 			conn, err := st.FSConn(env, procs[ci])
 			if err != nil {
-				fail(fmt.Errorf("client %d conn: %w", ci, err))
+				errs.set(fmt.Errorf("client %d conn: %w", ci, err))
 				return
 			}
 			fsc := &fs.Client{Conn: conn}
 			if async {
 				ring, err := st.FSAsyncConn(env, dbRingQD, db.PageSize, pol)
 				if err != nil {
-					fail(fmt.Errorf("client %d ring: %w", ci, err))
+					errs.set(fmt.Errorf("client %d ring: %w", ci, err))
 					return
 				}
 				rings[ci] = ring
 			}
 			d, err := db.OpenIO(env, procs[ci], fsc, fmt.Sprintf("d%d", ci), db.PagerIO{Batch: ioMode != "sync"})
 			if err != nil {
-				fail(fmt.Errorf("client %d open: %w", ci, err))
+				errs.set(fmt.Errorf("client %d open: %w", ci, err))
 				return
 			}
 			if _, err := d.Exec(env, "CREATE TABLE u (id INTEGER PRIMARY KEY, f TEXT)"); err != nil {
-				fail(fmt.Errorf("client %d create: %w", ci, err))
+				errs.set(fmt.Errorf("client %d create: %w", ci, err))
 				return
 			}
 			tab, _ := d.TableByName("u")
 			if err := d.Begin(env); err != nil {
-				fail(err)
+				errs.set(err)
 				return
 			}
 			for i := 0; i < cfg.Records; i++ {
 				if _, err := tab.Insert(env, []db.Value{db.IntValue(int64(i)), db.TextValue(ycsb.RecordValue(w, int64(i)))}); err != nil {
-					fail(fmt.Errorf("client %d load row %d: %w", ci, i, err))
+					errs.set(fmt.Errorf("client %d load row %d: %w", ci, i, err))
 					return
 				}
 				if (i+1)%64 == 0 {
 					if err := d.Commit(env); err != nil {
-						fail(err)
+						errs.set(err)
 						return
 					}
 					if err := d.Begin(env); err != nil {
-						fail(err)
+						errs.set(err)
 						return
 					}
 				}
 			}
 			if err := d.Commit(env); err != nil {
-				fail(err)
+				errs.set(err)
 				return
 			}
 			dbs[ci], tabs[ci] = d, tab
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if loadErr != nil {
-		return nil, loadErr
 	}
 	// Async cells route commit writeback (and scan prefetch) through the
 	// rings from here on; the poll thread spawns inside the measurement
@@ -311,23 +291,16 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 		writes0 += d.Pager().FsWrites
 	}
 
-	var srvErr error
 	if async {
 		st.FS.Proc.Spawn("poll", pl.Core(cores-1), func(env *mk.Env) {
-			if err := ringSrv.Serve(env); err != nil && srvErr == nil {
-				srvErr = fmt.Errorf("fs poll: %w", err)
+			if err := ringSrv.Serve(env); err != nil {
+				errs.set(fmt.Errorf("fs poll: %w", err))
 			}
 		})
 	}
 	ops := dbOps(cfg, w)
 	durations := make([]uint64, clients)
 	remaining := clients
-	var runErr error
-	failRun := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		procs[ci].Spawn("drive", pl.Core(ci), func(env *mk.Env) {
@@ -362,7 +335,7 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 					})
 				}
 				if err != nil {
-					failRun(fmt.Errorf("client %d op %d: %w", ci, done, err))
+					errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
 					return
 				}
 				h.Observe(env.Now() - t)
@@ -370,14 +343,8 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 			durations[ci] = env.Now() - start
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if srvErr != nil {
-		return nil, srvErr
 	}
 
 	acq1, cont1, wait1, ipi1 := st.FS.LockStats()
@@ -405,19 +372,7 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	}
 	cell.PagerReads -= reads0
 	cell.PagerWrites -= writes0
-	var sum uint64
-	for _, d := range durations {
-		sum += d
-		if d > cell.Makespan {
-			cell.Makespan = d
-		}
-	}
-	if cell.Makespan > 0 {
-		cell.OpsPerMcyc = float64(cell.TotalOps) * 1e6 / float64(cell.Makespan)
-	}
-	if cell.TotalOps > 0 {
-		cell.CyclesPerOp = float64(sum) / float64(cell.TotalOps)
-	}
+	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cell.TotalOps)
 	cell.Breakdown = s.breakdownOf(label)
 
 	s.record(Record{
@@ -512,15 +467,4 @@ func (r *DBScaleResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteDBBench serializes r as the BENCH_db.json document.
-func WriteDBBench(w io.Writer, r *DBScaleResult) error {
-	buf, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

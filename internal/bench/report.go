@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -112,12 +111,4 @@ func (r *Report) Render() string {
 
 // WriteJSON serializes the report (deterministic: ordered entries,
 // sorted map keys).
-func (r *Report) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
+func (r *Report) WriteJSON(w io.Writer) error { return WriteJSON(w, r) }

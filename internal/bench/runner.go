@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -22,6 +23,17 @@ type Options struct {
 	Tenants    int // multi-tenant sweep population ceiling
 }
 
+// DefaultOptions are skybench's flag defaults, the scale every committed
+// BENCH_<kind>.json was generated at.
+var DefaultOptions = Options{
+	Records: 1000, Ops: 60, KVOps: 512,
+	Clients: 4, OpsPerKind: 40, Preload: 200,
+	Scale: 8, Tenants: 1024,
+}
+
+// Result is one experiment unit's outcome; Render formats it for stdout.
+type Result interface{ Render() string }
+
 // Experiment is one independently runnable unit of the evaluation: it
 // builds its own worlds inside the Session it is handed, so units never
 // share simulated state and can run on parallel workers. Units sharing a
@@ -33,7 +45,10 @@ type Experiment struct {
 	// Desc is the one-line description skybench -list prints next to the
 	// selector; units sharing a Name share it.
 	Desc string
-	Run  func(s *Session, o Options) (string, error)
+	// Bench, when set, is the skybench -benchout kind that writes the
+	// unit's Result as a JSON document (BENCH_<Bench>.json).
+	Bench string
+	Run   func(s *Session, o Options) (Result, error)
 }
 
 // Catalog returns the experiment units in declaration order — the order
@@ -41,20 +56,20 @@ type Experiment struct {
 // any worker count.
 func Catalog() []Experiment {
 	units := []Experiment{
-		{Name: "table2", Label: "table2", Desc: "per-call IPC cost breakdown vs the paper's Table 2", Run: func(s *Session, o Options) (string, error) {
-			return s.Table2().Render(), nil
+		{Name: "table2", Label: "table2", Desc: "per-call IPC cost breakdown vs the paper's Table 2", Run: func(s *Session, o Options) (Result, error) {
+			return s.Table2(), nil
 		}},
-		{Name: "fig7", Label: "fig7", Desc: "IPC round-trip latency microbenchmark (Figure 7)", Run: func(s *Session, o Options) (string, error) {
-			return s.Figure7().Render(), nil
+		{Name: "fig7", Label: "fig7", Desc: "IPC round-trip latency microbenchmark (Figure 7)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Figure7(), nil
 		}},
-		{Name: "table1", Label: "table1", Desc: "KV-store pipeline per-op cost across transports (Table 1)", Run: func(s *Session, o Options) (string, error) {
-			return s.Table1().Render(), nil
+		{Name: "table1", Label: "table1", Desc: "KV-store pipeline per-op cost across transports (Table 1)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Table1(), nil
 		}},
-		{Name: "fig2", Label: "fig2", Desc: "KV-store throughput without SkyBridge (Figure 2)", Run: func(s *Session, o Options) (string, error) {
-			return s.Figure2(o.KVOps).Render(), nil
+		{Name: "fig2", Label: "fig2", Desc: "KV-store throughput without SkyBridge (Figure 2)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Figure2(o.KVOps), nil
 		}},
-		{Name: "fig8", Label: "fig8", Desc: "KV-store throughput over SkyBridge (Figure 8)", Run: func(s *Session, o Options) (string, error) {
-			return s.Figure8(o.KVOps).Render(), nil
+		{Name: "fig8", Label: "fig8", Desc: "KV-store throughput over SkyBridge (Figure 8)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Figure8(o.KVOps), nil
 		}},
 	}
 	for _, fl := range []mk.Flavor{mk.SeL4, mk.Fiasco, mk.Zircon} {
@@ -62,14 +77,10 @@ func Catalog() []Experiment {
 		units = append(units, Experiment{
 			Name: "table4", Label: "table4/" + fl.String(),
 			Desc: "three-tier SQLite stack ops across kernel flavors (Table 4)",
-			Run: func(s *Session, o Options) (string, error) {
-				r, err := s.Table4(Table4Config{
+			Run: func(s *Session, o Options) (Result, error) {
+				return s.Table4(Table4Config{
 					Flavor: fl, Clients: o.Clients, OpsPerKind: o.OpsPerKind, Preload: o.Preload,
 				})
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
 			},
 		})
 	}
@@ -81,67 +92,35 @@ func Catalog() []Experiment {
 		units = append(units, Experiment{
 			Name: f.name, Label: f.name,
 			Desc: "YCSB on the SQLite stack, one kernel flavor each (Figures 9-11)",
-			Run: func(s *Session, o Options) (string, error) {
-				r, err := s.Figure9to11(YCSBConfig{Flavor: f.flavor, Records: o.Records, Ops: o.Ops})
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
+			Run: func(s *Session, o Options) (Result, error) {
+				return s.Figure9to11(YCSBConfig{Flavor: f.flavor, Records: o.Records, Ops: o.Ops})
 			},
 		})
 	}
 	units = append(units,
-		Experiment{Name: "table5", Label: "table5", Desc: "YCSB latency percentiles on the SQLite stack (Table 5)", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.Table5(o.Records, o.Ops)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "table5", Label: "table5", Desc: "YCSB latency percentiles on the SQLite stack (Table 5)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Table5(o.Records, o.Ops)
 		}},
-		Experiment{Name: "table6", Label: "table6", Desc: "inadvertent-VMFUNC binary scan (Table 6)", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.Table6(o.Scale)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "table6", Label: "table6", Desc: "inadvertent-VMFUNC binary scan (Table 6)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Table6(o.Scale)
 		}},
-		Experiment{Name: "ablations", Label: "ablations", Desc: "design-choice ablations from DESIGN.md", Run: func(s *Session, o Options) (string, error) {
-			return RenderAblations(s.Ablations()), nil
+		Experiment{Name: "ablations", Label: "ablations", Desc: "design-choice ablations from DESIGN.md", Run: func(s *Session, o Options) (Result, error) {
+			return s.Ablations(), nil
 		}},
-		Experiment{Name: "scaling", Label: "scaling", Desc: "multicore KV scaling sweep (cores x batch)", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.Scaling(ScalingConfig{Records: o.Records, TotalOps: o.KVOps})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "scaling", Label: "scaling", Bench: "scaling", Desc: "multicore KV scaling sweep (cores x batch)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Scaling(ScalingConfig{Records: o.Records, TotalOps: o.KVOps})
 		}},
-		Experiment{Name: "async", Label: "async", Desc: "async ring queue-depth sweep over one connection", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.Async(AsyncConfig{Records: o.Records, TotalOps: o.KVOps})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "async", Label: "async", Bench: "async", Desc: "async ring queue-depth sweep over one connection", Run: func(s *Session, o Options) (Result, error) {
+			return s.Async(AsyncConfig{Records: o.Records, TotalOps: o.KVOps})
 		}},
-		Experiment{Name: "dbscale", Label: "dbscale", Desc: "SQLite/FS lock granularity and fast-path sweep", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.DBScale(DBScaleConfig{Records: o.Records / 4, OpsPerClient: o.Ops})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "dbscale", Label: "dbscale", Bench: "db", Desc: "SQLite/FS lock granularity and fast-path sweep", Run: func(s *Session, o Options) (Result, error) {
+			return s.DBScale(DBScaleConfig{Records: o.Records / 4, OpsPerClient: o.Ops})
 		}},
-		Experiment{Name: "tenants", Label: "tenants", Desc: "multi-tenant frontend sweep (rings + directory drain)", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.Tenants(TenantsConfig{MaxTenants: o.Tenants})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "tenants", Label: "tenants", Bench: "tenants", Desc: "multi-tenant frontend sweep (rings + directory drain)", Run: func(s *Session, o Options) (Result, error) {
+			return s.Tenants(TenantsConfig{MaxTenants: o.Tenants})
 		}},
-		Experiment{Name: "skew", Label: "skew", Desc: "adaptive placement under skew: migration + stealing + autoscaling", Run: func(s *Session, o Options) (string, error) {
-			r, err := s.Skew(SkewConfig{TotalOps: 8 * o.KVOps})
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		Experiment{Name: "skew", Label: "skew", Bench: "skew", Desc: "adaptive placement under skew: migration + stealing + autoscaling", Run: func(s *Session, o Options) (Result, error) {
+			return s.Skew(SkewConfig{TotalOps: 8 * o.KVOps})
 		}},
 	)
 	return units
@@ -150,12 +129,8 @@ func Catalog() []Experiment {
 // ExperimentNames returns the distinct selector names in catalog order.
 func ExperimentNames() []string {
 	var names []string
-	seen := map[string]bool{}
-	for _, u := range Catalog() {
-		if !seen[u.Name] {
-			seen[u.Name] = true
-			names = append(names, u.Name)
-		}
+	for _, u := range ExperimentInfo() {
+		names = append(names, u.Name)
 	}
 	return names
 }
@@ -174,11 +149,12 @@ func ExperimentInfo() []Experiment {
 	return units
 }
 
-// cellJobs is the worker count for sub-experiment parallelism: the sweep
-// experiments (scaling, async) and the table6 corpus scan partition their
-// independent cells onto this many workers, so one big experiment no
-// longer serializes a whole core. The driver sets it once from -j before
-// anything runs (SetJobs); results are byte-identical for any value.
+// cellJobs is the worker count for sub-experiment parallelism: the five
+// sweeps (scaling, async, dbscale, tenants, skew) and the table6 corpus
+// scan partition their independent cells onto this many workers, so one
+// big experiment no longer serializes a whole core. The driver sets it
+// once from -j before anything runs (SetJobs); results are byte-identical
+// for any value.
 var cellJobs = 1
 
 // SetJobs sets the worker count used inside experiments that partition
@@ -193,30 +169,20 @@ func SetJobs(n int) int {
 	return prev
 }
 
-// runCells runs n independent experiment cells on the package worker pool
+// sweep runs one experiment cell per spec on the package worker pool
 // (SetJobs), each in its own sub-Session (newSub), and merges the
-// sub-sessions into s strictly in index order. Because Merge reproduces a
-// serial run byte-for-byte, the session state after runCells is identical
-// for any worker count; with one worker the cells run directly against s,
-// no sub-sessions.
+// sub-sessions into s strictly in spec order. Because Merge reproduces a
+// serial run byte-for-byte, the session state after sweep is identical
+// for any worker count. It returns the cells in spec order.
 //
-// run must build all simulated state inside the sub-session it is handed
-// and write any host-side result into an index-addressed slot (never
-// append to shared slices).
-func runCells(s *Session, n int, run func(sub *Session, i int) error) error {
-	if min(cellJobs, n) <= 1 {
-		for i := 0; i < n; i++ {
-			if err := run(s, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	subs := make([]*Session, n)
-	errs := make([]error, n)
-	return runOrdered(n, cellJobs, func(i int) {
+// run must build all simulated state inside the sub-session it is handed.
+func sweep[S, C any](s *Session, specs []S, run func(sub *Session, spec S) (C, error)) ([]C, error) {
+	cells := make([]C, len(specs))
+	subs := make([]*Session, len(specs))
+	errs := make([]error, len(specs))
+	err := runOrdered(len(specs), cellJobs, func(i int) {
 		subs[i] = s.newSub()
-		errs[i] = run(subs[i], i)
+		cells[i], errs[i] = run(subs[i], specs[i])
 	}, func(i int) error {
 		if errs[i] != nil {
 			return errs[i]
@@ -224,6 +190,97 @@ func runCells(s *Session, n int, run func(sub *Session, i int) error) error {
 		s.Merge(subs[i])
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// closedLoop digests the per-client measured windows of a closed-loop
+// cell that ran ops operations: the makespan (slowest client), aggregate
+// throughput over it in ops per simulated megacycle, and the amortized
+// cost, every client's busy cycles over ops.
+func closedLoop(durations []uint64, ops int) (makespan uint64, opsPerMcyc, cyclesPerOp float64) {
+	var sum uint64
+	for _, d := range durations {
+		sum += d
+		makespan = max(makespan, d)
+	}
+	if makespan > 0 {
+		opsPerMcyc = float64(ops) * 1e6 / float64(makespan)
+	}
+	if ops > 0 {
+		cyclesPerOp = float64(sum) / float64(ops)
+	}
+	return makespan, opsPerMcyc, cyclesPerOp
+}
+
+// wakeCounters are the ring-crossing and adaptive-wakeup counts of a
+// ring-driven cell's measurement window (both sides' waits).
+type wakeCounters struct {
+	// Doorbells cross into a sleeping server; DoorbellsSkipped counts the
+	// ones the server was awake for.
+	RingOps          uint64 `json:"ring_ops"`
+	Doorbells        uint64 `json:"doorbells"`
+	DoorbellsSkipped uint64 `json:"doorbells_skipped"`
+
+	SpinWakes  uint64 `json:"spin_wakes"`
+	Parks      uint64 `json:"parks"`
+	LocalWakes uint64 `json:"local_wakes"`
+	IPIWakes   uint64 `json:"ipi_wakes"`
+	IPIs       uint64 `json:"ipis"`
+}
+
+// readWake snapshots w's ring and wakeup counters.
+func readWake(w *World) wakeCounters {
+	return wakeCounters{
+		RingOps:          w.SB.RingOps,
+		Doorbells:        w.SB.RingDoorbells,
+		DoorbellsSkipped: w.SB.RingDoorbellsSkipped,
+		SpinWakes:        w.K.SpinWakes,
+		Parks:            w.K.Parks,
+		LocalWakes:       w.K.LocalWakes,
+		IPIWakes:         w.K.IPIWakes,
+		IPIs:             w.K.Mach.Obs.Value("machine.ipis"),
+	}
+}
+
+// since returns the counts accrued from base to c.
+func (c wakeCounters) since(base wakeCounters) wakeCounters {
+	return wakeCounters{
+		RingOps:          c.RingOps - base.RingOps,
+		Doorbells:        c.Doorbells - base.Doorbells,
+		DoorbellsSkipped: c.DoorbellsSkipped - base.DoorbellsSkipped,
+		SpinWakes:        c.SpinWakes - base.SpinWakes,
+		Parks:            c.Parks - base.Parks,
+		LocalWakes:       c.LocalWakes - base.LocalWakes,
+		IPIWakes:         c.IPIWakes - base.IPIWakes,
+		IPIs:             c.IPIs - base.IPIs,
+	}
+}
+
+// addTo writes the counts into a Record's values under their JSON names.
+func (c wakeCounters) addTo(values map[string]float64) {
+	values["ring_ops"] = float64(c.RingOps)
+	values["doorbells"] = float64(c.Doorbells)
+	values["doorbells_skipped"] = float64(c.DoorbellsSkipped)
+	values["spin_wakes"] = float64(c.SpinWakes)
+	values["parks"] = float64(c.Parks)
+	values["local_wakes"] = float64(c.LocalWakes)
+	values["ipi_wakes"] = float64(c.IPIWakes)
+	values["ipis"] = float64(c.IPIs)
+}
+
+// WriteJSON writes v as an indented JSON document with a trailing newline,
+// the format of every BENCH_*.json file, -metrics and -report.
+func WriteJSON(w io.Writer, v any) error {
+	buf, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	buf = append(buf, '\n')
+	_, err = w.Write(buf)
+	return err
 }
 
 // runOrdered calls work(i) for every i in [0, n) on min(jobs, n) workers
@@ -324,7 +381,10 @@ func RunAll(sel map[string]bool, o Options, jobs int, master *Session, out io.Wr
 	errs := make([]error, len(units))
 	return runOrdered(len(units), jobs, func(i int) {
 		subs[i] = master.newSub()
-		outs[i], errs[i] = units[i].Run(subs[i], o)
+		var r Result
+		if r, errs[i] = units[i].Run(subs[i], o); errs[i] == nil {
+			outs[i] = r.Render()
+		}
 	}, func(i int) error {
 		if errs[i] != nil {
 			return fmt.Errorf("%s: %w", units[i].Label, errs[i])

@@ -58,10 +58,12 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCellJobsByteIdentical: the sweep experiments (scaling, async) and
-// the table6 corpus scan partition into independent cells on the SetJobs
-// worker pool; every worker count must reproduce the serial run's stdout,
-// metrics, and trace byte for byte.
+// TestCellJobsByteIdentical: the five sweeps (scaling, async, dbscale,
+// tenants, skew) and the table6 corpus scan partition into independent
+// cells on the SetJobs worker pool; every worker count must reproduce the
+// serial run's stdout, metrics, and trace byte for byte. scaling, async
+// and table6 stand in for the pool here; the other sweeps pin the same
+// property in their own tests.
 func TestCellJobsByteIdentical(t *testing.T) {
 	sel := map[string]bool{"scaling": true, "async": true, "table6": true}
 	prev := SetJobs(1)

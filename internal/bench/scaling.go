@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"skybridge/internal/kv"
@@ -22,13 +20,13 @@ import (
 // aggregate throughput in operations per simulated megacycle across core
 // counts, plus a batching ablation (B=1 vs B>1) at the widest machine.
 
-// DefaultScalingBatch is the batch size B used by the scaling cells
-// (bounded by core.MaxBatch).
-const DefaultScalingBatch = 8
+// scalingBatch is the batch size B of the scaling sweep's cells (bounded
+// by core.MaxBatch); the ablation cell runs B=1.
+const scalingBatch = 8
 
-// ScalingConfig parameterizes the scaling sweep.
+// ScalingConfig parameterizes the scaling sweep (seL4 flavor, batch size
+// scalingBatch).
 type ScalingConfig struct {
-	Flavor mk.Flavor
 	// CoreCounts are the machine widths swept (default 1, 2, 4).
 	CoreCounts []int
 	// Workloads are the YCSB mixes driven (default A, B, C).
@@ -37,9 +35,6 @@ type ScalingConfig struct {
 	Records int
 	// TotalOps is the operation count per cell, split over the clients.
 	TotalOps int
-	// Batch is the requests submitted per crossing (default
-	// DefaultScalingBatch).
-	Batch int
 }
 
 // ScalingCell is one measured configuration.
@@ -85,13 +80,8 @@ type ScalingResult struct {
 	AblationB1 *ScalingCell `json:"ablation_b1"`
 }
 
-// Scaling runs the sweep with catalog options (records/ops knobs).
-func Scaling(cfg ScalingConfig) (*ScalingResult, error) {
-	return NewSession(nil).Scaling(cfg)
-}
-
-// Scaling is the session form: each cell feeds a per-batch latency
-// histogram "scaling/<workload>/<cores>c/b<batch>" and emits one Record.
+// Scaling runs the sweep: each cell feeds a per-batch latency histogram
+// "scaling/<workload>/<cores>c/b<batch>" and emits one Record.
 func (s *Session) Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 	if len(cfg.CoreCounts) == 0 {
 		cfg.CoreCounts = []int{1, 2, 4}
@@ -101,18 +91,14 @@ func (s *Session) Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 			ycsb.WorkloadA(cfg.Records), ycsb.WorkloadB(cfg.Records), ycsb.WorkloadC(cfg.Records),
 		}
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = DefaultScalingBatch
-	}
 	res := &ScalingResult{
-		Records: cfg.Records, TotalOps: cfg.TotalOps, Batch: cfg.Batch,
+		Records: cfg.Records, TotalOps: cfg.TotalOps, Batch: scalingBatch,
 		CoreCounts: cfg.CoreCounts,
 	}
 	// Every (workload, cores, batch) cell builds its own world, so the
-	// sweep partitions into independent cells run on the -j worker pool
-	// (runCells) and merged in declaration order — the ablation cell
-	// (same stack and workload, widest machine, one request per crossing)
-	// rides along as the last cell.
+	// sweep partitions into independent cells — the ablation cell (same
+	// stack and workload, widest machine, one request per crossing) rides
+	// along as the last cell.
 	type cellSpec struct {
 		w            ycsb.Workload
 		cores, batch int
@@ -121,17 +107,14 @@ func (s *Session) Scaling(cfg ScalingConfig) (*ScalingResult, error) {
 	for _, w := range cfg.Workloads {
 		res.Workloads = append(res.Workloads, w.Name)
 		for _, cores := range cfg.CoreCounts {
-			specs = append(specs, cellSpec{w, cores, cfg.Batch})
+			specs = append(specs, cellSpec{w, cores, scalingBatch})
 		}
 	}
 	wide := cfg.CoreCounts[len(cfg.CoreCounts)-1]
 	specs = append(specs, cellSpec{cfg.Workloads[0], wide, 1})
 
-	cells := make([]*ScalingCell, len(specs))
-	err := runCells(s, len(specs), func(sub *Session, i int) error {
-		c, err := sub.runScalingCell(cfg, specs[i].w, specs[i].cores, specs[i].batch)
-		cells[i] = c
-		return err
+	cells, err := sweep(s, specs, func(sub *Session, sp cellSpec) (*ScalingCell, error) {
+		return sub.runScalingCell(cfg, sp.w, sp.cores, sp.batch)
 	})
 	if err != nil {
 		return nil, err
@@ -147,7 +130,7 @@ func scalingKey(i int64) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 // runScalingCell measures one (workload, cores, batch) configuration.
 func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batch int) (*ScalingCell, error) {
 	label := fmt.Sprintf("scaling/%s/%dc/b%d", w.Name, cores, batch)
-	world := s.world(label, WorldConfig{Flavor: cfg.Flavor, Cores: cores, SkyBridge: true})
+	world := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
 	h := s.hist(label)
 	k := world.K
 	pl := k.Placement()
@@ -163,7 +146,7 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	cryptos := kv.NewCryptoShards(k, "enc", shards)
 	kvIDs := make([]int, shards)
 	encIDs := make([]int, shards)
-	var regErr error
+	var errs firstErr
 	for i := range stores {
 		i := i
 		stores[i].Proc.Spawn("shard", pl.Core(i), func(env *mk.Env) {
@@ -173,32 +156,29 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 					continue
 				}
 				val := kv.CipherStream([]byte(ycsb.RecordValue(w, r)))
-				if err := stores[i].Preload(env, key, val); err != nil && regErr == nil {
-					regErr = fmt.Errorf("shard %d preload: %w", i, err)
+				if err := stores[i].Preload(env, key, val); err != nil {
+					errs.set(fmt.Errorf("shard %d preload: %w", i, err))
 					return
 				}
 			}
 			id, err := svc.RegisterSkyBridgeServer(world.SB, env, 2*clients, stores[i].Handler())
-			if err != nil && regErr == nil {
-				regErr = fmt.Errorf("shard %d register: %w", i, err)
+			if err != nil {
+				errs.set(fmt.Errorf("shard %d register: %w", i, err))
 				return
 			}
 			kvIDs[i] = id
 		})
 		cryptos[i].Proc.Spawn("shard", pl.Core(i), func(env *mk.Env) {
 			id, err := svc.RegisterSkyBridgeServer(world.SB, env, 2*clients, cryptos[i].Handler())
-			if err != nil && regErr == nil {
-				regErr = fmt.Errorf("crypto shard %d register: %w", i, err)
+			if err != nil {
+				errs.set(fmt.Errorf("crypto shard %d register: %w", i, err))
 				return
 			}
 			encIDs[i] = id
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if regErr != nil {
-		return nil, regErr
 	}
 
 	// Bind phase: client ci lives on core ci, uses the crypto shard local
@@ -206,23 +186,20 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	// per-process, so the measurement thread reuses them).
 	procs := make([]*mk.Process, clients)
 	pipes := make([]*kv.ShardedClient, clients)
-	var bindErr error
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		procs[ci] = k.NewProcess(fmt.Sprintf("cli%d", ci))
 		text := procs[ci].Alloc(24 << 10)
 		procs[ci].Spawn("bind", pl.Core(ci), func(env *mk.Env) {
 			enc, err := svc.NewSkyBridge(world.SB, env, encIDs[ci%shards])
-			if err != nil && bindErr == nil {
-				bindErr = fmt.Errorf("client %d bind crypto: %w", ci, err)
+			if err != nil {
+				errs.set(fmt.Errorf("client %d bind crypto: %w", ci, err))
 				return
 			}
 			conns := make([]svc.Conn, shards)
 			for i, id := range kvIDs {
 				if conns[i], err = svc.NewSkyBridge(world.SB, env, id); err != nil {
-					if bindErr == nil {
-						bindErr = fmt.Errorf("client %d bind shard %d: %w", ci, i, err)
-					}
+					errs.set(fmt.Errorf("client %d bind shard %d: %w", ci, i, err))
 					return
 				}
 			}
@@ -232,11 +209,8 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 			}
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if bindErr != nil {
-		return nil, bindErr
 	}
 
 	// Measurement: reset machine-wide counters, then drive the closed
@@ -255,7 +229,6 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	baseLoads, baseEvict := world.RK.SlotLoads(), world.RK.SlotEvictions()
 
 	durations := make([]uint64, clients)
-	var runErr error
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		ops := cfg.TotalOps / clients
@@ -285,17 +258,13 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 				t := env.Now()
 				if len(uKeys) > 0 {
 					if err := c.InsertBatch(env, uKeys, uVals); err != nil {
-						if runErr == nil {
-							runErr = fmt.Errorf("client %d update: %w", ci, err)
-						}
+						errs.set(fmt.Errorf("client %d update: %w", ci, err))
 						return
 					}
 				}
 				if len(rKeys) > 0 {
 					if _, err := c.QueryBatch(env, rKeys); err != nil {
-						if runErr == nil {
-							runErr = fmt.Errorf("client %d read: %w", ci, err)
-						}
+						errs.set(fmt.Errorf("client %d read: %w", ci, err))
 						return
 					}
 				}
@@ -305,11 +274,8 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 			durations[ci] = env.Now() - start
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 
 	cell := &ScalingCell{
@@ -320,19 +286,7 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 		SlotLoads:      world.RK.SlotLoads() - baseLoads,
 		SlotEvictions:  world.RK.SlotEvictions() - baseEvict,
 	}
-	var sum uint64
-	for _, d := range durations {
-		sum += d
-		if d > cell.Makespan {
-			cell.Makespan = d
-		}
-	}
-	if cell.Makespan > 0 {
-		cell.OpsPerMcyc = float64(cfg.TotalOps) * 1e6 / float64(cell.Makespan)
-	}
-	if cfg.TotalOps > 0 {
-		cell.CyclesPerOp = float64(sum) / float64(cfg.TotalOps)
-	}
+	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	for i, id := range kvIDs {
 		if srv, ok := world.SB.Server(id); ok {
 			cell.ShardCalls = append(cell.ShardCalls, srv.Calls-baseCalls[i])
@@ -420,15 +374,4 @@ func (r *ScalingResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteScalingBench serializes r as the BENCH_scaling.json document.
-func WriteScalingBench(w io.Writer, r *ScalingResult) error {
-	buf, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

@@ -16,7 +16,6 @@ func testScalingConfig() ScalingConfig {
 		Workloads:  []ycsb.Workload{ycsb.WorkloadC(64)},
 		Records:    64,
 		TotalOps:   192,
-		Batch:      DefaultScalingBatch,
 	}
 }
 
@@ -25,7 +24,7 @@ func testScalingConfig() ScalingConfig {
 // claims at miniature scale: adding a core raises aggregate throughput,
 // and batched submission lowers amortized cycles per op.
 func TestScalingSweep(t *testing.T) {
-	r, err := Scaling(testScalingConfig())
+	r, err := NewSession(nil).Scaling(testScalingConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +67,12 @@ func TestScalingSweep(t *testing.T) {
 // serialize byte-identically — the CI determinism gate depends on it.
 func TestScalingDeterministic(t *testing.T) {
 	run := func() (string, []byte) {
-		r, err := Scaling(testScalingConfig())
+		r, err := NewSession(nil).Scaling(testScalingConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteScalingBench(&buf, r); err != nil {
+		if err := WriteJSON(&buf, r); err != nil {
 			t.Fatal(err)
 		}
 		return r.Render(), buf.Bytes()

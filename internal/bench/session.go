@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -151,13 +150,7 @@ func (s *Session) WriteMetrics(w io.Writer) error {
 	if len(snap.Histograms) > 0 {
 		out.Histograms = snap.Histograms
 	}
-	buf, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+	return WriteJSON(w, out)
 }
 
 // --- session wrappers for the macro experiments ---
@@ -251,7 +244,7 @@ func (s *Session) Table6(scale int) (*Table6Result, error) {
 }
 
 // Ablations runs the design-choice ablations and records each comparison.
-func (s *Session) Ablations() []*AblationResult {
+func (s *Session) Ablations() AblationResults {
 	rs := Ablations()
 	for _, r := range rs {
 		s.record(Record{

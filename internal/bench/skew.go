@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"skybridge/internal/core"
@@ -41,9 +39,18 @@ import (
 // returns.
 const skewThink = 24_000
 
-// SkewConfig parameterizes the adaptive-placement sweep.
+// The skew sweep's fixed shape: routing client processes, keyspace size
+// (range-partitioned over 2*cores shards), and each client's closed-loop
+// in-flight cap.
+const (
+	skewClients = 8
+	skewRecords = 256
+	skewWindow  = 8
+)
+
+// SkewConfig parameterizes the adaptive-placement sweep (seL4 flavor,
+// skewClients clients over skewRecords keys, window skewWindow).
 type SkewConfig struct {
-	Flavor mk.Flavor
 	// ServerCores are the drain-core counts swept (default 4, 2). Every
 	// dist runs on ServerCores[0]; the remaining counts run the hotspot
 	// dist only (the headline adaptive-vs-static cell at each width).
@@ -53,15 +60,8 @@ type SkewConfig struct {
 	// middle segment and a zipf-apportioned per-client op split — the
 	// autoscaling cell.
 	Dists []string
-	// Clients is the number of routing client processes (default 8).
-	Clients int
-	// Records is the keyspace size, range-partitioned over 2*cores
-	// shards (default 256).
-	Records int
 	// TotalOps is the aggregate operation count per cell (default 4096).
 	TotalOps int
-	// Window is each client's closed-loop in-flight cap (default 8).
-	Window int
 }
 
 // SkewCell is one measured (dist, mode, serverCores) configuration.
@@ -117,12 +117,7 @@ type SkewResult struct {
 	Cells       []*SkewCell `json:"cells"`
 }
 
-// Skew runs the sweep with catalog options.
-func Skew(cfg SkewConfig) (*SkewResult, error) {
-	return NewSession(nil).Skew(cfg)
-}
-
-// Skew is the session form: each cell feeds a latency histogram
+// Skew runs the sweep: each cell feeds a latency histogram
 // "skew/<dist>/<mode>/<cores>c" and emits one Record.
 func (s *Session) Skew(cfg SkewConfig) (*SkewResult, error) {
 	if len(cfg.ServerCores) == 0 {
@@ -131,21 +126,12 @@ func (s *Session) Skew(cfg SkewConfig) (*SkewResult, error) {
 	if len(cfg.Dists) == 0 {
 		cfg.Dists = []string{ycsb.DistUniform, ycsb.DistHotspot, ycsb.DistShifting, "trough"}
 	}
-	if cfg.Clients == 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Records == 0 {
-		cfg.Records = 256
-	}
 	if cfg.TotalOps == 0 {
 		cfg.TotalOps = 4096
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 8
-	}
 	res := &SkewResult{
 		ServerCores: cfg.ServerCores, Dists: cfg.Dists,
-		Clients: cfg.Clients, Records: cfg.Records, TotalOps: cfg.TotalOps,
+		Clients: skewClients, Records: skewRecords, TotalOps: cfg.TotalOps,
 	}
 	type cellSpec struct {
 		dist, mode string
@@ -162,11 +148,8 @@ func (s *Session) Skew(cfg SkewConfig) (*SkewResult, error) {
 			}
 		}
 	}
-	cells := make([]*SkewCell, len(specs))
-	err := runCells(s, len(specs), func(sub *Session, i int) error {
-		c, err := sub.runSkewCell(cfg, specs[i].dist, specs[i].mode, specs[i].scores)
-		cells[i] = c
-		return err
+	cells, err := sweep(s, specs, func(sub *Session, sp cellSpec) (*SkewCell, error) {
+		return sub.runSkewCell(cfg, sp.dist, sp.mode, sp.scores)
 	})
 	if err != nil {
 		return nil, err
@@ -196,12 +179,12 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 	shards := 2 * serverCores
 	label := fmt.Sprintf("skew/%s/%s/%dc", dist, mode, serverCores)
 	world := s.world(label, WorldConfig{
-		Flavor: cfg.Flavor, Cores: serverCores + clientCores, SkyBridge: true,
+		Flavor: mk.SeL4, Cores: serverCores + clientCores, SkyBridge: true,
 	})
 	k := world.K
 	h := s.hist(label)
 
-	opsOf := skewClientOps(dist, cfg.Clients, cfg.TotalOps)
+	opsOf := skewClientOps(dist, skewClients, cfg.TotalOps)
 	totalOps := 0
 	for _, o := range opsOf {
 		totalOps += o
@@ -210,22 +193,22 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 	// Register phase: one process holds every shard store and every
 	// frontend (stealing and migration need the shared address space);
 	// keys range-partition onto shards so contiguous hot sets concentrate.
-	perShard := (cfg.Records + shards - 1) / shards
+	perShard := (skewRecords + shards - 1) / shards
 	shardOf := func(key int64) int {
-		return int(key * int64(shards) / int64(cfg.Records))
+		return int(key * int64(shards) / skewRecords)
 	}
 	server := k.NewProcess("placed")
 	stores := kv.NewStoreSet(server, shards, 2*perShard+64, 4+16+48)
 	fes := make([]*svc.Frontend, serverCores)
 	coreFEs := make([]*core.Frontend, serverCores)
 	var d *core.Director
-	var regErr error
+	var errs firstErr
 	server.Spawn("reg", k.Mach.Cores[0], func(env *mk.Env) {
-		for j := int64(0); j < int64(cfg.Records); j++ {
+		for j := int64(0); j < skewRecords; j++ {
 			key := fmt.Sprintf("user%06d", j)
 			val := fmt.Sprintf("value-%06d-%016d", j, 0)
 			if err := stores[shardOf(j)].Preload(env, []byte(key), []byte(val)); err != nil {
-				regErr = fmt.Errorf("preload %d: %w", j, err)
+				errs.set(fmt.Errorf("preload %d: %w", j, err))
 				return
 			}
 		}
@@ -238,12 +221,12 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 				}
 				return ok, ep
 			}, func(shard int) { d.NoteOp(shard) })
-			fe, err := svc.NewFrontend(world.SB, env, cfg.Clients+1, core.FrontendConfig{},
+			fe, err := svc.NewFrontend(world.SB, env, skewClients+1, core.FrontendConfig{},
 				func(env *mk.Env, tenant int, req svc.Req) svc.Resp {
 					return ph(env, req)
 				})
 			if err != nil {
-				regErr = fmt.Errorf("frontend %d: %w", f, err)
+				errs.set(fmt.Errorf("frontend %d: %w", f, err))
 				return
 			}
 			fes[f] = fe
@@ -262,70 +245,54 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			Obs: k.Mach.Obs,
 		}, coreFEs)
 		if err != nil {
-			regErr = fmt.Errorf("director: %w", err)
+			errs.set(fmt.Errorf("director: %w", err))
 		}
 	})
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if regErr != nil {
-		return nil, regErr
 	}
 
 	// Bind phase: each client opens a Router (one ring per drain plus the
 	// read-only routing region).
-	procs := make([]*mk.Process, cfg.Clients)
-	routers := make([]*svc.Router, cfg.Clients)
-	var bindErr error
-	for c := 0; c < cfg.Clients; c++ {
+	procs := make([]*mk.Process, skewClients)
+	routers := make([]*svc.Router, skewClients)
+	for c := 0; c < skewClients; c++ {
 		procs[c] = k.NewProcess(fmt.Sprintf("cl%02d", c))
 	}
-	for c := 0; c < cfg.Clients; c++ {
+	for c := 0; c < skewClients; c++ {
 		c := c
 		procs[c].Spawn("bind", k.Mach.Cores[serverCores+c%clientCores], func(env *mk.Env) {
-			rt, err := svc.OpenRouter(env, d, fes, cfg.Window, 2+16+48)
+			rt, err := svc.OpenRouter(env, d, fes, skewWindow, 2+16+48)
 			if err != nil {
-				if bindErr == nil {
-					bindErr = fmt.Errorf("client %d bind: %w", c, err)
-				}
+				errs.set(fmt.Errorf("client %d bind: %w", c, err))
 				return
 			}
 			routers[c] = rt
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if bindErr != nil {
-		return nil, bindErr
 	}
 
 	// Measurement window.
 	k.Mach.AlignClocks()
 	k.Mach.ResetStats()
 
-	var srvErr error
 	for f, fe := range fes {
 		f, fe := f, fe
 		server.Spawn("drain", k.Mach.Cores[f], func(env *mk.Env) {
-			if err := fe.FE.Serve(env); err != nil && srvErr == nil {
-				srvErr = fmt.Errorf("drain %d: %w", f, err)
+			if err := fe.FE.Serve(env); err != nil {
+				errs.set(fmt.Errorf("drain %d: %w", f, err))
 			}
 		})
 	}
-	durations := make([]uint64, cfg.Clients)
+	durations := make([]uint64, skewClients)
 	// phaseEnds[c][p] is when client c completed quarter p (the shifting
 	// dist jumps its hot window once per quarter).
-	phaseEnds := make([][4]uint64, cfg.Clients)
-	starts := make([]uint64, cfg.Clients)
-	remaining := cfg.Clients
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-	for c := 0; c < cfg.Clients; c++ {
+	phaseEnds := make([][4]uint64, skewClients)
+	starts := make([]uint64, skewClients)
+	remaining := skewClients
+	for c := 0; c < skewClients; c++ {
 		c := c
 		myOps := opsOf[c]
 		procs[c].Spawn("drive", k.Mach.Cores[serverCores+c%clientCores], func(env *mk.Env) {
@@ -338,7 +305,7 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			}()
 			rt := routers[c]
 			w := ycsb.Workload{
-				Name: "skew", RecordCount: cfg.Records, FieldLength: 16,
+				Name: "skew", RecordCount: skewRecords, FieldLength: 16,
 				ReadProp: 0.75, UpdateProp: 0.25,
 				RequestDist: dist, HotDataFrac: 0.25, HotOpFrac: 0.9,
 				HotShiftEvery: (myOps + 3) / 4,
@@ -441,10 +408,10 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 					po := retryQ[0]
 					retryQ = retryQ[1:]
 					if err := submitRetrying(po); err != nil {
-						fail(err)
+						errs.set(err)
 						return
 					}
-				case submitted < myOps && inflight < cfg.Window:
+				case submitted < myOps && inflight < skewWindow:
 					// The trough dist paces its middle segment open-loop:
 					// the offered load collapses, the controller parks
 					// cores, and the closed-loop tail brings them back.
@@ -455,12 +422,12 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 					po := pendingOp{key: op.Key, put: op.Kind == ycsb.OpUpdate, seq: submitted, t0: env.Now()}
 					submitted++
 					if err := submitRetrying(po); err != nil {
-						fail(err)
+						errs.set(err)
 						return
 					}
 				default:
 					if err := reapOne(); err != nil {
-						fail(err)
+						errs.set(err)
 						return
 					}
 				}
@@ -468,19 +435,13 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			durations[c] = env.Now() - starts[c]
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if srvErr != nil {
-		return nil, srvErr
 	}
 
 	cell := &SkewCell{
 		Dist: dist, Mode: mode, ServerCores: serverCores, Shards: shards,
-		Clients: cfg.Clients, Records: cfg.Records, TotalOps: totalOps,
+		Clients: skewClients, Records: skewRecords, TotalOps: totalOps,
 		Migrations: d.Migrations, MigratedBytes: d.MigratedBytes,
 		Steals: d.Steals, StolenOps: d.StolenOps,
 		ScaleDowns: d.ScaleDowns, ScaleUps: d.ScaleUps,
@@ -497,13 +458,8 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 	for _, fe := range fes {
 		cell.IdleParkedCycles += fe.FE.IdleParkedCycles
 	}
-	for _, dur := range durations {
-		if dur > cell.Makespan {
-			cell.Makespan = dur
-		}
-	}
+	cell.Makespan, cell.OpsPerMcyc, _ = closedLoop(durations, totalOps)
 	if cell.Makespan > 0 {
-		cell.OpsPerMcyc = float64(totalOps) * 1e6 / float64(cell.Makespan)
 		total := uint64(serverCores) * cell.Makespan
 		idle := cell.GateParkedCycles + cell.IdleParkedCycles
 		if idle > total {
@@ -572,8 +528,8 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			"mode":         mode,
 			"server_cores": fmt.Sprintf("%d", serverCores),
 			"shards":       fmt.Sprintf("%d", shards),
-			"clients":      fmt.Sprintf("%d", cfg.Clients),
-			"records":      fmt.Sprintf("%d", cfg.Records),
+			"clients":      fmt.Sprintf("%d", skewClients),
+			"records":      fmt.Sprintf("%d", skewRecords),
 			"ops":          fmt.Sprintf("%d", totalOps),
 		},
 		CyclesPerOp: float64(cell.Makespan) / float64(totalOps),
@@ -617,15 +573,4 @@ func (r *SkewResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteSkewBench serializes r as the BENCH_skew.json document.
-func WriteSkewBench(w io.Writer, r *SkewResult) error {
-	buf, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

@@ -13,7 +13,7 @@ import (
 // happened, and every wrong-epoch reject was matched by a client
 // resubmit (no lost ops — the cell errors out on a missing completion).
 func TestSkewAdaptiveBeatsStaticOnHotspot(t *testing.T) {
-	r, err := Skew(SkewConfig{
+	r, err := NewSession(nil).Skew(SkewConfig{
 		ServerCores: []int{2},
 		Dists:       []string{ycsb.DistHotspot},
 		TotalOps:    1024,
@@ -46,7 +46,7 @@ func TestSkewAdaptiveBeatsStaticOnHotspot(t *testing.T) {
 // segment parks at least one drain (gate cycles accrue) and the
 // closed-loop tail wakes it back.
 func TestSkewTroughScalesDown(t *testing.T) {
-	r, err := Skew(SkewConfig{
+	r, err := NewSession(nil).Skew(SkewConfig{
 		ServerCores: []int{2},
 		Dists:       []string{"trough"},
 		TotalOps:    1024,
@@ -80,13 +80,13 @@ func TestSkewDeterministicAcrossWorkers(t *testing.T) {
 	var outs [][]byte
 	for _, jobs := range []int{1, 4, 1} {
 		prev := SetJobs(jobs)
-		r, err := Skew(cfg)
+		r, err := NewSession(nil).Skew(cfg)
 		SetJobs(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
-		if err := WriteSkewBench(&b, r); err != nil {
+		if err := WriteJSON(&b, r); err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, b.Bytes())

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"skybridge/internal/core"
@@ -37,9 +35,15 @@ const tenantThink = 3_000_000
 // tenantKeys is each tenant's keyspace size (preloaded server-side).
 const tenantKeys = 4
 
-// TenantsConfig parameterizes the multi-tenant sweep.
+// tenantCredit is the per-tenant in-flight credit (ring depth);
+// tenantQuantum the DRR refill per sweep visit.
+const (
+	tenantCredit  = 8
+	tenantQuantum = 4
+)
+
+// TenantsConfig parameterizes the multi-tenant sweep (seL4 flavor).
 type TenantsConfig struct {
-	Flavor mk.Flavor
 	// TenantCounts are the tenant populations swept (default 64, 256,
 	// 1024, clipped to MaxTenants when set).
 	TenantCounts []int
@@ -53,10 +57,6 @@ type TenantsConfig struct {
 	// OpsPerTenant is the uniform per-tenant operation count (zipfian
 	// cells redistribute tenants*OpsPerTenant zipf(0.99)-style).
 	OpsPerTenant int
-	// Credit is the per-tenant in-flight credit (ring depth, default 8);
-	// Quantum the DRR refill per sweep visit (default 4).
-	Credit  int
-	Quantum int
 }
 
 // TenantsCell is one measured (tenants, serverCores, dist) configuration.
@@ -73,18 +73,8 @@ type TenantsCell struct {
 	CyclesPerOp float64 `json:"cycles_per_op"`
 	Makespan    uint64  `json:"makespan_cycles"`
 
-	// Crossing accounting: every op rides a ring; doorbells only when the
-	// drain slept.
-	RingOps          uint64 `json:"ring_ops"`
-	Doorbells        uint64 `json:"doorbells"`
-	DoorbellsSkipped uint64 `json:"doorbells_skipped"`
-
-	// Adaptive-wakeup accounting (drain + tenant reap waits).
-	SpinWakes  uint64 `json:"spin_wakes"`
-	Parks      uint64 `json:"parks"`
-	LocalWakes uint64 `json:"local_wakes"`
-	IPIWakes   uint64 `json:"ipi_wakes"`
-	IPIs       uint64 `json:"ipis"`
+	// Ring, doorbell and wakeup accounting (drain + tenant reap waits).
+	wakeCounters
 	SpinCycles uint64 `json:"spin_cycles_parked"`
 
 	// Directory/drain accounting, summed over the cell's frontends.
@@ -114,14 +104,8 @@ type TenantsResult struct {
 	Cells        []*TenantsCell `json:"cells"`
 }
 
-// Tenants runs the sweep with catalog options.
-func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
-	return NewSession(nil).Tenants(cfg)
-}
-
-// Tenants is the session form: each cell feeds per-class latency
-// histograms "tenants/<dist>/<tenants>t/<cores>c{,/hot,/cold}" and emits
-// one Record.
+// Tenants runs the sweep: each cell feeds per-class latency histograms
+// "tenants/<dist>/<tenants>t/<cores>c{,/hot,/cold}" and emits one Record.
 func (s *Session) Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 	if len(cfg.TenantCounts) == 0 {
 		cfg.TenantCounts = []int{64, 256, 1024}
@@ -147,12 +131,6 @@ func (s *Session) Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 	if cfg.OpsPerTenant == 0 {
 		cfg.OpsPerTenant = 8
 	}
-	if cfg.Credit == 0 {
-		cfg.Credit = 8
-	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = 4
-	}
 	res := &TenantsResult{
 		OpsPerTenant: cfg.OpsPerTenant,
 		TenantCounts: cfg.TenantCounts, ServerCores: cfg.ServerCores, Dists: cfg.Dists,
@@ -169,11 +147,8 @@ func (s *Session) Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 			}
 		}
 	}
-	cells := make([]*TenantsCell, len(specs))
-	err := runCells(s, len(specs), func(sub *Session, i int) error {
-		c, err := sub.runTenantsCell(cfg, specs[i].tenants, specs[i].scores, specs[i].dist)
-		cells[i] = c
-		return err
+	cells, err := sweep(s, specs, func(sub *Session, sp cellSpec) (*TenantsCell, error) {
+		return sub.runTenantsCell(cfg, sp.tenants, sp.scores, sp.dist)
 	})
 	if err != nil {
 		return nil, err
@@ -202,7 +177,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	const clientCores = 4
 	label := fmt.Sprintf("tenants/%s/%dt/%dc", dist, tenants, serverCores)
 	world := s.world(label, WorldConfig{
-		Flavor: cfg.Flavor, Cores: serverCores + clientCores, SkyBridge: true,
+		Flavor: mk.SeL4, Cores: serverCores + clientCores, SkyBridge: true,
 	})
 	k := world.K
 	h := s.hist(label)
@@ -239,7 +214,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	// carry the global tenant number. localToGlobal translates between the
 	// two for the guard — filled once the bind phase fixes the open order.
 	localToGlobal := make([][]int, serverCores)
-	var regErr error
+	var errs firstErr
 	for f := 0; f < serverCores; f++ {
 		f := f
 		localToGlobal[f] = make([]int, perFE+1)
@@ -248,30 +223,27 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 				for j := 0; j < tenantKeys; j++ {
 					key := kv.TenantKey(t, fmt.Sprintf("k%d", j))
 					val := []byte(fmt.Sprintf("value-%04d-%02d-%024d", t, j, 0))
-					if err := stores[f].Preload(env, []byte(key), val); err != nil && regErr == nil {
-						regErr = fmt.Errorf("frontend %d preload tenant %d: %w", f, t, err)
+					if err := stores[f].Preload(env, []byte(key), val); err != nil {
+						errs.set(fmt.Errorf("frontend %d preload tenant %d: %w", f, t, err))
 						return
 					}
 				}
 			}
 			guard := kv.TenantGuard(stores[f].Handler())
 			fe, err := svc.NewFrontend(world.SB, env, perFE+1, core.FrontendConfig{
-				Pol: pol, Credit: cfg.Credit, Quantum: cfg.Quantum,
+				Pol: pol, Credit: tenantCredit, Quantum: tenantQuantum,
 			}, func(env *mk.Env, tenant int, req svc.Req) svc.Resp {
 				return guard(env, localToGlobal[f][tenant], req)
 			})
-			if err != nil && regErr == nil {
-				regErr = fmt.Errorf("frontend %d: %w", f, err)
+			if err != nil {
+				errs.set(fmt.Errorf("frontend %d: %w", f, err))
 				return
 			}
 			fes[f] = fe
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if regErr != nil {
-		return nil, regErr
 	}
 
 	// Bind phase: every tenant in its own process, rings opened in tenant
@@ -279,7 +251,6 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	// to the hot call site, cold to the cold one.
 	procs := make([]*mk.Process, tenants)
 	conns := make([]*svc.TenantConn, tenants)
-	var bindErr error
 	for t := 0; t < tenants; t++ {
 		procs[t] = k.NewProcess(fmt.Sprintf("t%04d", t))
 	}
@@ -288,19 +259,14 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		procs[t].Spawn("bind", k.Mach.Cores[serverCores+t%clientCores], func(env *mk.Env) {
 			tc, err := fes[t%serverCores].OpenTenant(env, 0, 2+64)
 			if err != nil {
-				if bindErr == nil {
-					bindErr = fmt.Errorf("tenant %d bind: %w", t, err)
-				}
+				errs.set(fmt.Errorf("tenant %d bind: %w", t, err))
 				return
 			}
 			conns[t] = tc
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if bindErr != nil {
-		return nil, bindErr
 	}
 	for t := 0; t < tenants; t++ {
 		localToGlobal[t%serverCores][conns[t].Tenant] = t
@@ -317,26 +283,18 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	s.callSite(label).Obs.Reset()
 	hotSite.Obs.Reset()
 	coldSite.Obs.Reset()
-	baseRing, baseBells, baseSkip := world.SB.RingOps, world.SB.RingDoorbells, world.SB.RingDoorbellsSkipped
-	baseSpin, baseParks, baseLocal, baseIPIW := k.SpinWakes, k.Parks, k.LocalWakes, k.IPIWakes
+	baseWake := readWake(world)
 
-	var srvErr error
 	for f, fe := range fes {
 		f, fe := f, fe
 		stores[f].Proc.Spawn("drain", k.Mach.Cores[f], func(env *mk.Env) {
-			if err := fe.Serve(env); err != nil && srvErr == nil {
-				srvErr = fmt.Errorf("frontend %d drain: %w", f, err)
+			if err := fe.Serve(env); err != nil {
+				errs.set(fmt.Errorf("frontend %d drain: %w", f, err))
 			}
 		})
 	}
 	durations := make([]uint64, tenants)
 	remaining := tenants
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
 	for t := 0; t < tenants; t++ {
 		t := t
 		ops := opsOf[t]
@@ -398,57 +356,44 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 					// Greedy: keep the ring at full credit.
 					for submitted < ops && tc.Inflight() < qd {
 						if err := submit(); err != nil {
-							fail(err)
+							errs.set(err)
 							return
 						}
 					}
 				} else {
 					env.Sleep(think)
 					if err := submit(); err != nil {
-						fail(err)
+						errs.set(err)
 						return
 					}
 				}
 				if err := tc.Flush(env); err != nil {
-					fail(fmt.Errorf("tenant %d flush: %w", t, err))
+					errs.set(fmt.Errorf("tenant %d flush: %w", t, err))
 					return
 				}
 				cs, err := tc.Ring.Reap(env, 1)
 				if err != nil {
-					fail(fmt.Errorf("tenant %d reap: %w", t, err))
+					errs.set(fmt.Errorf("tenant %d reap: %w", t, err))
 					return
 				}
 				if err := observe(cs); err != nil {
-					fail(err)
+					errs.set(err)
 					return
 				}
 			}
 			durations[t] = env.Now() - start
 		})
 	}
-	if err := world.Eng.Run(); err != nil {
+	if err := world.run(&errs); err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if srvErr != nil {
-		return nil, srvErr
 	}
 
 	cell := &TenantsCell{
 		Tenants: tenants, ServerCores: serverCores, Dist: dist,
-		TotalOps: totalOps, Credit: cfg.Credit, Quantum: cfg.Quantum,
-		HotTenants:       hotTenants,
-		RingOps:          world.SB.RingOps - baseRing,
-		Doorbells:        world.SB.RingDoorbells - baseBells,
-		DoorbellsSkipped: world.SB.RingDoorbellsSkipped - baseSkip,
-		SpinWakes:        k.SpinWakes - baseSpin,
-		Parks:            k.Parks - baseParks,
-		LocalWakes:       k.LocalWakes - baseLocal,
-		IPIWakes:         k.IPIWakes - baseIPIW,
-		IPIs:             uint64(k.Mach.Obs.Value("machine.ipis")),
-		SpinCycles:       k.SpinCycles,
+		TotalOps: totalOps, Credit: tenantCredit, Quantum: tenantQuantum,
+		HotTenants:   hotTenants,
+		wakeCounters: readWake(world).since(baseWake),
+		SpinCycles:   k.SpinCycles,
 	}
 	for _, fe := range fes {
 		cell.Sweeps += fe.FE.Sweeps
@@ -459,19 +404,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		cell.PollCycles += fe.FE.PollCycles
 		cell.ServiceCycles += fe.FE.ServiceCycles
 	}
-	var sum uint64
-	for _, d := range durations {
-		sum += d
-		if d > cell.Makespan {
-			cell.Makespan = d
-		}
-	}
-	if cell.Makespan > 0 {
-		cell.OpsPerMcyc = float64(totalOps) * 1e6 / float64(cell.Makespan)
-	}
-	if totalOps > 0 {
-		cell.CyclesPerOp = float64(sum) / float64(totalOps)
-	}
+	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, totalOps)
 	cell.Latency = s.latencyOf(label)
 	if cs := s.latencyOf(label + "/cold"); cs != nil {
 		cell.ColdP99 = cs.P99
@@ -487,14 +420,6 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		"cycles_per_op":      cell.CyclesPerOp,
 		"makespan_cycles":    float64(cell.Makespan),
 		"ops_per_sec":        OpsPerSec(totalOps, cell.Makespan),
-		"ring_ops":           float64(cell.RingOps),
-		"doorbells":          float64(cell.Doorbells),
-		"doorbells_skipped":  float64(cell.DoorbellsSkipped),
-		"spin_wakes":         float64(cell.SpinWakes),
-		"parks":              float64(cell.Parks),
-		"local_wakes":        float64(cell.LocalWakes),
-		"ipi_wakes":          float64(cell.IPIWakes),
-		"ipis":               float64(cell.IPIs),
 		"sweeps":             float64(cell.Sweeps),
 		"full_sweeps":        float64(cell.FullSweeps),
 		"tail_polls":         float64(cell.TailPolls),
@@ -509,6 +434,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		"vmfuncs":            float64(k.Mach.Obs.SumSuffix(".vmfuncs")),
 		"l1d_misses":         float64(k.Mach.Obs.SumSuffix(".L1D.misses")),
 	}
+	cell.wakeCounters.addTo(values)
 	s.record(Record{
 		Experiment: "tenants",
 		Config: map[string]string{
@@ -516,8 +442,8 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 			"tenants":      fmt.Sprintf("%d", tenants),
 			"server_cores": fmt.Sprintf("%d", serverCores),
 			"ops":          fmt.Sprintf("%d", totalOps),
-			"credit":       fmt.Sprintf("%d", cfg.Credit),
-			"quantum":      fmt.Sprintf("%d", cfg.Quantum),
+			"credit":       fmt.Sprintf("%d", tenantCredit),
+			"quantum":      fmt.Sprintf("%d", tenantQuantum),
 		},
 		CyclesPerOp: cell.CyclesPerOp,
 		Values:      values,
@@ -563,15 +489,4 @@ func (r *TenantsResult) Render() string {
 		}
 	}
 	return b.String()
-}
-
-// WriteTenantsBench serializes r as the BENCH_tenants.json document.
-func WriteTenantsBench(w io.Writer, r *TenantsResult) error {
-	buf, err := json.MarshalIndent(r, "", " ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
 }

@@ -101,7 +101,7 @@ func TestTenantsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
-		if err := WriteTenantsBench(&b, r); err != nil {
+		if err := WriteJSON(&b, r); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()

@@ -92,6 +92,27 @@ func MustWorld(cfg WorldConfig) *World {
 	return w
 }
 
+// firstErr holds the first error the simulated threads of a cell report;
+// later ones, usually knock-on failures of the first, are dropped. A
+// thread that records an error returns at once.
+type firstErr struct{ err error }
+
+// set records err unless an earlier error is held.
+func (e *firstErr) set(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+}
+
+// run drives w's engine until every thread has exited, then returns the
+// engine's error, else the first error a thread recorded in errs.
+func (w *World) run(errs *firstErr) error {
+	if err := w.Eng.Run(); err != nil {
+		return err
+	}
+	return errs.err
+}
+
 // OpsPerSec converts (operations, cycles) to a throughput at the nominal
 // 4 GHz clock.
 func OpsPerSec(ops int, cycles uint64) float64 {
