@@ -1,0 +1,202 @@
+package core
+
+import (
+	"testing"
+
+	"skybridge/internal/mk"
+	"skybridge/internal/obs"
+)
+
+// newCallObserver is the observer a bench world attaches: a breakdown and
+// a flight recorder, no tap.
+func newCallObserver() *obs.CallObserver {
+	return &obs.CallObserver{Breakdown: obs.NewBreakdown(), Flight: obs.NewFlightRecorder(obs.FlightConfig{})}
+}
+
+// warmAllocs runs op 256 times to warm the simulated caches and the host
+// structures, then returns op's heap allocations per run.
+func warmAllocs(t *testing.T, op func() error) float64 {
+	run := func() {
+		if err := op(); err != nil {
+			t.Errorf("crossing: %v", err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		run()
+	}
+	return testing.AllocsPerRun(200, run)
+}
+
+// TestDirectCallAllocs: a warm 0-byte DirectCall makes no host heap
+// allocation, with or without a call observer attached.
+func TestDirectCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector can add allocations")
+	}
+	for _, observed := range []bool{false, true} {
+		eng, k, _, sb := newWorld(t)
+		core0 := k.Mach.Cores[0]
+		id := registerEcho(t, eng, k, sb, k.NewProcess("server"), core0)
+		var flight *obs.FlightRecorder // nil-safe when unobserved
+		if observed {
+			sb.Calls = newCallObserver()
+			flight = sb.Calls.Flight
+		}
+		var allocs float64
+		k.NewProcess("client").Spawn("cli", core0, func(env *mk.Env) {
+			if _, err := sb.RegisterClient(env, id); err != nil {
+				t.Errorf("register client: %v", err)
+				return
+			}
+			allocs = warmAllocs(t, func() error {
+				_, err := sb.DirectCall(env, id, Request{Regs: [4]uint64{1}})
+				return err
+			})
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("observer %v: %v allocations per DirectCall, want 0", observed, allocs)
+		}
+		if n := len(flight.Dumps()); n != 0 {
+			t.Errorf("%d flight dumps: the guard must measure the no-dump path", n)
+		}
+	}
+}
+
+// TestDirectCallBatchAllocs: a warm two-request batch allocates only the
+// response slice it returns to the caller.
+func TestDirectCallBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector can add allocations")
+	}
+	eng, k, _, sb := newWorld(t)
+	core0 := k.Mach.Cores[0]
+	id := registerEcho(t, eng, k, sb, k.NewProcess("server"), core0)
+	sb.Calls = newCallObserver()
+	var allocs float64
+	k.NewProcess("client").Spawn("cli", core0, func(env *mk.Env) {
+		if _, err := sb.RegisterClient(env, id); err != nil {
+			t.Errorf("register client: %v", err)
+			return
+		}
+		reqs := []Request{{Regs: [4]uint64{1}}, {Regs: [4]uint64{2}}}
+		allocs = warmAllocs(t, func() error {
+			_, err := sb.DirectCallBatch(env, id, reqs)
+			return err
+		})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 1 {
+		t.Errorf("%v allocations per batch, want 1 (the returned responses)", allocs)
+	}
+}
+
+// TestDoorbellAllocs: a warm async-ring doorbell crossing makes no host
+// heap allocation.
+func TestDoorbellAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector can add allocations")
+	}
+	eng, k, _, sb := newWorld(t)
+	server := k.NewProcess("server")
+	id := registerEcho(t, eng, k, sb, server, k.Mach.Cores[0])
+	rs := startRingServer(t, sb, id, server, k.Mach.Cores[1], mk.WakePolicy{})
+	sb.Calls = newCallObserver()
+	var allocs float64
+	k.NewProcess("client").Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
+		defer rs.Close(env)
+		if _, err := sb.RegisterClient(env, id); err != nil {
+			t.Errorf("register client: %v", err)
+			return
+		}
+		r, err := sb.OpenRing(env, id, 8, 64, mk.WakePolicy{})
+		if err != nil {
+			t.Errorf("open ring: %v", err)
+			return
+		}
+		allocs = warmAllocs(t, func() error { return r.Doorbell(env) })
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per doorbell, want 0", allocs)
+	}
+}
+
+// BenchmarkDirectCall times one warm echo DirectCall on the host with a
+// call observer attached: register-only, and a 1 KiB payload the client
+// writes in place and reads back. ns/op is host time per simulated call.
+func BenchmarkDirectCall(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"0B", 0}, {"1KiB", 1024}} {
+		b.Run(c.name, func(b *testing.B) { benchDirectCall(b, c.size) })
+	}
+}
+
+func benchDirectCall(b *testing.B, size int) {
+	eng, k, _, sb := newWorld(b)
+	core0 := k.Mach.Cores[0]
+	var id int
+	scratch := make([]byte, size)
+	k.NewProcess("server").Spawn("reg", core0, func(env *mk.Env) {
+		var err error
+		id, err = sb.RegisterServer(env, 8, 0x400100, func(env *mk.Env, req Request) Response {
+			if req.Len > 0 {
+				env.Read(req.SharedBuf, scratch, req.Len)
+				env.Write(req.SharedBuf, scratch, req.Len)
+			}
+			return Response{Regs: [4]uint64{req.Regs[0] + 1}, Len: req.Len}
+		})
+		if err != nil {
+			b.Errorf("register server: %v", err)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	sb.Calls = newCallObserver()
+	payload, reply := make([]byte, size), make([]byte, size)
+	k.NewProcess("client").Spawn("cli", core0, func(env *mk.Env) {
+		conn, err := sb.RegisterClient(env, id)
+		if err != nil {
+			b.Errorf("register client: %v", err)
+			return
+		}
+		req := Request{Regs: [4]uint64{1}}
+		if size > 0 {
+			req.Buf, req.Len = conn.ClientBuf, size
+		}
+		call := func() bool {
+			if size > 0 {
+				conn.WriteRequest(env, payload)
+			}
+			resp, err := sb.DirectCall(env, id, req)
+			if err != nil {
+				b.Errorf("call: %v", err)
+				return false
+			}
+			if resp.Len > 0 {
+				conn.ReadReply(env, reply, resp.Len)
+			}
+			return true
+		}
+		for i := 0; i < 256; i++ {
+			call()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N && call(); i++ {
+		}
+		b.StopTimer()
+	})
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -509,11 +509,7 @@ func (r *AsyncRing) doorbell(env *mk.Env, forcedKey uint64, useForced bool) erro
 		presented = forcedKey
 	}
 
-	tc := sb.tc[env.T]
-	if tc == nil {
-		tc = &threadCtx{proc: env.P, stack: []int{0}}
-		sb.tc[env.T] = tc
-	}
+	tc := sb.chain(env)
 	sb.ensureContext(cpu, tc)
 	slot, _, err := sb.RK.ResolveSlot(cpu, tc.proc, r.serverID, tc.stack)
 	if err != nil {
@@ -527,12 +523,11 @@ func (r *AsyncRing) doorbell(env *mk.Env, forcedKey uint64, useForced bool) erro
 		return fmt.Errorf("core: vmfunc to server %d (slot %d): %w", r.serverID, slot, err)
 	}
 	sb.afterSwitch(cpu)
-	tc.stack = append(tc.stack, slot)
+	senv := tc.push(env, slot, srv.Proc)
 
 	// --- server-side trampoline: calling-key check, every crossing ---
 	cpu.Tick(costInstallStack)
 	var kb [8]byte
-	senv := env.DirectEnv(srv.Proc)
 	senv.Read(srv.keyTable+hw.VA(8*conn.slot), kb[:], 8)
 	cpu.Tick(4)
 	if leU64(kb) != presented {
@@ -694,6 +689,7 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 // whatever remains is the time the finished completion sat unreaped.
 func (r *AsyncRing) observeReaped(end uint64, out []Completion, spin, delivery uint64, wake mk.WakeKind, o *obs.CallObserver) {
 	qd := uint32(r.QD)
+	rec := &r.sb.rec
 	for i := range out {
 		seq := out[i].Seq
 		idx := seq % qd
@@ -706,7 +702,7 @@ func (r *AsyncRing) observeReaped(end uint64, out []Completion, spin, delivery u
 		}
 		b4 := b3 + min64(delivery, end-b3)
 		b5 := b4 + min64(spin, end-b4)
-		rec := obs.CallRecord{
+		*rec = obs.CallRecord{
 			Flow: r.flowID(seq), Kind: obs.CallAsync, Seq: uint64(seq),
 			Server: r.serverID, Start: b0, End: end, Wake: uint8(wake),
 		}
@@ -716,7 +712,7 @@ func (r *AsyncRing) observeReaped(end uint64, out []Completion, spin, delivery u
 		rec.Phases[obs.PhaseWakeup] = b4 - b3
 		rec.Phases[obs.PhaseClientSpin] = b5 - b4
 		rec.Phases[obs.PhaseReapDelay] = end - b5
-		o.Observe(&rec)
+		o.Observe(rec)
 	}
 }
 

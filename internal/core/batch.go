@@ -101,14 +101,14 @@ func batchCap(reqs []Request) int {
 	return cap
 }
 
-// encodeEntry packs regs and a payload length into one ring entry.
-func encodeEntry(regs [4]uint64, plen int) []byte {
-	b := make([]byte, batchHdrLen)
+// encodeEntry packs regs and a payload length into ring entry b.
+func encodeEntry(b *[batchHdrLen]byte, regs [4]uint64, plen int) []byte {
+	*b = [batchHdrLen]byte{}
 	for i, r := range regs {
 		binary.LittleEndian.PutUint64(b[8*i:], r)
 	}
 	binary.LittleEndian.PutUint32(b[32:], uint32(plen))
-	return b
+	return b[:]
 }
 
 // decodeEntry unpacks one ring entry.
@@ -171,6 +171,7 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 	cpu.Tick(costSaveRegs)
 	clientKey := sb.rng.Uint64()
 	cpu.Tick(6)
+	var hdr [batchHdrLen]byte
 	for i := range reqs {
 		req := &reqs[i]
 		// Per-request validation, client side: the payload must fit the
@@ -185,15 +186,11 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 			env.Read(req.Buf, data, req.Len)
 			env.Write(slotVA, data, req.Len)
 		}
-		env.Write(conn.ClientBuf+hw.VA(layout.HdrOff(i)), encodeEntry(req.Regs, req.Len), batchHdrLen)
+		env.Write(conn.ClientBuf+hw.VA(layout.HdrOff(i)), encodeEntry(&hdr, req.Regs, req.Len), batchHdrLen)
 	}
 
 	// --- one slot resolve + one EPTP switch for the whole batch ---
-	tc := sb.tc[env.T]
-	if tc == nil {
-		tc = &threadCtx{proc: env.P, stack: []int{0}}
-		sb.tc[env.T] = tc
-	}
+	tc := sb.chain(env)
 	sb.ensureContext(cpu, tc)
 	cpu.FlowID = fid
 	slot, _, err := sb.RK.ResolveSlot(cpu, tc.proc, serverID, tc.stack)
@@ -210,13 +207,12 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 	}
 	cpu.FlowID = 0
 	sb.afterSwitch(cpu)
-	tc.stack = append(tc.stack, slot)
+	senv := tc.push(env, slot, srv.Proc)
 	tSwitch := cpu.Clock
 
 	// --- server-side trampoline: key check once per crossing ---
 	cpu.Tick(costInstallStack)
 	var kb [8]byte
-	senv := env.DirectEnv(srv.Proc)
 	senv.Read(srv.keyTable+hw.VA(8*conn.slot), kb[:], 8)
 	cpu.Tick(4)
 	if leU64(kb) != conn.ServerKey {
@@ -236,19 +232,14 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 	// late in the batch wait (ring-wait) behind earlier handlers, and
 	// early ones wait (reap-delay) for the batch to turn around.
 	d0 := cpu.Clock
-	var hs, he []uint64
-	if sb.Calls != nil {
-		hs = make([]uint64, len(reqs))
-		he = make([]uint64, len(reqs))
-	}
-	hdr := make([]byte, batchHdrLen)
+	var hs, he [MaxBatch]uint64
 	for i := range reqs {
 		cpu.Tick(costBatchDispatch)
 		if tr != nil {
 			tr.FlowStep(cpu.Clock, fid, "flow.dispatch", "flow")
 		}
-		senv.Read(conn.ServerBuf+hw.VA(layout.HdrOff(i)), hdr, batchHdrLen)
-		regs, plen := decodeEntry(hdr)
+		senv.Read(conn.ServerBuf+hw.VA(layout.HdrOff(i)), hdr[:], batchHdrLen)
+		regs, plen := decodeEntry(hdr[:])
 		// Per-request validation, server side: a ring entry rewritten by
 		// a malicious client thread between staging and dispatch must
 		// still confine the payload to its slot.
@@ -258,23 +249,19 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 			return nil, fmt.Errorf("core: batch entry %d length %d exceeds slot %d", i, plen, layout.SlotLen)
 		}
 		srv.Calls++
-		if hs != nil {
-			hs[i] = cpu.Clock
-		}
+		hs[i] = cpu.Clock
 		resp := srv.Handler(senv, Request{
 			Regs:      regs,
 			Len:       plen,
 			SharedBuf: conn.ServerBuf + hw.VA(layout.PayloadOff(i)),
 		})
-		if he != nil {
-			he[i] = cpu.Clock
-		}
+		he[i] = cpu.Clock
 		if resp.Len > layout.SlotLen {
 			sb.switchBack(env, tc)
 			tr.End(span, cpu.Clock, obs.U("error", 1))
 			return nil, fmt.Errorf("core: batch reply %d length %d exceeds slot %d", i, resp.Len, layout.SlotLen)
 		}
-		senv.Write(conn.ServerBuf+hw.VA(layout.HdrOff(i)), encodeEntry(resp.Regs, resp.Len), batchHdrLen)
+		senv.Write(conn.ServerBuf+hw.VA(layout.HdrOff(i)), encodeEntry(&hdr, resp.Regs, resp.Len), batchHdrLen)
 	}
 	tServer := cpu.Clock
 
@@ -296,8 +283,8 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 	// --- client reads the responses out of the ring ---
 	resps := make([]Response, len(reqs))
 	for i := range resps {
-		env.Read(conn.ClientBuf+hw.VA(layout.HdrOff(i)), hdr, batchHdrLen)
-		regs, plen := decodeEntry(hdr)
+		env.Read(conn.ClientBuf+hw.VA(layout.HdrOff(i)), hdr[:], batchHdrLen)
+		regs, plen := decodeEntry(hdr[:])
 		resps[i] = Response{Regs: regs, Len: plen}
 	}
 	sb.DirectCalls += uint64(len(reqs))
@@ -324,8 +311,9 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 		//   service   = he[i]-hs[i]
 		//   reap_delay= dEnd-he[i]             done, batch still dispatching
 		end, dEnd := cpu.Clock, tServer
+		rec := &sb.rec
 		for i := range reqs {
-			rec := obs.CallRecord{
+			*rec = obs.CallRecord{
 				Flow: fid, Kind: obs.CallBatch, Seq: sb.BatchCalls,
 				Server: serverID, Start: t0, End: end,
 			}
@@ -333,7 +321,7 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 			rec.Phases[obs.PhaseRingWait] = hs[i] - d0
 			rec.Phases[obs.PhaseService] = he[i] - hs[i]
 			rec.Phases[obs.PhaseReapDelay] = dEnd - he[i]
-			o.Observe(&rec)
+			o.Observe(rec)
 		}
 	}
 	return resps, nil

@@ -292,7 +292,5 @@ func TestDirectCallBatchNested(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sb.tc) != 0 {
-		t.Errorf("thread contexts leaked: %d", len(sb.tc))
-	}
+	assertNoOpenChain(t, sb)
 }

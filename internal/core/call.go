@@ -100,11 +100,7 @@ func (sb *SkyBridge) call(env *mk.Env, serverID int, req Request, timeout uint64
 	// slot cache (user-level hit; hypercall + possible LRU eviction on a
 	// miss — the paper's §10 extension). The active chain's slots are
 	// pinned so nested returns always find their EPT resident.
-	tc := sb.tc[env.T]
-	if tc == nil {
-		tc = &threadCtx{proc: env.P, stack: []int{0}}
-		sb.tc[env.T] = tc
-	}
+	tc := sb.chain(env)
 	sb.ensureContext(cpu, tc)
 	cpu.FlowID = fid // tag slot-resolve hypercalls with the call's flow
 	slot, _, err := sb.RK.ResolveSlot(cpu, tc.proc, serverID, tc.stack)
@@ -123,7 +119,7 @@ func (sb *SkyBridge) call(env *mk.Env, serverID int, req Request, timeout uint64
 	}
 	cpu.FlowID = 0
 	sb.afterSwitch(cpu)
-	tc.stack = append(tc.stack, slot)
+	senv := tc.push(env, slot, srv.Proc)
 	tSwitch := cpu.Clock
 
 	// --- server-side trampoline ---
@@ -132,7 +128,6 @@ func (sb *SkyBridge) call(env *mk.Env, serverID int, req Request, timeout uint64
 	// server's address space (§4.4: "checks the key against its
 	// calling-key table").
 	var kb [8]byte
-	senv := env.DirectEnv(srv.Proc)
 	senv.Read(srv.keyTable+hw.VA(8*conn.slot), kb[:], 8)
 	stored := leU64(kb)
 	cpu.Tick(4) // compare + branch
@@ -197,19 +192,20 @@ func (sb *SkyBridge) call(env *mk.Env, serverID int, req Request, timeout uint64
 		// Exact partition of [t0, now): the handler's cycles are service,
 		// everything else on the round trip is crossing work.
 		end := cpu.Clock
-		rec := obs.CallRecord{
+		rec := &sb.rec
+		*rec = obs.CallRecord{
 			Flow: fid, Kind: obs.CallSync, Seq: sb.DirectCalls,
 			Server: serverID, Start: t0, End: end,
 		}
 		rec.Phases[obs.PhaseService] = tServer - tSwitch
 		rec.Phases[obs.PhaseCrossing] = (end - t0) - (tServer - tSwitch)
-		o.Observe(&rec)
+		o.Observe(rec)
 	}
 	return resp, nil
 }
 
 // switchBack VMFUNCs to the caller's previous EPTP slot and pops the call
-// chain (clearing the thread's context when the chain fully unwinds).
+// chain; popping the last server slot closes the chain.
 func (sb *SkyBridge) switchBack(env *mk.Env, tc *threadCtx) {
 	cpu := env.T.Core
 	sb.ensureContext(cpu, tc)
@@ -219,9 +215,6 @@ func (sb *SkyBridge) switchBack(env *mk.Env, tc *threadCtx) {
 	}
 	sb.afterSwitch(cpu)
 	tc.stack = tc.stack[:len(tc.stack)-1]
-	if len(tc.stack) == 1 {
-		delete(sb.tc, env.T)
-	}
 }
 
 // ensureContext restores the chain's context process on the core before a

@@ -81,7 +81,10 @@ var (
 
 // Handler is a server's registered function. env is a direct Env in the
 // server's address space on the caller's thread; req.SharedBuf points at
-// the connection's shared buffer in server VAs.
+// the connection's shared buffer in server VAs. env is valid only until
+// the handler returns: the trampoline refills the same Env on the
+// thread's next crossing at this call depth, so a handler must not keep
+// the pointer.
 type Handler func(env *mk.Env, req Request) Response
 
 // Request is the argument set of a direct server call.
@@ -167,11 +170,12 @@ type SkyBridge struct {
 	frontends map[int]*Frontend
 	// bindings[client] lists the servers the client registered to.
 	bindings map[*mk.Process]map[int]*Connection
-	// tc tracks each thread's active direct-call chain: the EPT-context
-	// process (the top-level client whose EPTP list and CR3 are live) and
-	// the stack of hardware slots the chain has switched through. The
-	// stack doubles as the pin set for LRU slot eviction (eptplru.go).
+	// tc holds each thread's direct-call chain state (threadCtx), created
+	// at the thread's first crossing and reused for every later one.
 	tc map[*sim.Thread]*threadCtx
+	// rec is the scratch CallRecord every crossing fills and publishes to
+	// Calls; observers copy what they keep.
+	rec obs.CallRecord
 
 	rng *rand.Rand
 
@@ -226,10 +230,45 @@ func New(k *mk.Kernel, rk *hv.Rootkernel) *SkyBridge {
 	return sb
 }
 
-// threadCtx is one thread's direct-call chain state.
+// threadCtx is one thread's direct-call chain state. It lives as long as
+// the thread: a chain is open while stack is deeper than its root slot,
+// and every crossing that finds no chain open starts a new one (chain).
 type threadCtx struct {
-	proc  *mk.Process
-	stack []int // hardware slots; stack[len-1] is the current view
+	// proc is the chain's EPT-context process: the top-level client whose
+	// EPTP list and CR3 stay live while the chain crosses views.
+	proc *mk.Process
+	// stack holds the hardware slots the chain switched through: stack[0]
+	// is the root view, stack[len-1] the current one. It doubles as the
+	// pin set for LRU slot eviction (eptplru.go).
+	stack []int
+	// envs[d-1] is the server Env handed out at depth d, refilled in
+	// place by every crossing to that depth.
+	envs []*mk.Env
+}
+
+// chain returns the chain state of env's thread, starting a chain with
+// env's process as its context when none is open.
+func (sb *SkyBridge) chain(env *mk.Env) *threadCtx {
+	tc := sb.tc[env.T]
+	if tc == nil {
+		tc = &threadCtx{stack: []int{0}}
+		sb.tc[env.T] = tc
+	}
+	if len(tc.stack) == 1 {
+		tc.proc = env.P
+	}
+	return tc
+}
+
+// push records the switch into slot and returns the server Env for the
+// new depth, filled in place for server process p.
+func (tc *threadCtx) push(env *mk.Env, slot int, p *mk.Process) *mk.Env {
+	tc.stack = append(tc.stack, slot)
+	d := len(tc.stack) - 1
+	if d > len(tc.envs) {
+		tc.envs = append(tc.envs, new(mk.Env))
+	}
+	return env.DirectEnv(p, tc.envs[d-1])
 }
 
 // prepareProcess maps the trampoline, scans and rewrites the process's code

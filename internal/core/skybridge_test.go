@@ -13,11 +13,11 @@ import (
 	"skybridge/internal/sim"
 )
 
-func newWorld(t *testing.T) (*sim.Engine, *mk.Kernel, *hv.Rootkernel, *SkyBridge) {
+func newWorld(t testing.TB) (*sim.Engine, *mk.Kernel, *hv.Rootkernel, *SkyBridge) {
 	return newWorldWith(t, false)
 }
 
-func newWorldWith(t *testing.T, kpti bool) (*sim.Engine, *mk.Kernel, *hv.Rootkernel, *SkyBridge) {
+func newWorldWith(t testing.TB, kpti bool) (*sim.Engine, *mk.Kernel, *hv.Rootkernel, *SkyBridge) {
 	t.Helper()
 	eng := sim.NewEngine(hw.NewMachine(hw.MachineConfig{Cores: 4, MemBytes: 4 << 30}))
 	k := mk.New(mk.Config{Flavor: mk.SeL4, KPTI: kpti}, eng)

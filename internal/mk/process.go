@@ -192,10 +192,13 @@ type Env struct {
 	direct bool
 }
 
-// DirectEnv derives the Env a SkyBridge trampoline hands to a server
-// handler: same thread and core, server process, no kernel involvement.
-func (e *Env) DirectEnv(p *Process) *Env {
-	return &Env{T: e.T, P: p, K: e.K, direct: true}
+// DirectEnv fills dst with the Env a SkyBridge trampoline hands to a
+// server handler (same thread and core, server process, no kernel
+// involvement) and returns it. The trampoline owns dst and refills it on
+// its next crossing at the same call depth.
+func (e *Env) DirectEnv(p *Process, dst *Env) *Env {
+	*dst = Env{T: e.T, P: p, K: e.K, direct: true}
+	return dst
 }
 
 // IsDirect reports whether this Env runs under a SkyBridge EPT switch.

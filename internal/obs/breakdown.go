@@ -209,7 +209,9 @@ type CallObserver struct {
 	Breakdown *Breakdown
 	Flight    *FlightRecorder
 	// Tap, when non-nil, receives every record after the sinks; tests
-	// use it to assert per-record invariants.
+	// use it to assert per-record invariants. The record pointer is valid
+	// only during the call: publishers reuse one record for every call,
+	// so a tap that keeps a record must copy it.
 	Tap func(*CallRecord)
 }
 

@@ -13,6 +13,13 @@ package obs
 // dump fires until MinCalls observations have seeded the distribution.
 // After MaxDumps dumps, further triggers are counted in Suppressed rather
 // than recorded, bounding memory no matter how pathological the tail.
+//
+// The threshold is kept incrementally rather than recomputed per call: the
+// recorder tracks the histogram bucket holding rank max(1, ceil(q*n)) and
+// the count of observations in the buckets below it. Each observation
+// moves that bucket only as far as the new value and the new rank require
+// (usually not at all), and its lower bound is exactly what
+// Histogram.Quantile(q) returns over the same observations.
 
 // FlightConfig parameterizes a FlightRecorder. Zero fields take the
 // defaults noted on each field.
@@ -61,7 +68,11 @@ type FlightRecorder struct {
 	next int
 	full bool
 
-	hist       Histogram
+	hist Histogram
+	// thrIdx is the bucket of hist holding the threshold rank and
+	// thrBelow the number of observations in the buckets below it.
+	thrIdx     int
+	thrBelow   uint64
 	dumps      []FlightDump
 	suppressed uint64
 }
@@ -80,7 +91,7 @@ func (f *FlightRecorder) Observe(r *CallRecord) {
 	}
 	e2e := r.E2E()
 	if f.hist.Count() >= f.cfg.MinCalls {
-		if thr := f.hist.Quantile(f.cfg.Quantile); e2e > thr {
+		if thr := f.threshold(); e2e > thr {
 			if len(f.dumps) < f.cfg.MaxDumps {
 				f.dumps = append(f.dumps, FlightDump{
 					Trigger:   *r,
@@ -92,12 +103,34 @@ func (f *FlightRecorder) Observe(r *CallRecord) {
 			}
 		}
 	}
-	f.hist.Observe(e2e)
+	f.observe(e2e)
 	f.ring[f.next] = *r
 	f.next++
 	if f.next == len(f.ring) {
 		f.next = 0
 		f.full = true
+	}
+}
+
+// threshold returns hist.Quantile(cfg.Quantile) from the incremental state.
+func (f *FlightRecorder) threshold() uint64 { return bucketLower(f.thrIdx) }
+
+// observe adds v to the histogram and moves the threshold bucket to the
+// one holding the new rank: down when v landed below it and the rank did
+// not grow past it, up while the rank lies beyond it.
+func (f *FlightRecorder) observe(v uint64) {
+	f.hist.Observe(v)
+	if bucketIndex(v) < f.thrIdx {
+		f.thrBelow++
+	}
+	rank := quantileRank(f.cfg.Quantile, f.hist.count)
+	for f.thrBelow >= rank {
+		f.thrIdx--
+		f.thrBelow -= f.hist.buckets[f.thrIdx]
+	}
+	for f.thrBelow+f.hist.buckets[f.thrIdx] < rank {
+		f.thrBelow += f.hist.buckets[f.thrIdx]
+		f.thrIdx++
 	}
 }
 
@@ -148,6 +181,7 @@ func (f *FlightRecorder) Reset() {
 	}
 	f.next, f.full = 0, false
 	f.hist.Reset()
+	f.thrIdx, f.thrBelow = 0, 0
 	f.dumps = nil
 	f.suppressed = 0
 }

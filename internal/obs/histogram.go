@@ -92,10 +92,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	if q >= 1 {
 		return h.max
 	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := quantileRank(q, h.count)
 	var cum uint64
 	for idx, n := range h.buckets {
 		cum += n
@@ -104,6 +101,16 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return h.max
+}
+
+// quantileRank is the 1-based rank of the observation Quantile(q) reports
+// among n: ceil(q*n), at least 1.
+func quantileRank(q float64, n uint64) uint64 {
+	rank := uint64(math.Ceil(q * float64(n)))
+	if rank < 1 {
+		rank = 1
+	}
+	return rank
 }
 
 // Reset empties the histogram.

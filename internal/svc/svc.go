@@ -47,6 +47,9 @@ const StatusOK = 0
 
 // Handler implements a service. env is the execution context in the
 // *server's* address space (whatever transport delivered the request).
+// Like req.Data, env is valid only until the handler returns: the
+// SkyBridge transport refills the same Env on the calling thread's next
+// crossing (core.Handler), so a handler must not keep the pointer.
 //
 // req.Data is only valid for the duration of the call: the transports reuse
 // the backing buffer for subsequent requests, so a handler that keeps
