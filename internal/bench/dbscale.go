@@ -9,7 +9,6 @@ import (
 	"skybridge/internal/fs"
 	"skybridge/internal/mk"
 	"skybridge/internal/obs"
-	"skybridge/internal/svc"
 	"skybridge/internal/ycsb"
 )
 
@@ -24,10 +23,6 @@ import (
 // streamed through submission/completion rings. The biglock+sync column
 // reproduces Figures 9-11's flat-to-negative scaling; finelock+batched
 // turns it positive on the read-heavy mix.
-
-// dbRingQD is the pager ring queue depth: three page-sized slots are what
-// the 4-page ring buffer holds next to the submission/completion queues.
-const dbRingQD = 3
 
 // DBScaleConfig parameterizes the sweep (seL4 flavor).
 type DBScaleConfig struct {
@@ -192,10 +187,9 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	if err != nil {
 		return nil, err
 	}
-	pol := mk.WakePolicy{}
 	var ringSrv *core.RingServer
 	if async {
-		ringSrv, err = world.SB.NewRingServer(st.FSAsyncID(), pol)
+		ringSrv, err = world.SB.NewRingServer(st.fsAsyncID, mk.WakePolicy{})
 		if err != nil {
 			return nil, err
 		}
@@ -205,65 +199,19 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	// file on the shared FS. Loading commits in batches of 64 rows so the
 	// journal protocol does not dominate setup. Async rings are opened
 	// here but stay idle until the pagers switch onto them below.
-	clients := cores
-	procs := make([]*mk.Process, clients)
-	dbs := make([]*db.DB, clients)
-	tabs := make([]*db.Table, clients)
-	rings := make([]*svc.AsyncConn, clients)
+	clients := make([]*sqlClient, cores)
+	procs := make([]*mk.Process, cores)
 	var errs firstErr
-	for ci := 0; ci < clients; ci++ {
+	for ci := range clients {
 		ci := ci
 		procs[ci] = k.NewProcess(fmt.Sprintf("sql%d", ci))
 		procs[ci].Spawn("load", pl.Core(ci), func(env *mk.Env) {
-			conn, err := st.FSConn(env, procs[ci])
+			c, err := st.loadClient(env, procs[ci], fmt.Sprintf("d%d", ci), db.PagerIO{Batch: ioMode != "sync"}, w, cfg.Records, 64)
 			if err != nil {
-				errs.set(fmt.Errorf("client %d conn: %w", ci, err))
+				errs.set(fmt.Errorf("client %d: %w", ci, err))
 				return
 			}
-			fsc := &fs.Client{Conn: conn}
-			if async {
-				ring, err := st.FSAsyncConn(env, dbRingQD, db.PageSize, pol)
-				if err != nil {
-					errs.set(fmt.Errorf("client %d ring: %w", ci, err))
-					return
-				}
-				rings[ci] = ring
-			}
-			d, err := db.OpenIO(env, procs[ci], fsc, fmt.Sprintf("d%d", ci), db.PagerIO{Batch: ioMode != "sync"})
-			if err != nil {
-				errs.set(fmt.Errorf("client %d open: %w", ci, err))
-				return
-			}
-			if _, err := d.Exec(env, "CREATE TABLE u (id INTEGER PRIMARY KEY, f TEXT)"); err != nil {
-				errs.set(fmt.Errorf("client %d create: %w", ci, err))
-				return
-			}
-			tab, _ := d.TableByName("u")
-			if err := d.Begin(env); err != nil {
-				errs.set(err)
-				return
-			}
-			for i := 0; i < cfg.Records; i++ {
-				if _, err := tab.Insert(env, []db.Value{db.IntValue(int64(i)), db.TextValue(ycsb.RecordValue(w, int64(i)))}); err != nil {
-					errs.set(fmt.Errorf("client %d load row %d: %w", ci, i, err))
-					return
-				}
-				if (i+1)%64 == 0 {
-					if err := d.Commit(env); err != nil {
-						errs.set(err)
-						return
-					}
-					if err := d.Begin(env); err != nil {
-						errs.set(err)
-						return
-					}
-				}
-			}
-			if err := d.Commit(env); err != nil {
-				errs.set(err)
-				return
-			}
-			dbs[ci], tabs[ci] = d, tab
+			clients[ci] = c
 		})
 	}
 	if err := world.run(&errs); err != nil {
@@ -273,8 +221,8 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	// rings from here on; the poll thread spawns inside the measurement
 	// window so its cycles are part of the cost being measured.
 	if async {
-		for ci := range dbs {
-			dbs[ci].Pager().SetIO(db.PagerIO{Batch: true, Async: rings[ci]})
+		for _, c := range clients {
+			c.db.Pager().SetIO(db.PagerIO{Batch: true, Async: c.ring})
 		}
 	}
 
@@ -286,9 +234,9 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	acq0, cont0, wait0, ipi0 := st.FS.LockStats()
 	hits0, miss0, commits0 := st.FS.Cache()
 	var reads0, writes0 uint64
-	for _, d := range dbs {
-		reads0 += d.Pager().FsReads
-		writes0 += d.Pager().FsWrites
+	for _, c := range clients {
+		reads0 += c.db.Pager().FsReads
+		writes0 += c.db.Pager().FsWrites
 	}
 
 	if async {
@@ -299,46 +247,24 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 		})
 	}
 	ops := dbOps(cfg, w)
-	durations := make([]uint64, clients)
-	remaining := clients
-	for ci := 0; ci < clients; ci++ {
-		ci := ci
+	durations := make([]uint64, cores)
+	remaining := cores
+	for ci, c := range clients {
+		ci, c := ci, c
 		procs[ci].Spawn("drive", pl.Core(ci), func(env *mk.Env) {
 			defer func() {
 				if remaining--; remaining == 0 && ringSrv != nil {
 					ringSrv.Close(env)
 				}
 			}()
-			tab := tabs[ci]
 			// Every client drives the identical op sequence against its own
 			// database: per-client work is then constant across core counts,
 			// so the cell ratios measure contention and IPC-path cost, not
 			// seed luck in the read/write draw.
-			g := ycsb.NewGenerator(w, 1000)
 			start := env.Now()
-			for done := 0; done < ops; done++ {
-				op := g.Next()
-				t := env.Now()
-				var err error
-				switch op.Kind {
-				case ycsb.OpRead:
-					_, _, err = tab.Get(env, op.Key)
-				case ycsb.OpUpdate:
-					_, err = tab.Update(env, op.Key, []db.Value{db.IntValue(op.Key), db.TextValue(op.Value)})
-				case ycsb.OpInsert:
-					_, err = tab.Insert(env, []db.Value{db.IntValue(op.Key), db.TextValue(op.Value)})
-				case ycsb.OpScan:
-					n := 0
-					err = tab.ScanFrom(env, op.Key, func(int64, []db.Value) bool {
-						n++
-						return n < op.ScanLen
-					})
-				}
-				if err != nil {
-					errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
-					return
-				}
-				h.Observe(env.Now() - t)
+			if err := c.run(env, ycsb.NewGenerator(w, 1000), ops, h); err != nil {
+				errs.set(fmt.Errorf("client %d: %w", ci, err))
+				return
 			}
 			durations[ci] = env.Now() - start
 		})
@@ -351,7 +277,7 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	hits1, miss1, commits1 := st.FS.Cache()
 	cell := &DBScaleCell{
 		Workload: w.Name, Cores: cores, Lock: lock, IO: ioMode,
-		TotalOps:       ops * clients,
+		TotalOps:       ops * cores,
 		ClientCycles:   durations,
 		DirectCalls:    world.SB.DirectCalls - baseDirect,
 		BatchCalls:     world.SB.BatchCalls - baseBatch,
@@ -365,10 +291,10 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 		CacheMisses:    miss1 - miss0,
 		Commits:        commits1 - commits0,
 	}
-	for _, d := range dbs {
-		cell.PagerReads += d.Pager().FsReads
-		cell.PagerWrites += d.Pager().FsWrites
-		cell.PagerPrefetches += d.Pager().Prefetches
+	for _, c := range clients {
+		cell.PagerReads += c.db.Pager().FsReads
+		cell.PagerWrites += c.db.Pager().FsWrites
+		cell.PagerPrefetches += c.db.Pager().Prefetches
 	}
 	cell.PagerReads -= reads0
 	cell.PagerWrites -= writes0

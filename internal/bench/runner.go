@@ -150,11 +150,11 @@ func ExperimentInfo() []Experiment {
 }
 
 // cellJobs is the worker count for sub-experiment parallelism: the five
-// sweeps (scaling, async, dbscale, tenants, skew) and the table6 corpus
-// scan partition their independent cells onto this many workers, so one
-// big experiment no longer serializes a whole core. The driver sets it
-// once from -j before anything runs (SetJobs); results are byte-identical
-// for any value.
+// sweeps (scaling, async, dbscale, tenants, skew), Figures 9-11, Table 5
+// and the table6 corpus scan partition their independent cells onto this
+// many workers, so one big experiment no longer serializes a whole core.
+// skybench sets it once from -j before anything runs (SetJobs); results
+// are byte-identical for any value.
 var cellJobs = 1
 
 // SetJobs sets the worker count used inside experiments that partition
@@ -324,14 +324,16 @@ func runOrdered(n, jobs int, work func(i int), emit func(i int) error) error {
 
 // newSub returns a fresh sub-session for one independent unit of work —
 // own worlds, own registry, and its own sub-tracer when s traces — to be
-// folded back with Merge.
+// folded back with Merge. It shares s's paper-cell memo.
 func (s *Session) newSub() *Session {
 	var t *obs.Tracer
 	if s.Trace != nil {
 		t = obs.NewTracer()
 		t.EventCap = s.Trace.EventCap
 	}
-	return NewSession(t)
+	sub := NewSession(t)
+	sub.memo = s.memo
+	return sub
 }
 
 // Merge folds a completed sub-session into s: records append in call

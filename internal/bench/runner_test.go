@@ -59,13 +59,14 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 }
 
 // TestCellJobsByteIdentical: the five sweeps (scaling, async, dbscale,
-// tenants, skew) and the table6 corpus scan partition into independent
-// cells on the SetJobs worker pool; every worker count must reproduce the
-// serial run's stdout, metrics, and trace byte for byte. scaling, async
-// and table6 stand in for the pool here; the other sweeps pin the same
-// property in their own tests.
+// tenants, skew), Figures 9-11, Table 5 and the table6 corpus scan
+// partition into independent cells on the SetJobs worker pool; every
+// worker count must reproduce the serial run's stdout, metrics, and trace
+// byte for byte. scaling, async, fig9, table5 (whose native cells come
+// from fig9's through the memo) and table6 stand in for the pool here;
+// the other sweeps pin the same property in their own tests.
 func TestCellJobsByteIdentical(t *testing.T) {
-	sel := map[string]bool{"scaling": true, "async": true, "table6": true}
+	sel := map[string]bool{"scaling": true, "async": true, "fig9": true, "table5": true, "table6": true}
 	prev := SetJobs(1)
 	t.Cleanup(func() { SetJobs(prev) })
 	out1, m1, t1 := runSuite(t, sel, 1)

@@ -46,6 +46,8 @@ type Session struct {
 	recs    []Record
 	calls   []*CallSite
 	callIdx map[string]int
+	// memo is shared by every session of one tree (newSub).
+	memo *cellMemo
 }
 
 // CallSite is one world's per-call attribution sink: a phase breakdown
@@ -59,7 +61,10 @@ type CallSite struct {
 
 // NewSession creates a session; trace may be nil (metrics only).
 func NewSession(trace *obs.Tracer) *Session {
-	return &Session{Trace: trace, Reg: obs.NewRegistry(), callIdx: map[string]int{}}
+	return &Session{
+		Trace: trace, Reg: obs.NewRegistry(), callIdx: map[string]int{},
+		memo: &cellMemo{cells: map[ycsbCell]*memoCell{}},
+	}
 }
 
 // world builds a World, attaching it to the session tracer under label and
@@ -88,9 +93,6 @@ func (s *Session) callSite(label string) *CallSite {
 	s.calls = append(s.calls, cs)
 	return cs
 }
-
-// CallSites returns the session's call sites in creation order.
-func (s *Session) CallSites() []*CallSite { return s.calls }
 
 // breakdownOf digests a site's phase breakdown (nil if it saw no calls).
 func (s *Session) breakdownOf(label string) *obs.BreakdownSummary {
@@ -156,8 +158,8 @@ func (s *Session) WriteMetrics(w io.Writer) error {
 // --- session wrappers for the macro experiments ---
 //
 // These run the existing experiment functions and convert their result
-// structs to Records; the micro/KV experiments (micro.go, kvbench.go) are
-// instrumented natively and also feed per-op histograms.
+// structs to Records; the micro/KV experiments (micro.go, kvbench.go) and
+// the YCSB paper cells (sqlite.go) are session-native.
 
 // Table4 runs Table 4 for one flavor and records each mode's throughputs.
 func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
@@ -174,50 +176,6 @@ func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
 				"update_ops_per_sec": row.Update,
 				"query_ops_per_sec":  row.Query,
 				"delete_ops_per_sec": row.Delete,
-			},
-		})
-	}
-	return r, nil
-}
-
-// Figure9to11 runs the YCSB scalability figure and records each cell.
-func (s *Session) Figure9to11(cfg YCSBConfig) (*YCSBResult, error) {
-	r, err := Figure9to11(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, mode := range []ServerMode{ModeST, ModeMT, ModeSB} {
-		for i, th := range r.Threads {
-			s.record(Record{
-				Experiment: "ycsb",
-				Config: map[string]string{
-					"flavor": r.Flavor.String(), "mode": mode.String(),
-					"threads": fmt.Sprintf("%d", th),
-				},
-				Values: map[string]float64{
-					"ops_per_sec": r.Tput[mode][i],
-					"vm_exits":    float64(r.VMExits[mode][i]),
-				},
-			})
-		}
-	}
-	return r, nil
-}
-
-// Table5 runs the virtualization-overhead table and records each row.
-func (s *Session) Table5(records, ops int) (*Table5Result, error) {
-	r, err := Table5(records, ops)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range r.Rows {
-		s.record(Record{
-			Experiment: "table5",
-			Config:     map[string]string{"threads": fmt.Sprintf("%d", row.Threads)},
-			Values: map[string]float64{
-				"native_ops_per_sec":     row.Native,
-				"rootkernel_ops_per_sec": row.Rootkernel,
-				"vm_exits":               float64(row.VMExits),
 			},
 		})
 	}

@@ -2,12 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"skybridge/internal/blockdev"
 	"skybridge/internal/db"
 	"skybridge/internal/fs"
 	"skybridge/internal/mk"
+	"skybridge/internal/obs"
 	"skybridge/internal/sim"
 	"skybridge/internal/svc"
 	"skybridge/internal/ycsb"
@@ -160,17 +163,6 @@ func BuildDBStackCfg(w *World, mode ServerMode, fcfg fs.Config, asyncFS bool) (*
 	return st, nil
 }
 
-// FSAsyncConn opens an async ring to the FS's ring-dedicated registration
-// (BuildDBStackCfg with asyncFS). The caller must have created the ring
-// server via NewRingServer(st.FSAsyncID(), ...) first.
-func (st *DBStack) FSAsyncConn(env *mk.Env, qd, payloadCap int, pol mk.WakePolicy) (*svc.AsyncConn, error) {
-	return svc.OpenAsync(st.W.SB, env, st.fsAsyncID, qd, payloadCap, pol)
-}
-
-// FSAsyncID returns the ring-dedicated FS server id (0 when the stack was
-// built without asyncFS).
-func (st *DBStack) FSAsyncID() int { return st.fsAsyncID }
-
 // Close shuts the stack's IPC servers down so the engine can drain.
 func (st *DBStack) Close() {
 	for _, ep := range st.eps {
@@ -186,6 +178,180 @@ func (st *DBStack) FSConn(env *mk.Env, client *mk.Process) (svc.Conn, error) {
 	default:
 		return svc.NewIPC(client, st.eps[1]), nil
 	}
+}
+
+// --- The SQLite client of Table 4, Figures 9-11, Table 5 and dbscale ---
+//
+// Every SQLite experiment drives clients through the same code: loadClient
+// binds and preloads one, and run drives its ops. What differs is each
+// experiment's measurement protocol, which stays in the experiment: Table 4
+// times four op phases, the paper cells meet at an in-run barrier
+// (runYCSBCell), and dbscale drains the engine and aligns the clocks
+// before one op stream replays on every client (runDBScaleCell).
+
+// dbRingQD is the pager ring queue depth: three page-sized slots are what
+// the 4-page ring buffer holds next to the submission/completion queues.
+const dbRingQD = 3
+
+// sqlClient is one client's database on a DBStack: its table u, its async
+// ring when the stack has an async FS registration, and the value of every
+// row it expects to read back (the preload, then its own updates and
+// inserts). Every reply is checked against that map on the host, so checks
+// charge no simulated cycles.
+type sqlClient struct {
+	db   *db.DB
+	tab  *db.Table
+	ring *svc.AsyncConn
+	want map[int64]string
+	top  int64 // largest key in want
+}
+
+// loadClient binds p to st's FS, opens database file name with pager IO
+// pio, creates table u and preloads records rows of wl, committing every
+// txn rows (txn 1 is one autocommitted insert per row). The async ring
+// opens between the bind and the open: that placement is part of every
+// async cell's simulated memory layout. The pager moves onto the ring only
+// when the caller switches it (Pager.SetIO).
+func (st *DBStack) loadClient(env *mk.Env, p *mk.Process, name string, pio db.PagerIO, wl ycsb.Workload, records, txn int) (*sqlClient, error) {
+	conn, err := st.FSConn(env, p)
+	if err != nil {
+		return nil, fmt.Errorf("conn: %w", err)
+	}
+	c := &sqlClient{want: make(map[int64]string, records)}
+	if st.fsAsyncID != 0 {
+		if c.ring, err = svc.OpenAsync(st.W.SB, env, st.fsAsyncID, dbRingQD, db.PageSize, mk.WakePolicy{}); err != nil {
+			return nil, fmt.Errorf("ring: %w", err)
+		}
+	}
+	if c.db, err = db.OpenIO(env, p, &fs.Client{Conn: conn}, name, pio); err != nil {
+		return nil, fmt.Errorf("open: %w", err)
+	}
+	if _, err := c.db.Exec(env, "CREATE TABLE u (id INTEGER PRIMARY KEY, f TEXT)"); err != nil {
+		return nil, fmt.Errorf("create: %w", err)
+	}
+	c.tab, _ = c.db.TableByName("u")
+	for i := 0; i < records; i += txn {
+		if err := c.db.Begin(env); err != nil {
+			return nil, err
+		}
+		for k := i; k < min(i+txn, records); k++ {
+			if err := c.insert(env, int64(k), ycsb.RecordValue(wl, int64(k))); err != nil {
+				return nil, fmt.Errorf("load row %d: %w", k, err)
+			}
+		}
+		if err := c.db.Commit(env); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// run drives ops operations drawn from g, observing each one's latency into
+// h when h is non-nil.
+func (c *sqlClient) run(env *mk.Env, g *ycsb.Generator, ops int, h *obs.Histogram) error {
+	for i := 0; i < ops; i++ {
+		op := g.Next()
+		t := env.Now()
+		var err error
+		switch op.Kind {
+		case ycsb.OpRead:
+			err = c.get(env, op.Key)
+		case ycsb.OpUpdate:
+			err = c.update(env, op.Key, op.Value)
+		case ycsb.OpInsert:
+			err = c.insert(env, op.Key, op.Value)
+		case ycsb.OpScan:
+			err = c.scan(env, op.Key, op.ScanLen)
+		}
+		if err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+		h.Observe(env.Now() - t)
+	}
+	return nil
+}
+
+// get reads row key and checks the reply.
+func (c *sqlClient) get(env *mk.Env, key int64) error {
+	vals, found, err := c.tab.Get(env, key)
+	if err != nil {
+		return err
+	}
+	return c.check(key, vals, found)
+}
+
+// update overwrites row key with v.
+func (c *sqlClient) update(env *mk.Env, key int64, v string) error {
+	found, err := c.tab.Update(env, key, []db.Value{db.IntValue(key), db.TextValue(v)})
+	if err != nil {
+		return err
+	}
+	if _, ok := c.want[key]; found != ok {
+		return fmt.Errorf("update of row %d: found %v, want %v", key, found, ok)
+	}
+	if found {
+		c.want[key] = v
+	}
+	return nil
+}
+
+// insert adds row key with value v.
+func (c *sqlClient) insert(env *mk.Env, key int64, v string) error {
+	if _, err := c.tab.Insert(env, []db.Value{db.IntValue(key), db.TextValue(v)}); err != nil {
+		return err
+	}
+	c.want[key] = v
+	c.top = max(c.top, key)
+	return nil
+}
+
+// scan reads up to n rows from the first key at or after start and checks
+// that they come back in ascending key order with their expected values,
+// and that no expected row in the scanned range was skipped.
+func (c *sqlClient) scan(env *mk.Env, start int64, n int) error {
+	next, got := start, 0 // every expected row below next has been returned
+	var bad error
+	err := c.tab.ScanFrom(env, start, func(key int64, vals []db.Value) bool {
+		if key < next {
+			bad = fmt.Errorf("scan from %d: row %d out of order", start, key)
+		} else if bad = c.skipped(next, key); bad == nil {
+			bad = c.check(key, vals, true)
+		}
+		next, got = key+1, got+1
+		return bad == nil && got < n
+	})
+	switch {
+	case err != nil:
+		return err
+	case bad != nil:
+		return bad
+	case got < n: // the scan ran off the end of the table
+		return c.skipped(next, c.top+1)
+	}
+	return nil
+}
+
+// skipped reports an expected row in [from, to) that a scan did not return.
+func (c *sqlClient) skipped(from, to int64) error {
+	for key := from; key < to; key++ {
+		if _, ok := c.want[key]; ok {
+			return fmt.Errorf("row %d skipped by a scan", key)
+		}
+	}
+	return nil
+}
+
+// check compares one row read back (found: the table has it) with the
+// client's expectation.
+func (c *sqlClient) check(key int64, vals []db.Value, found bool) error {
+	want, ok := c.want[key]
+	if found != ok {
+		return fmt.Errorf("row %d: found %v, want %v", key, found, ok)
+	}
+	if found && (len(vals) != 2 || vals[0].Int != key || vals[1].Text != want) {
+		return fmt.Errorf("row %d: wrong value read back", key)
+	}
+	return nil
 }
 
 // --- Table 4: SQLite3 basic operations ---
@@ -256,49 +422,28 @@ func Table4(cfg Table4Config) (*Table4Result, error) {
 }
 
 func runTable4Mode(cfg Table4Config, mode ServerMode) (*Table4Row, error) {
-	w := MustWorld(WorldConfig{Flavor: cfg.Flavor, Cores: 4, MemBytes: 8 << 30, SkyBridge: mode == ModeSB})
+	w := MustWorld(WorldConfig{Flavor: cfg.Flavor, Cores: 4, SkyBridge: mode == ModeSB})
 	st, err := BuildDBStack(w, mode)
 	if err != nil {
 		return nil, err
 	}
 	k := w.K
+	wl := ycsb.WorkloadA(cfg.Preload)
+	val := strings.Repeat("x", wl.FieldLength)
 
-	type phaseTimes struct{ ins, upd, qry, del uint64 }
-	times := make([]phaseTimes, cfg.Clients)
+	// times[ci][phase] is client ci's insert, update, query and delete time.
+	times := make([][4]uint64, cfg.Clients)
 	done := 0
-
+	var errs firstErr
 	for ci := 0; ci < cfg.Clients; ci++ {
 		ci := ci
 		client := k.NewProcess(fmt.Sprintf("client%d", ci))
 		core := k.Mach.Cores[ci%len(k.Mach.Cores)]
 		client.Spawn("app", core, func(env *mk.Env) {
-			conn, err := st.FSConn(env, client)
+			c, err := st.loadClient(env, client, fmt.Sprintf("db%d", ci), db.PagerIO{}, wl, cfg.Preload, 1)
 			if err != nil {
-				panic(err)
-			}
-			fsc := &fs.Client{Conn: conn}
-			d, err := db.Open(env, client, fsc, fmt.Sprintf("db%d", ci))
-			if err != nil {
-				panic(err)
-			}
-			if _, err := d.Exec(env, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)"); err != nil {
-				panic(err)
-			}
-			tab, _ := d.TableByName("t")
-			val := strings.Repeat("x", 100)
-			// Preload rows for update/query/delete phases.
-			for i := 0; i < cfg.Preload; i++ {
-				if _, err := tab.Insert(env, []db.Value{db.IntValue(int64(i)), db.TextValue(val)}); err != nil {
-					panic(err)
-				}
-			}
-			n := cfg.OpsPerKind
-			measure := func(fn func(i int)) uint64 {
-				start := env.Now()
-				for i := 0; i < n; i++ {
-					fn(i)
-				}
-				return env.Now() - start
+				errs.set(fmt.Errorf("client %d: %w", ci, err))
+				return
 			}
 			// Scatter measured keys across the whole preloaded keyspace so
 			// each phase exercises the pager realistically (sequential keys
@@ -308,50 +453,39 @@ func runTable4Mode(cfg Table4Config, mode ServerMode) (*Table4Row, error) {
 			key := func(i int, stride uint64) int64 {
 				return int64((uint64(i)*stride + uint64(ci)) % uint64(cfg.Preload))
 			}
-			times[ci].ins = measure(func(i int) {
-				if _, err := tab.Insert(env, []db.Value{db.IntValue(int64(cfg.Preload + i)), db.TextValue(val)}); err != nil {
-					panic(err)
+			phases := [4]func(i int) error{
+				func(i int) error { return c.insert(env, int64(cfg.Preload+i), val) },
+				func(i int) error { return c.update(env, key(i, 2654435761), val) },
+				func(i int) error { return c.get(env, key(i, 1779033703)) },
+				func(i int) error { _, err := c.tab.Delete(env, int64(i)); return err },
+			}
+			for ph, op := range phases {
+				start := env.Now()
+				for i := 0; i < cfg.OpsPerKind; i++ {
+					if err := op(i); err != nil {
+						errs.set(fmt.Errorf("client %d: %w", ci, err))
+						return
+					}
 				}
-			})
-			times[ci].upd = measure(func(i int) {
-				k := key(i, 2654435761)
-				if _, err := tab.Update(env, k, []db.Value{db.IntValue(k), db.TextValue(val)}); err != nil {
-					panic(err)
-				}
-			})
-			times[ci].qry = measure(func(i int) {
-				if _, _, err := tab.Get(env, key(i, 1779033703)); err != nil {
-					panic(err)
-				}
-			})
-			times[ci].del = measure(func(i int) {
-				if _, err := tab.Delete(env, int64(i)); err != nil {
-					panic(err)
-				}
-			})
+				times[ci][ph] = env.Now() - start
+			}
 			done++
 			if done == cfg.Clients {
 				st.Close()
 			}
 		})
 	}
-	if err := w.Eng.Run(); err != nil {
+	if err := w.run(&errs); err != nil {
 		return nil, err
 	}
 
-	row := &Table4Row{Mode: mode}
-	agg := func(get func(phaseTimes) uint64) float64 {
-		var total float64
-		for _, t := range times {
-			total += OpsPerSec(cfg.OpsPerKind, get(t))
+	var tput [4]float64
+	for _, t := range times {
+		for ph := range tput {
+			tput[ph] += OpsPerSec(cfg.OpsPerKind, t[ph])
 		}
-		return total
 	}
-	row.Insert = agg(func(t phaseTimes) uint64 { return t.ins })
-	row.Update = agg(func(t phaseTimes) uint64 { return t.upd })
-	row.Query = agg(func(t phaseTimes) uint64 { return t.qry })
-	row.Delete = agg(func(t phaseTimes) uint64 { return t.del })
-	return row, nil
+	return &Table4Row{Mode: mode, Insert: tput[0], Update: tput[1], Query: tput[2], Delete: tput[3]}, nil
 }
 
 // Render formats the flavor's Table 4 block.
@@ -368,89 +502,93 @@ func (r *Table4Result) Render() string {
 	return b.String()
 }
 
-// --- Figures 9-11: YCSB-A throughput vs thread count ---
+// --- Figures 9-11 and Table 5: YCSB-A on the paper's stack ---
 
-// YCSBConfig sizes the experiment.
-type YCSBConfig struct {
+// ycsbCell is one paper cell: YCSB-A over the paper-faithful stack (big
+// FS lock, synchronous IO), one client thread and database per thread. It
+// names every input of the cell, so it is also the cell's memo key.
+type ycsbCell struct {
 	Flavor      mk.Flavor
-	Threads     []int
+	Mode        ServerMode
+	Threads     int
 	Records     int
 	Ops         int  // per thread
-	Virtualized bool // run under the Rootkernel (for Table 5)
+	Virtualized bool // under the Rootkernel
 }
 
-// YCSBResult holds throughput series per server mode.
-type YCSBResult struct {
-	Flavor  mk.Flavor
-	Threads []int
-	// Tput[mode][i] is ops/s with Threads[i] client threads.
-	Tput map[ServerMode][]float64
-	// VMExits per run (only meaningful when virtualized).
-	VMExits map[ServerMode][]uint64
+// ycsbRun is a paper cell's outcome: throughput over the measured window
+// and the VM exits taken in it.
+type ycsbRun struct {
+	Tput  float64
+	Exits uint64
 }
 
-// RunYCSB measures one (flavor, mode, threads) cell and returns (ops/s,
-// VM exits during measurement).
-func RunYCSB(cfg YCSBConfig, mode ServerMode, threads int) (float64, uint64, error) {
-	cores := threads
-	if cores < 2 {
-		cores = 2
+// cellMemo holds the paper cells one session tree (a session and every
+// sub-session newSub derives from it) has simulated, so a cell that two
+// experiments print runs once per tree: Table 5's native column is Figure
+// 9's MT-Server cells. Paper cells run on unobserved worlds and leave
+// nothing in their session but the returned result, which is what makes
+// reusing one safe.
+type cellMemo struct {
+	mu    sync.Mutex
+	cells map[ycsbCell]*memoCell
+}
+
+type memoCell struct {
+	once sync.Once
+	run  ycsbRun
+	err  error
+}
+
+// paperCell returns the cell's result, simulating it on the first request
+// in the session tree; concurrent requests for one cell wait for it.
+func (s *Session) paperCell(c ycsbCell) (ycsbRun, error) {
+	m := s.memo
+	m.mu.Lock()
+	e := m.cells[c]
+	if e == nil {
+		e = &memoCell{}
+		m.cells[c] = e
 	}
-	if cores > 8 {
-		cores = 8
-	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.run, e.err = runYCSBCell(c) })
+	return e.run, e.err
+}
+
+// runYCSBCell simulates one paper cell. Each client loads its own
+// database, the clients meet at a barrier, and the measured window runs
+// from the first client's start to the last client's end; client i draws
+// its ops from seed 1000+i.
+func runYCSBCell(c ycsbCell) (ycsbRun, error) {
+	cores := min(max(c.Threads, 2), 8)
 	w := MustWorld(WorldConfig{
-		Flavor: cfg.Flavor, Cores: cores, MemBytes: 8 << 30,
-		SkyBridge: mode == ModeSB, Virtualized: cfg.Virtualized,
+		Flavor: c.Flavor, Cores: cores,
+		SkyBridge: c.Mode == ModeSB, Virtualized: c.Virtualized,
 	})
-	st, err := BuildDBStack(w, mode)
+	st, err := BuildDBStack(w, c.Mode)
 	if err != nil {
-		return 0, 0, err
+		return ycsbRun{}, err
 	}
-	return runYCSBOn(w, st, cfg, threads)
-}
-
-// runYCSBOn runs the YCSB clients on an already-built stack.
-func runYCSBOn(w *World, st *DBStack, cfg YCSBConfig, threads int) (float64, uint64, error) {
 	k := w.K
-
-	wl := ycsb.WorkloadA(cfg.Records)
-	starts := make([]uint64, threads)
-	ends := make([]uint64, threads)
-	done := 0
-
-	// Barrier between the load phase and the measured phase, so the
-	// measurement window covers only steady-state operations.
-	loaded := 0
+	wl := ycsb.WorkloadA(c.Records)
+	starts := make([]uint64, c.Threads)
+	ends := make([]uint64, c.Threads)
+	loaded, done := 0, 0
 	var barrier sim.WaitQueue
-	for ti := 0; ti < threads; ti++ {
-		ti := ti
-		client := k.NewProcess(fmt.Sprintf("ycsb%d", ti))
-		core := k.Mach.Cores[ti%len(k.Mach.Cores)]
-		client.Spawn("app", core, func(env *mk.Env) {
-			conn, err := st.FSConn(env, client)
+	var errs firstErr
+	for i := 0; i < c.Threads; i++ {
+		i := i
+		p := k.NewProcess(fmt.Sprintf("sql%d", i))
+		p.Spawn("app", k.Mach.Cores[i%cores], func(env *mk.Env) {
+			cl, err := st.loadClient(env, p, fmt.Sprintf("d%d", i), db.PagerIO{}, wl, c.Records, 1)
 			if err != nil {
-				panic(err)
+				errs.set(fmt.Errorf("client %d: %w", i, err))
+				return
 			}
-			fsc := &fs.Client{Conn: conn}
-			d, err := db.Open(env, client, fsc, fmt.Sprintf("y%d", ti))
-			if err != nil {
-				panic(err)
-			}
-			if _, err := d.Exec(env, "CREATE TABLE u (id INTEGER PRIMARY KEY, f TEXT)"); err != nil {
-				panic(err)
-			}
-			tab, _ := d.TableByName("u")
-			for i := 0; i < cfg.Records; i++ {
-				if _, err := tab.Insert(env, []db.Value{db.IntValue(int64(i)), db.TextValue(ycsb.RecordValue(wl, int64(i)))}); err != nil {
-					panic(err)
-				}
-			}
-			gen := ycsb.NewGenerator(wl, int64(1000+ti))
-			// Wait for every client to finish loading.
+			// Barrier between the load phase and the measured phase, so the
+			// measurement window covers only steady-state operations.
 			env.T.Checkpoint()
-			loaded++
-			if loaded < threads {
+			if loaded++; loaded < c.Threads {
 				barrier.Wait(env.T)
 				env.Enter()
 			} else {
@@ -459,46 +597,47 @@ func runYCSBOn(w *World, st *DBStack, cfg YCSBConfig, threads int) (float64, uin
 					barrier.WakeOne(w.Eng, env.Now(), nil)
 				}
 			}
-			starts[ti] = env.Now()
-			for i := 0; i < cfg.Ops; i++ {
-				op := gen.Next()
-				switch op.Kind {
-				case ycsb.OpRead:
-					if _, _, err := tab.Get(env, op.Key); err != nil {
-						panic(err)
-					}
-				case ycsb.OpUpdate:
-					if _, err := tab.Update(env, op.Key, []db.Value{db.IntValue(op.Key), db.TextValue(op.Value)}); err != nil {
-						panic(err)
-					}
-				}
+			starts[i] = env.Now()
+			if err := cl.run(env, ycsb.NewGenerator(wl, int64(1000+i)), c.Ops, nil); err != nil {
+				errs.set(fmt.Errorf("client %d: %w", i, err))
+				return
 			}
-			ends[ti] = env.Now()
-			done++
-			if done == threads {
+			ends[i] = env.Now()
+			if done++; done == c.Threads {
 				st.Close()
 			}
 		})
 	}
-	if err := w.Eng.Run(); err != nil {
-		return 0, 0, err
+	if err := w.run(&errs); err != nil {
+		return ycsbRun{}, err
 	}
-	var minStart, maxEnd uint64 = ^uint64(0), 0
-	for i := 0; i < threads; i++ {
-		if starts[i] < minStart {
-			minStart = starts[i]
-		}
-		if ends[i] > maxEnd {
-			maxEnd = ends[i]
-		}
-	}
-	tput := OpsPerSec(cfg.Ops*threads, maxEnd-minStart)
-	return tput, k.Mach.TotalVMExits(), nil
+	window := slices.Max(ends) - slices.Min(starts)
+	return ycsbRun{Tput: OpsPerSec(c.Ops*c.Threads, window), Exits: k.Mach.TotalVMExits()}, nil
+}
+
+// YCSBConfig sizes the experiment.
+type YCSBConfig struct {
+	Flavor  mk.Flavor
+	Threads []int
+	Records int
+	Ops     int // per thread
+}
+
+// YCSBResult holds throughput series per server mode.
+type YCSBResult struct {
+	Flavor  mk.Flavor
+	Threads []int
+	// Tput[mode][i] is ops/s with Threads[i] client threads.
+	Tput map[ServerMode][]float64
 }
 
 // Figure9to11 regenerates the YCSB-A scalability figure for one flavor
 // (Figure 9 = seL4, 10 = Fiasco.OC, 11 = Zircon).
-func Figure9to11(cfg YCSBConfig) (*YCSBResult, error) {
+func Figure9to11(cfg YCSBConfig) (*YCSBResult, error) { return NewSession(nil).Figure9to11(cfg) }
+
+// Figure9to11 is the session form: its cells run on sweep, and each cell
+// is recorded.
+func (s *Session) Figure9to11(cfg YCSBConfig) (*YCSBResult, error) {
 	if len(cfg.Threads) == 0 {
 		cfg.Threads = []int{1, 2, 4, 8}
 	}
@@ -508,20 +647,30 @@ func Figure9to11(cfg YCSBConfig) (*YCSBResult, error) {
 	if cfg.Ops == 0 {
 		cfg.Ops = 60
 	}
-	res := &YCSBResult{
-		Flavor: cfg.Flavor, Threads: cfg.Threads,
-		Tput:    make(map[ServerMode][]float64),
-		VMExits: make(map[ServerMode][]uint64),
-	}
+	var cells []ycsbCell
 	for _, mode := range []ServerMode{ModeST, ModeMT, ModeSB} {
 		for _, th := range cfg.Threads {
-			tput, exits, err := RunYCSB(cfg, mode, th)
-			if err != nil {
-				return nil, err
-			}
-			res.Tput[mode] = append(res.Tput[mode], tput)
-			res.VMExits[mode] = append(res.VMExits[mode], exits)
+			cells = append(cells, ycsbCell{Flavor: cfg.Flavor, Mode: mode, Threads: th, Records: cfg.Records, Ops: cfg.Ops})
 		}
+	}
+	runs, err := sweep(s, cells, (*Session).paperCell)
+	if err != nil {
+		return nil, err
+	}
+	res := &YCSBResult{Flavor: cfg.Flavor, Threads: cfg.Threads, Tput: make(map[ServerMode][]float64)}
+	for i, c := range cells {
+		res.Tput[c.Mode] = append(res.Tput[c.Mode], runs[i].Tput)
+		s.record(Record{
+			Experiment: "ycsb",
+			Config: map[string]string{
+				"flavor": c.Flavor.String(), "mode": c.Mode.String(),
+				"threads": fmt.Sprintf("%d", c.Threads),
+			},
+			Values: map[string]float64{
+				"ops_per_sec": runs[i].Tput,
+				"vm_exits":    float64(runs[i].Exits),
+			},
+		})
 	}
 	return res, nil
 }
@@ -546,8 +695,6 @@ func (r *YCSBResult) Render() string {
 	return b.String()
 }
 
-// --- Table 5: virtualization overhead ---
-
 // Table5Row is one configuration's throughput.
 type Table5Row struct {
 	Threads    int
@@ -563,32 +710,44 @@ type Table5Result struct {
 
 // Table5 runs YCSB-A on seL4 (MT servers, no SkyBridge) natively and under
 // the Rootkernel and reports throughput plus VM-exit counts.
-func Table5(records, ops int) (*Table5Result, error) {
+func Table5(records, ops int) (*Table5Result, error) { return NewSession(nil).Table5(records, ops) }
+
+// Table5 is the session form: its cells run on sweep, the native ones
+// shared with Figure 9 through the session tree's memo, and each row is
+// recorded.
+func (s *Session) Table5(records, ops int) (*Table5Result, error) {
 	if records == 0 {
 		records = 400
 	}
 	if ops == 0 {
 		ops = 60
 	}
-	res := &Table5Result{}
+	var cells []ycsbCell
 	for _, th := range []int{1, 8} {
-		cfg := ycsbCfg(records, ops)
-		native, _, err := RunYCSB(cfg, ModeMT, th)
-		if err != nil {
-			return nil, err
+		for _, virt := range []bool{false, true} {
+			cells = append(cells, ycsbCell{Flavor: mk.SeL4, Mode: ModeMT, Threads: th, Records: records, Ops: ops, Virtualized: virt})
 		}
-		cfg.Virtualized = true
-		virt, exits, err := RunYCSB(cfg, ModeMT, th)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, Table5Row{Threads: th, Native: native, Rootkernel: virt, VMExits: exits})
+	}
+	runs, err := sweep(s, cells, (*Session).paperCell)
+	if err != nil {
+		return nil, err
+	}
+	res := &Table5Result{}
+	for i := 0; i < len(cells); i += 2 {
+		native, virt := runs[i], runs[i+1]
+		row := Table5Row{Threads: cells[i].Threads, Native: native.Tput, Rootkernel: virt.Tput, VMExits: virt.Exits}
+		res.Rows = append(res.Rows, row)
+		s.record(Record{
+			Experiment: "table5",
+			Config:     map[string]string{"threads": fmt.Sprintf("%d", row.Threads)},
+			Values: map[string]float64{
+				"native_ops_per_sec":     row.Native,
+				"rootkernel_ops_per_sec": row.Rootkernel,
+				"vm_exits":               float64(row.VMExits),
+			},
+		})
 	}
 	return res, nil
-}
-
-func ycsbCfg(records, ops int) YCSBConfig {
-	return YCSBConfig{Flavor: mk.SeL4, Records: records, Ops: ops}
 }
 
 // Render formats the table.

@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"skybridge/internal/core"
@@ -105,12 +106,13 @@ func (e *firstErr) set(err error) {
 }
 
 // run drives w's engine until every thread has exited, then returns the
-// engine's error, else the first error a thread recorded in errs.
+// first error a thread recorded in errs joined with the engine's. The
+// thread's error comes first: a thread that fails can leave its siblings
+// parked (at a barrier, or on a server endpoint nobody closes), and the
+// deadlock the engine then reports is only the symptom.
 func (w *World) run(errs *firstErr) error {
-	if err := w.Eng.Run(); err != nil {
-		return err
-	}
-	return errs.err
+	err := w.Eng.Run()
+	return errors.Join(errs.err, err)
 }
 
 // OpsPerSec converts (operations, cycles) to a throughput at the nominal

@@ -239,10 +239,6 @@ func (d *Director) Shards() int { return d.cfg.Shards }
 // reporting).
 func (d *Director) Epoch() uint64 { return d.epoch }
 
-// OwnerSlot returns the drain slot currently owning a shard (host
-// view).
-func (d *Director) OwnerSlot(shard int) int { return d.owner[shard] }
-
 // Gates exposes the per-drain park gates for busy-cycle accounting.
 func (d *Director) Gates() []*mk.Gate { return d.gates }
 

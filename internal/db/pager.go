@@ -71,14 +71,8 @@ type Pager struct {
 	Prefetches   uint64
 }
 
-// OpenPager opens (creating if needed) the database file and its journal,
-// rolling back any hot journal left by a crash. All IO is synchronous
-// one-call-per-page; use OpenPagerIO for the fast paths.
-func OpenPager(env *mk.Env, proc *mk.Process, fsc *fs.Client, name string) (*Pager, error) {
-	return OpenPagerIO(env, proc, fsc, name, PagerIO{})
-}
-
-// OpenPagerIO is OpenPager with an explicit IO mode.
+// OpenPagerIO opens (creating if needed) the database file and its
+// journal with IO mode io, rolling back any hot journal left by a crash.
 func OpenPagerIO(env *mk.Env, proc *mk.Process, fsc *fs.Client, name string, io PagerIO) (*Pager, error) {
 	fd, size, err := fsc.Open(env, name, true)
 	if err != nil {

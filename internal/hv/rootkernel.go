@@ -454,9 +454,3 @@ func (rk *Rootkernel) InstallFor(cpu *hw.CPU, p *mk.Process) error {
 	_, err := cpu.VMCall(&hw.Hypercall{Nr: HCInstallList, Ptr: p})
 	return err
 }
-
-// ProcState exposes a process's EPTP list for tests and the trampoline.
-func (rk *Rootkernel) ProcState(p *mk.Process) (selfEPT *hw.EPT, hasBindings bool) {
-	ps := rk.ensureProc(p)
-	return ps.selfEPT, ps.hasBindings
-}

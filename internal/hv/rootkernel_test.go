@@ -402,3 +402,25 @@ func TestContextSwitchInstallsList(t *testing.T) {
 		t.Fatal("no EPTP list installs recorded")
 	}
 }
+
+// TestCPUIDExitsUnderRootkernel: CPUID unconditionally exits in non-root
+// mode (§4.1), and the Rootkernel emulates it and resumes the guest. Run
+// natively, it takes no exit at all.
+func TestCPUIDExitsUnderRootkernel(t *testing.T) {
+	_, k, _ := bootWorld(t, Config{})
+	cpu := k.Mach.Cores[0]
+	if err := cpu.CPUID(); err != nil {
+		t.Fatalf("CPUID under the Rootkernel: %v", err)
+	}
+	if n, total := k.Mach.VMExits[hw.ExitCPUID], k.Mach.TotalVMExits(); n != 1 || total != 1 {
+		t.Errorf("CPUID exits = %d of %d total, want exactly 1 of 1", n, total)
+	}
+
+	native := hw.NewMachine(hw.MachineConfig{Cores: 1, MemBytes: 1 << 26})
+	if err := native.Cores[0].CPUID(); err != nil {
+		t.Fatalf("native CPUID: %v", err)
+	}
+	if total := native.TotalVMExits(); total != 0 {
+		t.Errorf("native CPUID took %d VM exits, want 0", total)
+	}
+}

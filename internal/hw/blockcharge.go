@@ -25,6 +25,3 @@ func SetBlockCharge(on bool) bool {
 	blockCharge = on
 	return prev
 }
-
-// BlockCharge reports whether new machines charge cache bursts block-wise.
-func BlockCharge() bool { return blockCharge }

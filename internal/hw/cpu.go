@@ -285,12 +285,6 @@ func (c *CPU) FetchCode(va VA, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// FetchCodeInto is FetchCode into a caller-provided buffer of len(buf)
-// bytes, avoiding the per-fetch allocation on the decode hot path.
-func (c *CPU) FetchCodeInto(va VA, buf []byte) error {
-	return c.fetchCode(va, len(buf), buf)
-}
-
 // TouchCode models execution of code spanning [va, va+n) without decoding
 // it: it charges instruction fetches line by line. Kernels use this to
 // model the i-cache footprint of their IPC paths.

@@ -101,19 +101,14 @@ func (m *PhysMem) FreeFrame(h HPA) {
 // Identity-mapped guest RAM must stay below this boundary.
 func (m *PhysMem) AllocatorFloor() HPA { return HPA(m.allocNext * PageSize) }
 
-// ReserveRegion carves a contiguous region of frames from the top of
-// unallocated memory (below anything already allocated) and returns its
-// [base, top) bounds. The general allocator will never hand out frames from
-// the region again. The Rootkernel uses this for its private memory
+// ReserveRegionAligned carves a contiguous region of at least bytes from
+// the top of unallocated memory (below anything already allocated) whose
+// base and top are align-aligned (align must be a power-of-two multiple of
+// PageSize), and returns its [base, top) bounds. The general allocator will
+// never hand out frames from the region again. Unaligned slack between the
+// region top and previously allocated frames is returned to the free list,
+// so no memory is lost. The Rootkernel uses this for its private memory
 // (§4.1: "SkyBridge only reserves a small portion of physical memory").
-func (m *PhysMem) ReserveRegion(frames uint64) (base, top HPA, err error) {
-	return m.ReserveRegionAligned(frames*PageSize, PageSize)
-}
-
-// ReserveRegionAligned reserves at least bytes of memory whose base and top
-// are align-aligned (align must be a power-of-two multiple of PageSize).
-// Unaligned slack between the region top and previously allocated frames is
-// returned to the free list, so no memory is lost.
 func (m *PhysMem) ReserveRegionAligned(bytes, align uint64) (base, top HPA, err error) {
 	if align < PageSize || align&(align-1) != 0 {
 		return 0, 0, fmt.Errorf("hw: bad reservation alignment %#x", align)

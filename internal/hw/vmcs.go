@@ -110,6 +110,3 @@ func (v *VMCS) InstallEPTPList(epts []*EPT) error {
 	}
 	return nil
 }
-
-// CurrentEPT returns the EPT installed by the last successful EPTP switch.
-func (v *VMCS) CurrentEPT() *EPT { return v.EPTPList[v.CurrentIndex] }

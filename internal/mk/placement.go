@@ -20,12 +20,3 @@ func (p *Placement) N() int { return len(p.cores) }
 
 // Core returns the core owning logical index i (round-robin).
 func (p *Placement) Core(i int) *hw.CPU { return p.cores[i%len(p.cores)] }
-
-// Spread returns the cores for n logical indices, one per index.
-func (p *Placement) Spread(n int) []*hw.CPU {
-	out := make([]*hw.CPU, n)
-	for i := range out {
-		out[i] = p.Core(i)
-	}
-	return out
-}

@@ -201,9 +201,6 @@ func (e *Env) DirectEnv(p *Process, dst *Env) *Env {
 	return dst
 }
 
-// IsDirect reports whether this Env runs under a SkyBridge EPT switch.
-func (e *Env) IsDirect() bool { return e.direct }
-
 // Spawn starts a thread of process p on the given core.
 func (p *Process) Spawn(name string, core *hw.CPU, body func(env *Env)) *sim.Thread {
 	p.threads++

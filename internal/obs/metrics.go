@@ -104,14 +104,6 @@ func (r *Registry) Gauge(name string) Gauge {
 	return Gauge{p: p}
 }
 
-// GaugeValue reads a gauge by name (0 if absent).
-func (r *Registry) GaugeValue(name string) uint64 {
-	if p, ok := r.gauges[name]; ok {
-		return *p
-	}
-	return 0
-}
-
 // Histogram returns (creating if needed) the named histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	h, ok := r.hists[name]

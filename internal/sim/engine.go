@@ -251,6 +251,3 @@ func (t *Thread) Checkpoint() {
 
 // Engine returns the engine this thread belongs to.
 func (t *Thread) Engine() *Engine { return t.eng }
-
-// State reports the thread's lifecycle state.
-func (t *Thread) State() ThreadState { return t.state }

@@ -63,9 +63,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	t.eng.Wake(next, t.Now(), nil)
 }
 
-// Holder returns the current owner (nil if free).
-func (m *Mutex) Holder() *Thread { return m.owner }
-
 // WaitQueue is a simple FIFO sleep queue (condition-variable style): the
 // building block for IPC endpoints.
 type WaitQueue struct {
