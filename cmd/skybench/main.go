@@ -14,19 +14,18 @@
 // -kvops, -clients, -scale, -tenants.
 //
 // -benchout <kind>=<path> runs a standalone benchmark and writes its JSON
-// document. Repeatable. The kinds are host (suite wall-clock timings)
-// plus the kind of every catalog unit that declares one
+// document. Repeatable. The kinds are host (the wall-clock of each
+// selected experiment run serially, and of the selection run on -j
+// workers) plus the kind of every catalog unit that declares one
 // (bench.Experiment.Bench): scaling (multicore sweep), async (ring
 // queue-depth sweep), db (SQLite/FS lock-and-fast-path sweep), tenants
 // (multi-tenant frontend sweep), skew (adaptive placement under skew).
 // A unit's kind runs it at the paper-scale knobs, prints its table, and
 // writes its result.
 //
-// Host-side accelerators: -superblock on|off gates superblock
-// direct-threaded execution and block-granular cache charging, and -j N
-// runs experiment units and their independent cells on N workers. Both
-// change only host wall-clock: simulated results, stdout, metrics, trace,
-// and report are byte-identical for every combination.
+// -j N runs experiment units and their independent cells on N workers. It
+// changes only host wall-clock: simulated results, stdout, metrics, trace,
+// and report are byte-identical for every N.
 //
 // -trace writes a Chrome trace-event JSON (open in Perfetto / chrome://
 // tracing; 1 timestamp unit = 1 simulated cycle, one track per simulated
@@ -51,8 +50,6 @@ import (
 	"time"
 
 	"skybridge/internal/bench"
-	"skybridge/internal/hw"
-	"skybridge/internal/isa"
 	"skybridge/internal/obs"
 )
 
@@ -117,8 +114,7 @@ func main() {
 		metricsOut = flag.String("metrics", "", "write machine-readable experiment records (JSON) to this file")
 		reportOut  = flag.String("report", "", "write the per-call phase-breakdown report (JSON) to this file and print its table")
 
-		jobs       = flag.Int("j", 1, "run experiments (and their independent cells) on N parallel workers (output stays in declaration order, byte-identical for any N)")
-		superblock = flag.String("superblock", "on", "superblock direct-threaded execution and block-granular cache charging: on|off (simulated results are identical either way)")
+		jobs = flag.Int("j", 1, "run experiments (and their independent cells) on N parallel workers (output stays in declaration order, byte-identical for any N)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
@@ -135,17 +131,6 @@ func main() {
 		return
 	}
 
-	switch *superblock {
-	case "on":
-		isa.SetSuperblock(true)
-		hw.SetBlockCharge(true)
-	case "off":
-		isa.SetSuperblock(false)
-		hw.SetBlockCharge(false)
-	default:
-		fmt.Fprintf(os.Stderr, "skybench: -superblock must be on or off, got %q\n", *superblock)
-		os.Exit(2)
-	}
 	bench.SetJobs(*jobs)
 
 	if *cpuProfile != "" {
@@ -280,57 +265,52 @@ func runBenchOuts(outs map[string]string, sel map[string]bool, opts bench.Option
 	return nil
 }
 
-// runHostBench times the selected suite three ways — serial with
-// superblock execution off, serial with it on, and parallel with it on —
-// and writes the result as BENCH_host.json. Simulated results are
-// identical in every cell (that is the whole point of the host fast
-// paths); only host wall-clock differs.
+// runHostBench times each selected experiment serially, one RunAll per
+// experiment in catalog order in one session (so Table 5 reuses Figure 9's
+// cells, as in a full run), then the whole selection on jobs workers, and
+// writes the result as BENCH_host.json. Simulated results are identical in
+// every run; only host wall-clock differs.
 func runHostBench(path string, sel map[string]bool, opts bench.Options, jobs int) error {
 	if jobs <= 1 {
 		jobs = runtime.NumCPU()
 	}
 	res := bench.HostBenchResult{
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Jobs:       float64(jobs),
+		NumCPU:        runtime.NumCPU(),
+		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		GoVersion:     runtime.Version(),
+		ExperimentSec: map[string]float64{},
+		Jobs:          float64(jobs),
 	}
-	for name := range sel {
-		res.Experiments = append(res.Experiments, name)
-	}
-	sort.Strings(res.Experiments)
 
-	// Snapshot the flag-derived settings so later -benchout kinds run
-	// under the configuration the user asked for.
-	prevSB := isa.SetSuperblock(true)
-	prevBC := hw.SetBlockCharge(true)
+	// Restore the flag-derived worker count afterwards, so later -benchout
+	// kinds run under the configuration the user asked for.
 	prevJobs := bench.SetJobs(1)
-	defer func() {
-		isa.SetSuperblock(prevSB)
-		hw.SetBlockCharge(prevBC)
-		bench.SetJobs(prevJobs)
-	}()
+	defer bench.SetJobs(prevJobs)
 
-	run := func(superblockOn bool, j int) (float64, error) {
-		isa.SetSuperblock(superblockOn)
-		hw.SetBlockCharge(superblockOn)
+	run := func(sel map[string]bool, j int, s *bench.Session) (float64, error) {
 		bench.SetJobs(j)
 		start := time.Now()
-		err := bench.RunAll(sel, opts, j, bench.NewSession(nil), io.Discard)
+		err := bench.RunAll(sel, opts, j, s, io.Discard)
 		return time.Since(start).Seconds(), err
 	}
+	serial := bench.NewSession(nil)
+	for _, name := range experimentNames {
+		if !sel[name] {
+			continue
+		}
+		sec, err := run(map[string]bool{name: true}, 1, serial)
+		if err != nil {
+			return err
+		}
+		res.Experiments = append(res.Experiments, name)
+		res.ExperimentSec[name] = sec
+		res.SerialSec += sec
+	}
 	var err error
-	if res.SerialSuperblockOffSec, err = run(false, 1); err != nil {
+	if res.ParallelSec, err = run(sel, jobs, bench.NewSession(nil)); err != nil {
 		return err
 	}
-	if res.SerialSuperblockOnSec, err = run(true, 1); err != nil {
-		return err
-	}
-	if res.ParallelSec, err = run(true, jobs); err != nil {
-		return err
-	}
-	res.SuperblockSpeedup = res.SerialSuperblockOffSec / res.SerialSuperblockOnSec
-	res.ParallelSpeedup = res.SerialSuperblockOnSec / res.ParallelSec
+	res.ParallelSpeedup = res.SerialSec / res.ParallelSec
 	return writeFile(path, func(w io.Writer) error { return bench.WriteJSON(w, res) })
 }
 

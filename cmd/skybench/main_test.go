@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"skybridge/internal/bench"
@@ -95,5 +100,66 @@ func TestParseBenchOut(t *testing.T) {
 		if err := parseBenchOut(outs, bad); err == nil {
 			t.Errorf("parseBenchOut(%q) accepted; want error", bad)
 		}
+	}
+}
+
+// TestRunHostBench checks -benchout host's document: its keys in order,
+// the experiments in catalog order, serial_sec as the sum of the
+// per-experiment times, a parallel time, and the caller's cell worker
+// count restored afterwards.
+func TestRunHostBench(t *testing.T) {
+	prev := bench.SetJobs(3)
+	defer bench.SetJobs(prev)
+	path := filepath.Join(t.TempDir(), "host.json")
+	if err := runHostBench(path, map[string]bool{"fig7": true, "table2": true}, bench.DefaultOptions, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := bench.SetJobs(3); got != 3 {
+		t.Errorf("cell workers after runHostBench = %d, want 3", got)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantKeys := []string{"num_cpu", "gomaxprocs", "go_version", "experiments", "experiment_sec",
+		"serial_sec", "jobs", "parallel_sec", "parallel_speedup"}
+	if !slices.Equal(keys, wantKeys) {
+		t.Errorf("keys = %v, want %v", keys, wantKeys)
+	}
+
+	var res bench.HostBenchResult
+	if err := json.Unmarshal(buf, &res); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"table2", "fig7"}; !slices.Equal(res.Experiments, want) {
+		t.Errorf("experiments = %v, want %v", res.Experiments, want)
+	}
+	var sum float64
+	for _, name := range res.Experiments {
+		sum += res.ExperimentSec[name]
+	}
+	if len(res.ExperimentSec) != len(res.Experiments) || res.SerialSec != sum {
+		t.Errorf("serial_sec = %v, experiment_sec = %v: want serial_sec the sum of the experiments' times",
+			res.SerialSec, res.ExperimentSec)
+	}
+	if res.ParallelSec <= 0 || res.Jobs != 2 {
+		t.Errorf("parallel_sec = %v on %v jobs, want a positive time on 2", res.ParallelSec, res.Jobs)
 	}
 }

@@ -19,9 +19,13 @@ type chainOp struct {
 	write bool
 }
 
+// cacheWay is one way slot viewed as a {tag, lru} pair.
+type cacheWay struct {
+	tag, lru uint64
+}
+
 // setContents returns each set's ways sorted by (tag, lru) — the canonical
-// per-set contents. Way slot POSITIONS are host-side layout (AccessRange
-// skips the MRU swap and fills may land in different free slots), but the
+// per-set contents. Way slot positions are host-side layout, but the
 // multiset of (tag, lru) pairs per set fully determines every simulated
 // decision and must match exactly.
 func setContents(c *Cache) [][]cacheWay {
@@ -108,39 +112,6 @@ func TestAccessRangeExactEquivalence(t *testing.T) {
 	}
 }
 
-// blockChargeWorld builds a machine with the block charge pinned, two
-// user-mode cores, and 16 mapped pages of scratch VA space.
-func blockChargeWorld(t *testing.T, on bool) (*Machine, *PageTable) {
-	t.Helper()
-	prev := SetBlockCharge(on)
-	defer SetBlockCharge(prev)
-	m := NewMachine(MachineConfig{Cores: 2, MemBytes: 1 << 26, DTLBEntries: 4})
-	pt := NewPageTable(m.Mem)
-	for _, cpu := range m.Cores {
-		cpu.CR3 = pt.Root
-		cpu.Mode = ModeUser
-	}
-	if err := pt.MapRange(0x40_0000, 0x8000, 16, PTEUser|PTEWrite); err != nil {
-		t.Fatal(err)
-	}
-	return m, pt
-}
-
-// cpuSnapshot captures the simulated outcome of a drive sequence.
-type cpuSnapshot struct {
-	Clock    uint64
-	Counters CPUCounters
-	L1D, L2  CacheStats
-	L3       CacheStats
-}
-
-func snapCPU(c *CPU) cpuSnapshot {
-	return cpuSnapshot{
-		Clock: c.Clock, Counters: c.Counters,
-		L1D: c.L1D.Stats, L2: c.L2.Stats, L3: c.mach.L3.Stats,
-	}
-}
-
 // driveBlocks performs a mixed burst workload: multi-KB reads and writes
 // spanning page boundaries, single-byte touches, code touches, a TLB
 // shootdown landing between two halves of a block-sized access, and a
@@ -174,7 +145,7 @@ func driveBlocks(t *testing.T, m *Machine, pt *PageTable) {
 
 	// TLB shootdown spanning a block boundary: read the first half of a
 	// 2-page block, shoot down both TLBs machine-wide, then read the
-	// second half — the second half must re-walk, on both settings.
+	// second half — the second half must re-walk.
 	if err := c.ReadData(0x40_4000, nil, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -207,30 +178,47 @@ func driveBlocks(t *testing.T, m *Machine, pt *PageTable) {
 	}
 
 	// Fault mid-stream: an unmapped VA faults after the mapped prefix has
-	// been charged — identically either way.
+	// been charged.
 	if err := c.WriteData(0x41_0000, buf[:64], 64); err == nil {
 		t.Fatal("expected page fault on unmapped VA")
 	}
 }
 
-// TestBlockChargeLockstep runs the burst workload on two machines that
-// differ only in the block-charge toggle and requires identical simulated
-// clocks, counters, and cache stats — including across a TLB shootdown
-// that splits a block and a frame recycle under the access stream.
+// TestBlockChargeLockstep pins the burst workload's simulated outcome
+// (clock, counters and every cache level's stats, across a TLB shootdown
+// that splits a block and a frame recycle under the access stream) to the
+// values that charging each line with its own Cache.Access call produces.
 func TestBlockChargeLockstep(t *testing.T) {
-	mOn, ptOn := blockChargeWorld(t, true)
-	mOff, ptOff := blockChargeWorld(t, false)
-	if !mOn.Cores[0].blockCharge || mOff.Cores[0].blockCharge {
-		t.Fatal("toggle not snapshotted into CPUs")
+	m := NewMachine(MachineConfig{Cores: 2, MemBytes: 1 << 26, DTLBEntries: 4})
+	pt := NewPageTable(m.Mem)
+	for _, cpu := range m.Cores {
+		cpu.CR3 = pt.Root
+		cpu.Mode = ModeUser
 	}
-	driveBlocks(t, mOn, ptOn)
-	driveBlocks(t, mOff, ptOff)
-	on, off := snapCPU(mOn.Cores[0]), snapCPU(mOff.Cores[0])
-	if on != off {
-		t.Fatalf("block charge changed simulated state:\n on: %+v\noff: %+v", on, off)
+	if err := pt.MapRange(0x40_0000, 0x8000, 16, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
 	}
-	l1iOn, l1iOff := mOn.Cores[0].L1I.Stats, mOff.Cores[0].L1I.Stats
-	if l1iOn != l1iOff {
-		t.Fatalf("L1I stats diverged: %+v vs %+v", l1iOn, l1iOff)
+	driveBlocks(t, m, pt)
+
+	type snapshot struct {
+		Clock            uint64
+		Counters         CPUCounters
+		L1I, L1D, L2, L3 CacheStats
+	}
+	c := m.Cores[0]
+	got := snapshot{
+		Clock: c.Clock, Counters: c.Counters,
+		L1I: c.L1I.Stats, L1D: c.L1D.Stats, L2: c.L2.Stats, L3: m.L3.Stats,
+	}
+	want := snapshot{
+		Clock:    86054,
+		Counters: CPUCounters{DataAccesses: 451, CodeFetches: 66, PageWalks: 10},
+		L1I:      CacheStats{Accesses: 66, Hits: 0, Misses: 66},
+		L1D:      CacheStats{Accesses: 491, Hits: 166, Misses: 325},
+		L2:       CacheStats{Accesses: 391, Hits: 64, Misses: 327},
+		L3:       CacheStats{Accesses: 327, Hits: 0, Misses: 327},
+	}
+	if got != want {
+		t.Fatalf("burst workload:\n got %+v\nwant %+v", got, want)
 	}
 }

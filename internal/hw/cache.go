@@ -28,11 +28,11 @@ type CacheStats struct {
 //
 // Host-side layout: tags and LRU stamps live in separate flat
 // [nsets*assoc] arrays (structure of arrays). Tags are uint32 (line
-// address + 1, 0 = invalid; valid for physical memories up to 2^38 bytes),
-// so scanning a 16-way set for a tag touches a single 64-byte host cache
-// line — the scan is the hottest loop in the whole simulator, and for an
-// L3-sized cache the tag array is a quarter the footprint of an
-// array-of-pairs layout. Slot positions within a set are pure host-side
+// address + 1, 0 = invalid; exact for physical memories below
+// maxMemBytes), so scanning a 16-way set for a tag touches a single
+// 64-byte host cache line — the scan is the hottest loop in the whole
+// simulator, and for an L3-sized cache the tag array is a quarter the
+// footprint of an array-of-pairs layout. Slot positions within a set are pure host-side
 // state: which *line* is evicted is decided by the unique LRU stamps, not
 // by slot position, so any placement policy yields identical simulated
 // costs, stats, and contents. AccessRange additionally memoizes recurring
@@ -53,8 +53,7 @@ type Cache struct {
 	// burst with one tag check and one LRU store per line instead of a set
 	// scan. Direct-mapped by a hash of the burst key; collisions simply
 	// re-record. Host-side only: every replayed line is validated by tag, so
-	// a moved or evicted line drops back to the per-line path. See
-	// blockcharge.go.
+	// a moved or evicted line drops back to the per-line path.
 	memo []burstMemo
 
 	// lineIdx is a direct-mapped line -> way-slot memo probed before every
@@ -62,12 +61,18 @@ type Cache struct {
 	// seen (0 = empty). A probe is validated by the tag at the recorded
 	// slot, which is sound without a set check: a line is only ever stored
 	// in its own set, and two distinct lines share a uint32 tag only if
-	// they are 2^32 lines apart (beyond any modeled memory), so a matching
+	// they are 2^32 lines apart (beyond maxMemBytes), so a matching
 	// tag can only be the right line in the right set. Stale entries
 	// (evicted or collided) fail validation and fall through to the scan.
 	lineIdx  []int32
 	lineBits uint
 }
+
+// maxMemBytes bounds the physical memory a cache can tag: a line's uint32
+// tag is its line address + 1, so the last line below 2^38 bytes would
+// wrap to the invalid tag 0, and a line 2^38 bytes above another would
+// alias it.
+const maxMemBytes = 1 << 38
 
 // burstMemo is one recorded burst: its key (start line << 7 | length) and
 // the way-array index each line was last found at.
@@ -82,12 +87,6 @@ const memoTabBits = 12
 // memoHash spreads burst keys over the table (Fibonacci hashing).
 func memoHash(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> (64 - memoTabBits))
-}
-
-// cacheWay is one way slot viewed as a {tag, lru} pair (test helper; the
-// hot path keeps the two in separate arrays).
-type cacheWay struct {
-	tag, lru uint64
 }
 
 // NewCache builds a cache level. next may be nil, in which case a miss
@@ -192,11 +191,7 @@ const memoMinLines = 8
 // containing h and returns the total cycles charged. It is exactly
 // equivalent to nLines sequential Access calls — identical clock advance,
 // per-line costs, LRU stamps, and eviction decisions; the per-level stats
-// are batched but reach the same final counts, and hit lines are not
-// reordered to way slot 0 (slot positions are pure host-side layout: every
-// simulated decision — hit/miss, cost, eviction victim — depends only on
-// the set's tag/LRU contents, which evolve identically; see Access's swap
-// comment).
+// are batched but reach the same final counts.
 //
 // Recurring bursts (the same payload buffers copied every IPC round trip)
 // are memoized: the way slot each line was found in is recorded, and the

@@ -91,11 +91,8 @@ type CPU struct {
 	FlowID uint64
 
 	// Host-side scratch state (never observable in the simulation).
-	// eptTrace is the reused EPT walk-trace buffer. blockCharge,
-	// snapshotted at machine construction, selects burst-wise cache
-	// charging (blockcharge.go).
-	eptTrace    []HPA
-	blockCharge bool
+	// eptTrace is the reused EPT walk-trace buffer.
+	eptTrace []HPA
 }
 
 // Machine returns the machine this core belongs to.
@@ -243,18 +240,9 @@ func (c *CPU) accessData(va VA, buf []byte, n int, acc Access) error {
 			return err
 		}
 		// Charge one cache access per line spanned.
-		first := hpa.LineBase()
-		last := (hpa + HPA(chunk) - 1).LineBase()
-		if c.blockCharge {
-			n := int((last-first)>>LineShift) + 1
-			c.Clock += c.L1D.AccessRange(first, n, acc == AccessWrite)
-			c.Counters.DataAccesses += uint64(n)
-		} else {
-			for line := first; line <= last; line += LineSize {
-				c.Clock += c.L1D.Access(line, acc == AccessWrite)
-				c.Counters.DataAccesses++
-			}
-		}
+		lines := chunkLines(hpa, chunk)
+		c.Clock += c.L1D.AccessRange(hpa, lines, acc == AccessWrite)
+		c.Counters.DataAccesses += uint64(lines)
 		switch acc {
 		case AccessRead:
 			if buf != nil {
@@ -274,6 +262,11 @@ func (c *CPU) accessData(va VA, buf []byte, n int, acc Access) error {
 
 // zeroPage backs nil-buffer modeled writes; it is only ever read from.
 var zeroPage [PageSize]byte
+
+// chunkLines returns the number of cache lines the n bytes at hpa span.
+func chunkLines(hpa HPA, n int) int {
+	return int(((hpa+HPA(n)-1).LineBase()-hpa.LineBase())>>LineShift) + 1
+}
 
 // FetchCode performs a charged instruction fetch of n bytes at va through
 // the instruction TLB and L1I, returning the bytes (for the decoder).
@@ -306,18 +299,9 @@ func (c *CPU) fetchCode(va VA, n int, buf []byte) error {
 		if err != nil {
 			return err
 		}
-		first := hpa.LineBase()
-		last := (hpa + HPA(chunk) - 1).LineBase()
-		if c.blockCharge {
-			n := int((last-first)>>LineShift) + 1
-			c.Clock += c.L1I.AccessRange(first, n, false)
-			c.Counters.CodeFetches += uint64(n)
-		} else {
-			for line := first; line <= last; line += LineSize {
-				c.Clock += c.L1I.Access(line, false)
-				c.Counters.CodeFetches++
-			}
-		}
+		lines := chunkLines(hpa, chunk)
+		c.Clock += c.L1I.AccessRange(hpa, lines, false)
+		c.Counters.CodeFetches += uint64(lines)
 		if buf != nil {
 			c.mach.Mem.Read(hpa, buf[off:off+chunk])
 		}

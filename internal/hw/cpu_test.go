@@ -365,6 +365,26 @@ func TestMachineIPI(t *testing.T) {
 	}
 }
 
+// TestMachineMemBytesBound: the cache tags address memories below 2^38
+// bytes, so NewMachine rejects 2^38 and builds the largest page-aligned
+// size below it, whose last line misses cold like any other.
+func TestMachineMemBytesBound(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewMachine accepted MemBytes = 2^38")
+			}
+		}()
+		NewMachine(MachineConfig{Cores: 1, MemBytes: 1 << 38})
+	}()
+	m := NewMachine(MachineConfig{Cores: 1, MemBytes: 1<<38 - PageSize})
+	l1d := m.Cores[0].L1D
+	l1d.Access(HPA(m.Mem.Size()-LineSize), false)
+	if l1d.Stats.Misses != 1 {
+		t.Fatalf("cold access to the last line: %+v, want a miss", l1d.Stats)
+	}
+}
+
 func TestCPUCodeFetchReturnsBytes(t *testing.T) {
 	m, cpu, pt := newNativeCPU(t)
 	if err := pt.Map(0x40_0000, 0x8000, PTEUser); err != nil {

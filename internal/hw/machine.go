@@ -84,8 +84,12 @@ type Machine struct {
 }
 
 // NewMachine builds a machine from cfg (zero-value fields defaulted).
+// MemBytes must be below 2^38, the most the cache tags can address.
 func NewMachine(cfg MachineConfig) *Machine {
 	cfg.applyDefaults()
+	if cfg.MemBytes >= maxMemBytes {
+		panic(fmt.Sprintf("hw: physical memory size %#x is not below the cache tags' limit %#x", cfg.MemBytes, uint64(maxMemBytes)))
+	}
 	m := &Machine{
 		Config:  cfg,
 		Mem:     NewPhysMem(cfg.MemBytes),
@@ -97,16 +101,15 @@ func NewMachine(cfg MachineConfig) *Machine {
 	for i := 0; i < cfg.Cores; i++ {
 		l2 := NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L2", i), Size: cfg.L2Size, Ways: 4, Latency: cfg.L2Latency}, m.L3, 0)
 		cpu := &CPU{
-			ID:          i,
-			mach:        m,
-			Mode:        ModeKernel,
-			VPID:        uint16(i + 1),
-			blockCharge: blockCharge,
-			L1I:         NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1I", i), Size: cfg.L1ISize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
-			L1D:         NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1D", i), Size: cfg.L1DSize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
-			L2:          l2,
-			ITLB:        NewTLB(cfg.ITLBEntries),
-			DTLB:        NewTLB(cfg.DTLBEntries),
+			ID:   i,
+			mach: m,
+			Mode: ModeKernel,
+			VPID: uint16(i + 1),
+			L1I:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1I", i), Size: cfg.L1ISize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
+			L1D:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1D", i), Size: cfg.L1DSize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
+			L2:   l2,
+			ITLB: NewTLB(cfg.ITLBEntries),
+			DTLB: NewTLB(cfg.DTLBEntries),
 		}
 		m.Cores = append(m.Cores, cpu)
 

@@ -1,6 +1,11 @@
 package isa
 
-import "testing"
+import (
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // runProgram executes code at base 0x400000 with a 64 KiB stack/data region
 // at 0x100000, until HLT.
@@ -190,5 +195,189 @@ func TestInterpRIPRelative(t *testing.T) {
 	}
 	if ip.Regs[RAX] != 0xBEEF {
 		t.Fatalf("rip-relative load got %#x", ip.Regs[RAX])
+	}
+}
+
+// loopProgram assembles a sum-1..n loop, which re-executes the same RIPs
+// many times.
+func loopProgram(n int32) []byte {
+	var a Asm
+	a.MovRI32(RAX, 0)
+	a.MovRI32(RCX, n)
+	top := a.Len()
+	a.AluRR(ADD, RAX, RCX)
+	a.AluRI8(SUB, RCX, 1)
+	a.Jcc(CondNE, int32(top-(a.Len()+6)))
+	a.Hlt()
+	return a.Bytes()
+}
+
+// TestDecodeCacheTransparent: the sum loop re-executes its body from the
+// same RIPs and ends with the right sum.
+func TestDecodeCacheTransparent(t *testing.T) {
+	ip := NewInterp()
+	ip.AddRegion(0x400000, loopProgram(100))
+	ip.RIP = 0x400000
+	if err := ip.Run(10000); err != nil {
+		t.Fatal(err)
+	}
+	if ip.Regs[RAX] != 5050 {
+		t.Fatalf("rax = %d, want 5050", ip.Regs[RAX])
+	}
+}
+
+// TestSuperblockMaxStepsExact: Run's step limit trips after exactly
+// maxSteps instructions, wherever in the loop that lands.
+func TestSuperblockMaxStepsExact(t *testing.T) {
+	for _, maxSteps := range []int{1, 2, 3, 5, 17, 100, 1001} {
+		ip := NewInterp()
+		ip.AddRegion(0x400000, loopProgram(1000))
+		ip.RIP = 0x400000
+		err := ip.Run(maxSteps)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeded %d steps", maxSteps)) {
+			t.Fatalf("maxSteps=%d: err = %v, want step-limit error", maxSteps, err)
+		}
+		if ip.Steps != maxSteps {
+			t.Fatalf("maxSteps=%d: limit tripped after %d steps", maxSteps, ip.Steps)
+		}
+	}
+}
+
+// smcProgram builds a program whose third instruction stores new code
+// bytes over its own fourth instruction. The overwritten instruction
+// originally loads RCX=1; the stored bytes change it to load newVal.
+func smcProgram(newVal int32) []byte {
+	var patch Asm
+	patch.MovRI32(RCX, newVal)
+	for patch.Len() < 8 {
+		patch.Nop() // pad the stored quadword to 8 bytes
+	}
+	newBytes := binary.LittleEndian.Uint64(patch.Bytes()[:8])
+
+	// Immediate values do not change encoding lengths, so the overwritten
+	// instruction's offset is known before its address is.
+	var a Asm
+	a.MovRI64(RBX, 0)
+	a.MovRI64(RAX, 0)
+	a.MovMR(Mem{Base: RBX, Index: NoReg}, RAX)
+	target := 0x400000 + uint64(a.Len())
+
+	a = Asm{}
+	a.MovRI64(RBX, int64(target))
+	a.MovRI64(RAX, int64(newBytes))
+	a.MovMR(Mem{Base: RBX, Index: NoReg}, RAX)
+	a.MovRI32(RCX, 1) // the overwritten instruction
+	a.Nop()
+	a.Nop()
+	a.Nop()
+	a.Hlt()
+	return a.Bytes()
+}
+
+// TestSuperblockSelfModifyingBail: a store over code the run has not yet
+// reached is what executes when the run gets there.
+func TestSuperblockSelfModifyingBail(t *testing.T) {
+	ip := NewInterp()
+	ip.AddRegion(0x400000, smcProgram(2))
+	ip.RIP = 0x400000
+	if err := ip.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if ip.Regs[RCX] != 2 {
+		t.Fatalf("rcx = %d, want 2 (stale instruction executed)", ip.Regs[RCX])
+	}
+}
+
+// runPatched runs code, overwrites it in place with patch, and runs it
+// again from the same entry.
+func runPatched(t *testing.T, code, patch []byte) *Interp {
+	t.Helper()
+	if len(patch) != len(code) {
+		t.Fatalf("patch length %d != code length %d", len(patch), len(code))
+	}
+	region := append([]byte(nil), code...)
+	ip := NewInterp()
+	ip.AddRegion(0x400000, region) // ip shares the backing slice
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			copy(region, patch)
+		}
+		ip.RIP = 0x400000
+		ip.Halted = false
+		if err := ip.Run(100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ip
+}
+
+// TestDecodeCacheSelfModifyingCode overwrites already-executed code bytes
+// in place (same instruction length); the second run executes the new
+// bytes.
+func TestDecodeCacheSelfModifyingCode(t *testing.T) {
+	prog := func(v int32) []byte {
+		var a Asm
+		a.MovRI32(RAX, v)
+		a.Hlt()
+		return a.Bytes()
+	}
+	if ip := runPatched(t, prog(1), prog(2)); ip.Regs[RAX] != 2 {
+		t.Fatalf("after in-place patch: rax = %d, want 2", ip.Regs[RAX])
+	}
+}
+
+// TestSuperblockRewriteBetweenDispatches patches a straight-line run in
+// place between two runs; the second run executes the new bytes.
+func TestSuperblockRewriteBetweenDispatches(t *testing.T) {
+	prog := func(v int32) []byte {
+		var a Asm
+		a.MovRI32(RAX, v)
+		a.Nop()
+		a.Hlt()
+		return a.Bytes()
+	}
+	if ip := runPatched(t, prog(1), prog(2)); ip.Regs[RAX] != 2 {
+		t.Fatalf("after in-place patch: rax = %d, want 2", ip.Regs[RAX])
+	}
+}
+
+// TestDecodeCacheLengthChangingPatch overwrites executed code with
+// instructions of different lengths, shifting every decode boundary.
+func TestDecodeCacheLengthChangingPatch(t *testing.T) {
+	var a Asm
+	for i := 0; i < 12; i++ {
+		a.Nop()
+	}
+	a.Hlt()
+	code := a.Bytes()
+	var b Asm
+	b.MovRI32(RBX, 7) // 5+ bytes where single-byte NOPs ran
+	for b.Len() < len(code)-1 {
+		b.Nop()
+	}
+	b.Hlt()
+	ip := runPatched(t, code, b.Bytes())
+	if ip.Regs[RBX] != 7 {
+		t.Fatalf("rbx = %d, want 7 (stale decode across shifted boundaries)", ip.Regs[RBX])
+	}
+}
+
+// TestDecodeCacheInvalidateOnAddRegion: code in a region added after a run
+// executes.
+func TestDecodeCacheInvalidateOnAddRegion(t *testing.T) {
+	ip := NewInterp()
+	ip.AddRegion(0x400000, loopProgram(3))
+	ip.RIP = 0x400000
+	if err := ip.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	ip.AddRegion(0x500000, loopProgram(4))
+	ip.RIP = 0x500000
+	ip.Halted = false
+	if err := ip.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if ip.Regs[RAX] != 10 {
+		t.Fatalf("second region: rax = %d, want 10", ip.Regs[RAX])
 	}
 }
