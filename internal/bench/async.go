@@ -412,12 +412,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 // asyncReq converts a YCSB op to a store request (sync path).
 func asyncReq(op ycsb.Op) svc.Req {
 	if op.Kind == ycsb.OpUpdate {
-		key := scalingKey(op.Key)
-		payload := make([]byte, 2+len(key)+len(op.Value))
-		payload[0], payload[1] = byte(len(key)), byte(len(key)>>8)
-		copy(payload[2:], key)
-		copy(payload[2+len(key):], op.Value)
-		return svc.Req{Op: kv.OpPut, Data: payload}
+		return svc.Req{Op: kv.OpPut, Data: kv.PutFrame(scalingKey(op.Key), []byte(op.Value))}
 	}
 	return svc.Req{Op: kv.OpGet, Data: scalingKey(op.Key)}
 }

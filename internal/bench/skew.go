@@ -334,11 +334,7 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 				var req svc.Req
 				if po.put {
 					val := fmt.Sprintf("value-%06d-%016d", po.key, po.seq)
-					frame := make([]byte, 2+len(key)+len(val))
-					frame[0], frame[1] = byte(len(key)), byte(len(key)>>8)
-					copy(frame[2:], key)
-					copy(frame[2+len(key):], val)
-					req = svc.Req{Op: kv.OpPut, Data: frame}
+					req = svc.Req{Op: kv.OpPut, Data: kv.PutFrame([]byte(key), []byte(val))}
 				} else {
 					req = svc.Req{Op: kv.OpGet, Data: []byte(key)}
 				}

@@ -337,11 +337,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 				key := kv.TenantKey(t, fmt.Sprintf("k%d", submitted%tenantKeys))
 				if submitted%4 == 3 {
 					val := fmt.Sprintf("value-%04d-%02d-%024d", t, submitted%tenantKeys, submitted)
-					frame := make([]byte, 2+len(key)+len(val))
-					frame[0], frame[1] = byte(len(key)), byte(len(key)>>8)
-					copy(frame[2:], key)
-					copy(frame[2+len(key):], val)
-					req = svc.Req{Op: kv.OpPut, Data: frame}
+					req = svc.Req{Op: kv.OpPut, Data: kv.PutFrame([]byte(key), []byte(val))}
 				} else {
 					req = svc.Req{Op: kv.OpGet, Data: []byte(key)}
 				}

@@ -128,6 +128,54 @@ func TestDoorbellAllocs(t *testing.T) {
 	}
 }
 
+// TestRingRoundTripAllocs: a warm async-ring round trip (Submit, Flush,
+// and a blocking Reap of the one completion) allocates only the
+// completion slice Reap returns, with or without a call observer
+// attached.
+func TestRingRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector can add allocations")
+	}
+	for _, observed := range []bool{false, true} {
+		eng, k, _, sb := newWorld(t)
+		server := k.NewProcess("server")
+		id := registerEcho(t, eng, k, sb, server, k.Mach.Cores[0])
+		rs := startRingServer(t, sb, id, server, k.Mach.Cores[1], mk.WakePolicy{})
+		if observed {
+			sb.Calls = newCallObserver()
+		}
+		var allocs float64
+		k.NewProcess("client").Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
+			defer rs.Close(env)
+			if _, err := sb.RegisterClient(env, id); err != nil {
+				t.Errorf("register client: %v", err)
+				return
+			}
+			r, err := sb.OpenRing(env, id, 8, 64, mk.WakePolicy{})
+			if err != nil {
+				t.Errorf("open ring: %v", err)
+				return
+			}
+			allocs = warmAllocs(t, func() error {
+				if err := r.Submit(env, Request{Regs: [4]uint64{1}}); err != nil {
+					return err
+				}
+				if err := r.Flush(env); err != nil {
+					return err
+				}
+				_, err := r.Reap(env, 1)
+				return err
+			})
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 1 {
+			t.Errorf("observer %v: %v allocations per round trip, want 1 (the reaped completions)", observed, allocs)
+		}
+	}
+}
+
 // BenchmarkDirectCall times one warm echo DirectCall on the host with a
 // call observer attached: register-only, and a 1 KiB payload the client
 // writes in place and reads back. ns/op is host time per simulated call.

@@ -58,9 +58,6 @@ const (
 	ctlClientWait   = 3 * hw.LineSize
 	ringCtlBytes    = 4 * hw.LineSize
 
-	// ringEntryLen is one submission or completion entry: 4 argument/
-	// result registers, a payload length, a sequence tag, and padding.
-	ringEntryLen = 48
 	// ringSlotMin mirrors batchSlotMin: every slot leaves room for a
 	// reply the client cannot size in advance.
 	ringSlotMin = batchSlotMin
@@ -275,8 +272,8 @@ func (sb *SkyBridge) newRing(conn *Connection, sink *ringSink, serverID, qd, pay
 	}
 	slot := alignLine(payloadCap)
 	sqeBase := ringCtlBytes
-	cqeBase := alignLine(sqeBase + qd*ringEntryLen)
-	payBase := alignLine(cqeBase + qd*ringEntryLen)
+	cqeBase := alignLine(sqeBase + qd*entryLen)
+	payBase := alignLine(cqeBase + qd*entryLen)
 	if end := payBase + qd*slot; end > conn.BufLen {
 		return nil, fmt.Errorf("core: ring layout overflows shared buffer: "+
 			"qd %d x %d-byte slots need %d bytes (sqes at %d, cqes at %d, payload at %d) but the buffer holds %d",
@@ -339,30 +336,6 @@ func (r *AsyncRing) observer() *obs.CallObserver {
 // for plain rings).
 func (r *AsyncRing) Tenant() (int, bool) { return int(r.tenant), r.tagged }
 
-// encodeRingEntry packs an entry: regs, payload length, sequence tag, and
-// the tenant tag (bytes 40:44 of the former padding; zero on untagged
-// rings).
-func encodeRingEntry(regs [4]uint64, plen int, seq, tenant uint32) []byte {
-	b := make([]byte, ringEntryLen)
-	for i, r := range regs {
-		binary.LittleEndian.PutUint64(b[8*i:], r)
-	}
-	binary.LittleEndian.PutUint32(b[32:], uint32(plen))
-	binary.LittleEndian.PutUint32(b[36:], seq)
-	binary.LittleEndian.PutUint32(b[40:], tenant)
-	return b
-}
-
-// decodeRingEntry unpacks an entry. The length converts through int32 so
-// garbage in the high bit surfaces as a negative (rejectable) length.
-func decodeRingEntry(b []byte) (regs [4]uint64, plen int, seq, tenant uint32) {
-	for i := range regs {
-		regs[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return regs, int(int32(binary.LittleEndian.Uint32(b[32:]))),
-		binary.LittleEndian.Uint32(b[36:]), binary.LittleEndian.Uint32(b[40:])
-}
-
 // readCtl/writeCtl access one control word with a charged 8-byte memory
 // operation from the given side of the buffer.
 func readCtl(env *mk.Env, base hw.VA, off int) uint32 {
@@ -421,8 +394,9 @@ func (r *AsyncRing) Submit(env *mk.Env, req Request) error {
 		env.Read(req.Buf, data, req.Len)
 		env.Write(slotVA, data, req.Len)
 	}
-	env.Write(r.conn.ClientBuf+hw.VA(r.sqeBase+idx*ringEntryLen),
-		encodeRingEntry(req.Regs, req.Len, r.subSeq, r.tenant), ringEntryLen)
+	var e [entryLen]byte
+	env.Write(r.conn.ClientBuf+hw.VA(r.sqeBase+idx*entryLen),
+		encodeEntry(&e, req.Regs, req.Len, r.subSeq, r.tenant), entryLen)
 	r.subSeq++
 	writeCtl(env, r.conn.ClientBuf, ctlSQTail, r.subSeq)
 	r.Submitted++
@@ -460,115 +434,51 @@ func (r *AsyncRing) Flush(env *mk.Env) error {
 		r.flushSeq = r.subSeq
 		return nil
 	}
-	return r.doorbell(env, 0, false)
+	return r.doorbell(env)
 }
 
 // Doorbell forces the crossing regardless of the server's armed state
 // (tests and callers that want the trampoline on every flush).
-func (r *AsyncRing) Doorbell(env *mk.Env) error { return r.doorbell(env, 0, false) }
-
-// DoorbellWithKey lets tests present an arbitrary calling key on the
-// crossing (modelling a malicious client); normal clients always present
-// their issued key.
-func (r *AsyncRing) DoorbellWithKey(env *mk.Env, key uint64) error {
-	return r.doorbell(env, key, true)
-}
+func (r *AsyncRing) Doorbell(env *mk.Env) error { return r.doorbell(env) }
 
 // doorbell is the one remaining crossing of the asynchronous path: a
 // trampoline+VMFUNC round trip into the server's EPT view that presents
 // the calling key, reads the submission tail from the server side of the
-// buffer, and kicks the parked poll thread (IPI if cross-core). Cost
-// structure mirrors call(): the crossing itself is a full DirectCall
-// round trip minus the handler.
-func (r *AsyncRing) doorbell(env *mk.Env, forcedKey uint64, useForced bool) error {
-	sb, conn, srv := r.sb, r.conn, r.sink.srv
-	cpu := env.T.Core
-	env.T.Checkpoint()
-	env.Enter()
-
-	tr := cpu.Trace
-	span := tr.Begin(cpu.Clock, "skybridge.doorbell", "core")
-
-	// Tag the crossing with the oldest submission this doorbell makes
-	// visible, so the IPI and any EPTP work join that call's flow chain.
+// buffer, and kicks the parked poll thread (IPI if cross-core). The
+// crossing itself is a full DirectCall round trip minus the handler.
+func (r *AsyncRing) doorbell(env *mk.Env) error {
+	x := crossing{sb: r.sb, conn: r.conn}
+	if err := x.enter(env, "skybridge.doorbell", "", 0, nil); err != nil {
+		return err
+	}
+	// Tag the rest of the crossing (nothing in enter reads the tag) with
+	// the oldest submission this doorbell makes visible, so the EPTP work
+	// and the IPI join that call's flow chain.
+	cpu := x.cpu
 	if r.flushSeq != r.subSeq {
-		cpu.FlowID = r.flowID(r.flushSeq)
+		x.fid = r.flowID(r.flushSeq)
+		cpu.FlowID = x.fid
 		defer func() { cpu.FlowID = 0 }()
 	}
-
-	// --- client-side trampoline ---
-	if err := cpu.TouchCode(TrampolineVA, trampEntryLen); err != nil {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return fmt.Errorf("core: trampoline fetch: %w", err)
+	if err := x.switchIn(); err != nil {
+		return err
 	}
-	cpu.Tick(costSaveRegs)
-	clientKey := sb.rng.Uint64()
-	cpu.Tick(6)
-	presented := conn.ServerKey
-	if useForced {
-		presented = forcedKey
-	}
-
-	tc := sb.chain(env)
-	sb.ensureContext(cpu, tc)
-	slot, _, err := sb.RK.ResolveSlot(cpu, tc.proc, r.serverID, tc.stack)
-	if err != nil {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return fmt.Errorf("core: slot resolve for server %d: %w", r.serverID, err)
-	}
-
-	// --- the EPTP switch ---
-	if err := cpu.VMFunc(0, slot); err != nil {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return fmt.Errorf("core: vmfunc to server %d (slot %d): %w", r.serverID, slot, err)
-	}
-	sb.afterSwitch(cpu)
-	senv := tc.push(env, slot, srv.Proc)
-
-	// --- server-side trampoline: calling-key check, every crossing ---
-	cpu.Tick(costInstallStack)
-	var kb [8]byte
-	senv.Read(srv.keyTable+hw.VA(8*conn.slot), kb[:], 8)
-	cpu.Tick(4)
-	if leU64(kb) != presented {
-		srv.Rejected++
-		cpu.Syscall()
-		cpu.Swapgs()
-		cpu.Tick(50)
-		cpu.Swapgs()
-		cpu.Sysret()
-		sb.switchBack(env, tc)
-		tr.End(span, cpu.Clock, obs.U("bad_key", 1))
-		return ErrBadKey
-	}
-
 	// Hand over the ring tail (read back through the server's view) and
 	// kick the parked poll thread awake.
-	_ = readCtl(senv, conn.ServerBuf, ctlSQTail)
-	sb.K.WakeParker(cpu, &r.sink.parker)
-
-	// --- return thunk ---
-	if err := cpu.TouchCode(trampReturnVA, trampReturnLen); err != nil {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return fmt.Errorf("core: return thunk fetch: %w", err)
-	}
-	cpu.Tick(costRestoreRegs)
-	sb.switchBack(env, tc)
-	echoed := clientKey
-	cpu.Tick(6)
-	if echoed != clientKey {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return ErrReturnKey
+	_ = readCtl(x.senv, r.conn.ServerBuf, ctlSQTail)
+	r.sb.K.WakeParker(cpu, &r.sink.parker)
+	if err := x.leave(); err != nil {
+		return err
 	}
 	r.Doorbells++
-	sb.RingDoorbells++
+	r.sb.RingDoorbells++
 	if r.flushT != nil {
 		for s := r.flushSeq; s != r.subSeq; s++ {
 			r.flushT[s%uint32(r.QD)] = cpu.Clock
 		}
 	}
 	r.flushSeq = r.subSeq
-	tr.End(span, cpu.Clock, obs.U("server", uint64(r.serverID)))
+	x.tr.End(x.span, cpu.Clock, obs.U("server", uint64(r.serverID)))
 	return nil
 }
 
@@ -640,11 +550,11 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 		return nil, nil
 	}
 	out := make([]Completion, 0, avail)
-	hdr := make([]byte, ringEntryLen)
+	var e [entryLen]byte
 	for ; r.reapSeq != r.lastCQ; r.reapSeq++ {
 		idx := int(r.reapSeq % uint32(r.QD))
-		env.Read(r.conn.ClientBuf+hw.VA(r.cqeBase+idx*ringEntryLen), hdr, ringEntryLen)
-		regs, plen, seq, _ := decodeRingEntry(hdr)
+		env.Read(r.conn.ClientBuf+hw.VA(r.cqeBase+idx*entryLen), e[:], entryLen)
+		regs, plen, seq, _ := decodeEntry(&e)
 		if seq != r.reapSeq {
 			return nil, fmt.Errorf("%w: completion %d carries sequence tag %d",
 				ErrRingCorrupt, r.reapSeq, seq)
@@ -823,15 +733,15 @@ func (r *AsyncRing) serveDrainMax(env *mk.Env, max int) (int, bool, error) {
 	}
 	n := 0
 	tr := cpu.Trace
-	hdr := make([]byte, ringEntryLen)
+	var e [entryLen]byte
 	for ; r.srvSeq != stop; r.srvSeq++ {
 		cpu.Tick(costRingDispatch)
 		if tr != nil {
 			tr.FlowStep(cpu.Clock, r.flowID(r.srvSeq), "flow.drain", "flow")
 		}
 		idx := int(r.srvSeq % uint32(r.QD))
-		env.Read(r.conn.ServerBuf+hw.VA(r.sqeBase+idx*ringEntryLen), hdr, ringEntryLen)
-		regs, plen, seq, tenant := decodeRingEntry(hdr)
+		env.Read(r.conn.ServerBuf+hw.VA(r.sqeBase+idx*entryLen), e[:], entryLen)
+		regs, plen, seq, tenant := decodeEntry(&e)
 		if r.svcSeq != nil {
 			r.svcS[idx] = cpu.Clock
 			r.svcSeq[idx] = r.srvSeq
@@ -872,8 +782,8 @@ func (r *AsyncRing) serveDrainMax(env *mk.Env, max int) (int, bool, error) {
 		if tr != nil {
 			tr.FlowStep(cpu.Clock, r.flowID(r.srvSeq), "flow.service", "flow")
 		}
-		env.Write(r.conn.ServerBuf+hw.VA(r.cqeBase+idx*ringEntryLen),
-			encodeRingEntry(out.Regs, out.Len, r.srvSeq, r.tenant), ringEntryLen)
+		env.Write(r.conn.ServerBuf+hw.VA(r.cqeBase+idx*entryLen),
+			encodeEntry(&e, out.Regs, out.Len, r.srvSeq, r.tenant), entryLen)
 		r.sink.Served++
 		n++
 	}

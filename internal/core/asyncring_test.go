@@ -29,6 +29,12 @@ func startRingServer(t *testing.T, sb *SkyBridge, id int, proc *mk.Process, core
 	return rs
 }
 
+// entryBytes encodes one ring entry for tests that write entries by hand.
+func entryBytes(regs [4]uint64, plen int, seq, tenant uint32) []byte {
+	var e [entryLen]byte
+	return encodeEntry(&e, regs, plen, seq, tenant)
+}
+
 // TestAsyncRingEcho: submissions flow through the ring to the echo
 // handler and completions carry the doubled registers and uppercased
 // payloads back, without any per-request crossing.
@@ -268,7 +274,7 @@ func TestAsyncRingCompletionBeforeSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	server.Spawn("evil2", k.Mach.Cores[1], func(env *mk.Env) {
-		env.Write(conn.ServerBuf+hw.VA(ring.cqeBase), encodeRingEntry([4]uint64{2}, 0, 0, 0), ringEntryLen)
+		env.Write(conn.ServerBuf+hw.VA(ring.cqeBase), entryBytes([4]uint64{2}, 0, 0, 0), entryLen)
 		writeCtl(env, conn.ServerBuf, ctlCQTail, 1)
 	})
 	client.Spawn("cli4", k.Mach.Cores[0], func(env *mk.Env) {
@@ -304,13 +310,13 @@ func TestAsyncRingMaliciousCompletionEntries(t *testing.T) {
 		{"bad-seq", func(env *mk.Env, conn *Connection, r *AsyncRing) {
 			// Completion 0 claims to be completion 7: accepting it would
 			// make the client read slot 7 % QD instead of its own.
-			env.Write(conn.ServerBuf+hw.VA(r.cqeBase), encodeRingEntry([4]uint64{1}, 4, 7, 0), ringEntryLen)
+			env.Write(conn.ServerBuf+hw.VA(r.cqeBase), entryBytes([4]uint64{1}, 4, 7, 0), entryLen)
 			writeCtl(env, conn.ServerBuf, ctlCQTail, 1)
 		}},
 		{"bad-len", func(env *mk.Env, conn *Connection, r *AsyncRing) {
 			// Length far beyond the slot: accepting it would read past the
 			// slot (and, for big values, past the shared buffer).
-			env.Write(conn.ServerBuf+hw.VA(r.cqeBase), encodeRingEntry([4]uint64{1}, r.SlotLen+1, 0, 0), ringEntryLen)
+			env.Write(conn.ServerBuf+hw.VA(r.cqeBase), entryBytes([4]uint64{1}, r.SlotLen+1, 0, 0), entryLen)
 			writeCtl(env, conn.ServerBuf, ctlCQTail, 1)
 		}},
 	} {
@@ -390,7 +396,7 @@ func TestAsyncRingMaliciousSubmissionRejected(t *testing.T) {
 			return
 		}
 		env.Write(r.conn.ClientBuf+hw.VA(r.sqeBase),
-			encodeRingEntry([4]uint64{7}, r.conn.BufLen, 0, 0), ringEntryLen)
+			entryBytes([4]uint64{7}, r.conn.BufLen, 0, 0), entryLen)
 		if err := r.Flush(env); err != nil {
 			t.Errorf("flush: %v", err)
 			return
@@ -438,7 +444,12 @@ func TestAsyncRingDoorbellBadKey(t *testing.T) {
 			t.Errorf("open ring: %v", err)
 			return
 		}
-		if err := r.DoorbellWithKey(env, conn.ServerKey+1); !errors.Is(err, ErrBadKey) {
+		// Forge the key the trampoline presents, then restore it.
+		key := conn.ServerKey
+		conn.ServerKey = key + 1
+		err = r.Doorbell(env)
+		conn.ServerKey = key
+		if !errors.Is(err, ErrBadKey) {
 			t.Errorf("forged doorbell = %v, want ErrBadKey", err)
 			return
 		}

@@ -20,9 +20,8 @@ import (
 // on both sides of the switch, so one oversized entry cannot smuggle
 // bytes beyond its slot.
 const (
-	// batchHdrLen is one ring entry: 4 argument/result registers, a
-	// payload length, and padding to a power-of-two stride.
-	batchHdrLen = 48
+	// entryLen is one batch or async-ring entry (encodeEntry).
+	entryLen = 48
 	// MaxBatch bounds the ring so the header area cannot swallow the
 	// payload area of the smallest (4-page) shared buffer.
 	MaxBatch = 32
@@ -45,7 +44,7 @@ type BatchLayout struct {
 }
 
 // HdrOff returns the buffer offset of ring entry i.
-func (l BatchLayout) HdrOff(i int) int { return i * batchHdrLen }
+func (l BatchLayout) HdrOff(i int) int { return i * entryLen }
 
 // PayloadOff returns the buffer offset of request i's payload slot.
 func (l BatchLayout) PayloadOff(i int) int { return l.payBase + i*l.SlotLen }
@@ -76,7 +75,7 @@ func (conn *Connection) Layout(n, cap int) (BatchLayout, error) {
 	if cap < batchSlotMin {
 		cap = batchSlotMin
 	}
-	payBase := (n*batchHdrLen + hw.LineSize - 1) &^ (hw.LineSize - 1)
+	payBase := (n*entryLen + hw.LineSize - 1) &^ (hw.LineSize - 1)
 	slot := (cap + hw.LineSize - 1) &^ (hw.LineSize - 1)
 	if payBase+n*slot > conn.BufLen {
 		return BatchLayout{}, fmt.Errorf("core: shared buffer %d too small for batch of %d x %d-byte slots",
@@ -101,22 +100,29 @@ func batchCap(reqs []Request) int {
 	return cap
 }
 
-// encodeEntry packs regs and a payload length into ring entry b.
-func encodeEntry(b *[batchHdrLen]byte, regs [4]uint64, plen int) []byte {
-	*b = [batchHdrLen]byte{}
+// encodeEntry packs one batch or async-ring entry into b: the 4 argument
+// or result registers, the payload length, the sequence tag and the
+// tenant tag, zero-padded to a 48-byte stride. Batch entries carry zero
+// tags.
+func encodeEntry(b *[entryLen]byte, regs [4]uint64, plen int, seq, tenant uint32) []byte {
+	*b = [entryLen]byte{}
 	for i, r := range regs {
 		binary.LittleEndian.PutUint64(b[8*i:], r)
 	}
 	binary.LittleEndian.PutUint32(b[32:], uint32(plen))
+	binary.LittleEndian.PutUint32(b[36:], seq)
+	binary.LittleEndian.PutUint32(b[40:], tenant)
 	return b[:]
 }
 
-// decodeEntry unpacks one ring entry.
-func decodeEntry(b []byte) (regs [4]uint64, plen int) {
+// decodeEntry unpacks one entry. The length converts through int32 so
+// garbage in the high bit surfaces as a negative (rejectable) length.
+func decodeEntry(b *[entryLen]byte) (regs [4]uint64, plen int, seq, tenant uint32) {
 	for i := range regs {
 		regs[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	return regs, int(binary.LittleEndian.Uint32(b[32:]))
+	return regs, int(int32(binary.LittleEndian.Uint32(b[32:]))),
+		binary.LittleEndian.Uint32(b[36:]), binary.LittleEndian.Uint32(b[40:])
 }
 
 // DirectCallBatch submits reqs to serverID through a single trampoline
@@ -138,7 +144,6 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 		return []Response{resp}, nil
 	}
 
-	cpu := env.T.Core
 	conn, ok := sb.bindings[env.P][serverID]
 	if !ok {
 		return nil, ErrNotRegistered
@@ -147,38 +152,19 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 	if err != nil {
 		return nil, err
 	}
-	srv := conn.Server
-	env.T.Checkpoint()
-	env.Enter()
-
-	tr := cpu.Trace
-	span := tr.Begin(cpu.Clock, "skybridge.batch", "core")
-	t0 := cpu.Clock
-
-	var fid uint64
-	if tr != nil || sb.Calls != nil {
-		fid = obs.FlowBatch | (sb.BatchCalls + 1)
-	}
-	if tr != nil {
-		tr.FlowStart(t0, fid, "flow.batch", "flow")
+	x := crossing{sb: sb, conn: conn}
+	if err := x.enter(env, "skybridge.batch", "flow.batch", obs.FlowBatch, &sb.BatchCalls); err != nil {
+		return nil, err
 	}
 
 	// --- client-side trampoline: stage the ring ---
-	if err := cpu.TouchCode(TrampolineVA, trampEntryLen); err != nil {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return nil, fmt.Errorf("core: trampoline fetch: %w", err)
-	}
-	cpu.Tick(costSaveRegs)
-	clientKey := sb.rng.Uint64()
-	cpu.Tick(6)
-	var hdr [batchHdrLen]byte
+	var e [entryLen]byte
 	for i := range reqs {
 		req := &reqs[i]
 		// Per-request validation, client side: the payload must fit the
 		// request's slot, not just the whole buffer.
 		if req.Len > layout.SlotLen {
-			tr.End(span, cpu.Clock, obs.U("error", 1))
-			return nil, fmt.Errorf("core: batch request %d payload %d exceeds slot %d", i, req.Len, layout.SlotLen)
+			return nil, x.fail(fmt.Errorf("core: batch request %d payload %d exceeds slot %d", i, req.Len, layout.SlotLen))
 		}
 		slotVA := conn.ClientBuf + hw.VA(layout.PayloadOff(i))
 		if req.Len > 0 && req.Buf != slotVA {
@@ -186,67 +172,32 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 			env.Read(req.Buf, data, req.Len)
 			env.Write(slotVA, data, req.Len)
 		}
-		env.Write(conn.ClientBuf+hw.VA(layout.HdrOff(i)), encodeEntry(&hdr, req.Regs, req.Len), batchHdrLen)
+		env.Write(conn.ClientBuf+hw.VA(layout.HdrOff(i)), encodeEntry(&e, req.Regs, req.Len, 0, 0), entryLen)
 	}
 
-	// --- one slot resolve + one EPTP switch for the whole batch ---
-	tc := sb.chain(env)
-	sb.ensureContext(cpu, tc)
-	cpu.FlowID = fid
-	slot, _, err := sb.RK.ResolveSlot(cpu, tc.proc, serverID, tc.stack)
-	if err != nil {
-		cpu.FlowID = 0
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return nil, fmt.Errorf("core: slot resolve for server %d: %w", serverID, err)
-	}
-	tTramp := cpu.Clock
-	if err := cpu.VMFunc(0, slot); err != nil {
-		cpu.FlowID = 0
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return nil, fmt.Errorf("core: vmfunc to server %d (slot %d): %w", serverID, slot, err)
-	}
-	cpu.FlowID = 0
-	sb.afterSwitch(cpu)
-	senv := tc.push(env, slot, srv.Proc)
-	tSwitch := cpu.Clock
-
-	// --- server-side trampoline: key check once per crossing ---
-	cpu.Tick(costInstallStack)
-	var kb [8]byte
-	senv.Read(srv.keyTable+hw.VA(8*conn.slot), kb[:], 8)
-	cpu.Tick(4)
-	if leU64(kb) != conn.ServerKey {
-		srv.Rejected++
-		cpu.Syscall()
-		cpu.Swapgs()
-		cpu.Tick(50)
-		cpu.Swapgs()
-		cpu.Sysret()
-		sb.switchBack(env, tc)
-		tr.End(span, cpu.Clock, obs.U("bad_key", 1))
-		return nil, ErrBadKey
+	// --- one slot resolve + one EPTP switch for the whole batch; the key
+	// check runs once per crossing ---
+	if err := x.switchIn(); err != nil {
+		return nil, err
 	}
 
 	// --- dispatch the ring ---
 	// Per-request handler windows for the attribution records: requests
 	// late in the batch wait (ring-wait) behind earlier handlers, and
 	// early ones wait (reap-delay) for the batch to turn around.
+	cpu, senv, srv := x.cpu, x.senv, conn.Server
 	d0 := cpu.Clock
 	var hs, he [MaxBatch]uint64
 	for i := range reqs {
 		cpu.Tick(costBatchDispatch)
-		if tr != nil {
-			tr.FlowStep(cpu.Clock, fid, "flow.dispatch", "flow")
-		}
-		senv.Read(conn.ServerBuf+hw.VA(layout.HdrOff(i)), hdr[:], batchHdrLen)
-		regs, plen := decodeEntry(hdr[:])
+		x.tr.FlowStep(cpu.Clock, x.fid, "flow.dispatch", "flow")
+		senv.Read(conn.ServerBuf+hw.VA(layout.HdrOff(i)), e[:], entryLen)
+		regs, plen, _, _ := decodeEntry(&e)
 		// Per-request validation, server side: a ring entry rewritten by
 		// a malicious client thread between staging and dispatch must
 		// still confine the payload to its slot.
 		if plen > layout.SlotLen || plen < 0 {
-			sb.switchBack(env, tc)
-			tr.End(span, cpu.Clock, obs.U("error", 1))
-			return nil, fmt.Errorf("core: batch entry %d length %d exceeds slot %d", i, plen, layout.SlotLen)
+			return nil, x.abort(fmt.Errorf("core: batch entry %d length %d exceeds slot %d", i, plen, layout.SlotLen))
 		}
 		srv.Calls++
 		hs[i] = cpu.Clock
@@ -256,52 +207,35 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 			SharedBuf: conn.ServerBuf + hw.VA(layout.PayloadOff(i)),
 		})
 		he[i] = cpu.Clock
-		if resp.Len > layout.SlotLen {
-			sb.switchBack(env, tc)
-			tr.End(span, cpu.Clock, obs.U("error", 1))
-			return nil, fmt.Errorf("core: batch reply %d length %d exceeds slot %d", i, resp.Len, layout.SlotLen)
+		if resp.Len > layout.SlotLen || resp.Len < 0 {
+			return nil, x.abort(fmt.Errorf("core: batch reply %d length %d exceeds slot %d", i, resp.Len, layout.SlotLen))
 		}
-		senv.Write(conn.ServerBuf+hw.VA(layout.HdrOff(i)), encodeEntry(&hdr, resp.Regs, resp.Len), batchHdrLen)
+		senv.Write(conn.ServerBuf+hw.VA(layout.HdrOff(i)), encodeEntry(&e, resp.Regs, resp.Len, 0, 0), entryLen)
 	}
-	tServer := cpu.Clock
 
 	// --- return thunk: one switch back ---
-	if err := cpu.TouchCode(trampReturnVA, trampReturnLen); err != nil {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return nil, fmt.Errorf("core: return thunk fetch: %w", err)
-	}
-	cpu.Tick(costRestoreRegs)
-	sb.switchBack(env, tc)
-
-	echoed := clientKey
-	cpu.Tick(6)
-	if echoed != clientKey {
-		tr.End(span, cpu.Clock, obs.U("error", 1))
-		return nil, ErrReturnKey
+	if err := x.leave(); err != nil {
+		return nil, err
 	}
 
 	// --- client reads the responses out of the ring ---
 	resps := make([]Response, len(reqs))
 	for i := range resps {
-		env.Read(conn.ClientBuf+hw.VA(layout.HdrOff(i)), hdr[:], batchHdrLen)
-		regs, plen := decodeEntry(hdr[:])
+		env.Read(conn.ClientBuf+hw.VA(layout.HdrOff(i)), e[:], entryLen)
+		regs, plen, _, _ := decodeEntry(&e)
 		resps[i] = Response{Regs: regs, Len: plen}
 	}
 	sb.DirectCalls += uint64(len(reqs))
 	sb.BatchCalls++
-	if tr != nil {
-		tr.Complete(t0, tTramp-t0, "phase.trampoline", "core")
-		tr.Complete(tTramp, tSwitch-tTramp, "phase.vmfunc", "core")
-		tr.Complete(tSwitch, tServer-tSwitch, "phase.server", "core")
-		tr.Complete(tServer, cpu.Clock-tServer, "phase.return", "core")
-		tr.FlowEnd(cpu.Clock, fid, "flow.batch", "flow")
-		tr.End(span, cpu.Clock,
+	if x.tr != nil {
+		x.phases()
+		x.tr.End(x.span, cpu.Clock,
 			obs.U("server", uint64(serverID)),
 			obs.U("batch", uint64(len(reqs))),
-			obs.U("trampoline", tTramp-t0),
-			obs.U("vmfunc", tSwitch-tTramp),
-			obs.U("server_cycles", tServer-tSwitch),
-			obs.U("return", cpu.Clock-tServer))
+			obs.U("trampoline", x.tTramp-x.t0),
+			obs.U("vmfunc", x.tSwitch-x.tTramp),
+			obs.U("server_cycles", x.tServer-x.tSwitch),
+			obs.U("return", cpu.Clock-x.tServer))
 	}
 	if o := sb.Calls; o != nil {
 		// One record per request, all sharing the batch's [t0, end) span.
@@ -310,14 +244,14 @@ func (sb *SkyBridge) DirectCallBatch(env *mk.Env, serverID int, reqs []Request) 
 		//   ring_wait = hs[i]-d0               convoy behind earlier handlers
 		//   service   = he[i]-hs[i]
 		//   reap_delay= dEnd-he[i]             done, batch still dispatching
-		end, dEnd := cpu.Clock, tServer
+		end, dEnd := cpu.Clock, x.tServer
 		rec := &sb.rec
 		for i := range reqs {
 			*rec = obs.CallRecord{
-				Flow: fid, Kind: obs.CallBatch, Seq: sb.BatchCalls,
-				Server: serverID, Start: t0, End: end,
+				Flow: x.fid, Kind: obs.CallBatch, Seq: sb.BatchCalls,
+				Server: serverID, Start: x.t0, End: end,
 			}
-			rec.Phases[obs.PhaseCrossing] = (d0 - t0) + (end - dEnd)
+			rec.Phases[obs.PhaseCrossing] = (d0 - x.t0) + (end - dEnd)
 			rec.Phases[obs.PhaseRingWait] = hs[i] - d0
 			rec.Phases[obs.PhaseService] = he[i] - hs[i]
 			rec.Phases[obs.PhaseReapDelay] = dEnd - he[i]

@@ -273,7 +273,7 @@ func (r *AsyncRing) flushDir(env *mk.Env) error {
 		r.flushSeq = r.subSeq
 		return nil
 	}
-	return r.doorbell(env, 0, false)
+	return r.doorbell(env)
 }
 
 // setBit/clearBit repair or retire a tenant's directory bit from the

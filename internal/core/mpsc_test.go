@@ -218,7 +218,7 @@ func TestFrontendForgedTenantRejected(t *testing.T) {
 		}
 		// Rewrite the published entry, claiming the victim's tenant ID.
 		env.Write(r.conn.ClientBuf+hw.VA(r.sqeBase),
-			encodeRingEntry([4]uint64{7}, 0, 0, uint32(victim)), ringEntryLen)
+			entryBytes([4]uint64{7}, 0, 0, uint32(victim)), entryLen)
 		if err := r.Flush(env); err != nil {
 			t.Errorf("flush: %v", err)
 			return
@@ -277,7 +277,12 @@ func TestFrontendWrongKeyDoorbell(t *testing.T) {
 			t.Errorf("submit: %v", err)
 			return
 		}
-		if err := r.DoorbellWithKey(env, stolen); !errors.Is(err, ErrBadKey) {
+		// Present the stolen key on the crossing, then restore our own.
+		own := r.conn.ServerKey
+		r.conn.ServerKey = stolen
+		err := r.Doorbell(env)
+		r.conn.ServerKey = own
+		if !errors.Is(err, ErrBadKey) {
 			t.Errorf("doorbell with stolen key = %v, want ErrBadKey", err)
 		}
 		// The legitimate key still works and the submission completes.

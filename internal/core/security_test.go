@@ -285,15 +285,89 @@ func TestSecStolenKeyFromAnotherConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	thief.Spawn("r", k.Mach.Cores[0], func(env *mk.Env) {
-		if _, err := sb.RegisterClient(env, id); err != nil {
+		conn, err := sb.RegisterClient(env, id)
+		if err != nil {
 			t.Errorf("register: %v", err)
 			return
 		}
-		if _, err := sb.DirectCallWithKey(env, id, Request{}, victimKey); !errors.Is(err, ErrBadKey) {
+		// Present the victim's key on the crossing, then restore our own.
+		own := conn.ServerKey
+		conn.ServerKey = victimKey
+		_, err = sb.DirectCall(env, id, Request{})
+		conn.ServerKey = own
+		if !errors.Is(err, ErrBadKey) {
 			t.Errorf("stolen key accepted: %v", err)
 		}
 	})
 	if err := k.Eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSecReplyLengthBounded: a server's reply length must fit where the
+// client reads the reply back: the shared buffer for a call, the
+// request's slot for a batch. A negative or oversized length fails the
+// crossing, which still switches back to the client, and the next genuine
+// call succeeds.
+func TestSecReplyLengthBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch bool
+		bad   func(conn *Connection) int
+	}{
+		{"sync-negative", false, func(*Connection) int { return -1 }},
+		{"sync-oversized", false, func(c *Connection) int { return c.BufLen + 1 }},
+		{"batch-negative", true, func(*Connection) int { return -1 }},
+		{"batch-oversized", true, func(c *Connection) int {
+			l, _ := c.Layout(2, 0)
+			return l.SlotLen + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, k, _, sb := newWorld(t)
+			core0 := k.Mach.Cores[0]
+			replyLen := 0
+			var id int
+			k.NewProcess("server").Spawn("reg", core0, func(env *mk.Env) {
+				var err error
+				id, err = sb.RegisterServer(env, 8, 0x400100, func(env *mk.Env, req Request) Response {
+					return Response{Regs: [4]uint64{req.Regs[0] + 1}, Len: replyLen}
+				})
+				if err != nil {
+					t.Errorf("register server: %v", err)
+				}
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			call := func(env *mk.Env) error {
+				if tc.batch {
+					_, err := sb.DirectCallBatch(env, id, []Request{{Regs: [4]uint64{1}}, {Regs: [4]uint64{2}}})
+					return err
+				}
+				_, err := sb.DirectCall(env, id, Request{Regs: [4]uint64{1}})
+				return err
+			}
+			k.NewProcess("client").Spawn("cli", core0, func(env *mk.Env) {
+				conn, err := sb.RegisterClient(env, id)
+				if err != nil {
+					t.Errorf("register client: %v", err)
+					return
+				}
+				replyLen = tc.bad(conn)
+				err = call(env)
+				replyLen = 0
+				if err == nil {
+					t.Errorf("reply length %d accepted", tc.bad(conn))
+				}
+				assertNoOpenChain(t, sb)
+				if err := call(env); err != nil {
+					t.Errorf("genuine call after the bad reply: %v", err)
+				}
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

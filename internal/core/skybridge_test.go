@@ -156,31 +156,53 @@ func TestDirectCallPayloadIntegrity(t *testing.T) {
 }
 
 func TestCallingKeyRejected(t *testing.T) {
-	eng, k, _, sb := newWorld(t)
-	server := k.NewProcess("server")
-	client := k.NewProcess("client")
-	id := registerEcho(t, eng, k, sb, server, k.Mach.Cores[0])
+	for _, tc := range []struct {
+		name string
+		call func(sb *SkyBridge, env *mk.Env, id int) error
+	}{
+		{"sync", func(sb *SkyBridge, env *mk.Env, id int) error {
+			_, err := sb.DirectCall(env, id, Request{})
+			return err
+		}},
+		{"batch", func(sb *SkyBridge, env *mk.Env, id int) error {
+			_, err := sb.DirectCallBatch(env, id, []Request{{Regs: [4]uint64{1}}, {Regs: [4]uint64{2}}})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, k, _, sb := newWorld(t)
+			server := k.NewProcess("server")
+			client := k.NewProcess("client")
+			id := registerEcho(t, eng, k, sb, server, k.Mach.Cores[0])
 
-	client.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
-		if _, err := sb.RegisterClient(env, id); err != nil {
-			t.Errorf("register: %v", err)
-			return
-		}
-		_, err := sb.DirectCallWithKey(env, id, Request{}, 0xBADBADBADBAD)
-		if !errors.Is(err, ErrBadKey) {
-			t.Errorf("forged key: err = %v, want ErrBadKey", err)
-		}
-		// The genuine key still works afterwards.
-		if _, err := sb.DirectCall(env, id, Request{}); err != nil {
-			t.Errorf("genuine call after rejection: %v", err)
-		}
-	})
-	if err := k.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	srv, _ := sb.Server(id)
-	if srv.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", srv.Rejected)
+			client.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
+				conn, err := sb.RegisterClient(env, id)
+				if err != nil {
+					t.Errorf("register: %v", err)
+					return
+				}
+				// Forge the key the trampoline presents, then restore it.
+				key := conn.ServerKey
+				conn.ServerKey = 0xBADBADBADBAD
+				err = tc.call(sb, env, id)
+				conn.ServerKey = key
+				if !errors.Is(err, ErrBadKey) {
+					t.Errorf("forged key: err = %v, want ErrBadKey", err)
+				}
+				assertNoOpenChain(t, sb)
+				// The genuine key still works afterwards.
+				if err := tc.call(sb, env, id); err != nil {
+					t.Errorf("genuine call after rejection: %v", err)
+				}
+			})
+			if err := k.Eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			srv, _ := sb.Server(id)
+			if srv.Rejected != 1 {
+				t.Fatalf("Rejected = %d, want 1", srv.Rejected)
+			}
+		})
 	}
 }
 

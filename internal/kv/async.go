@@ -26,14 +26,10 @@ func NewAsyncKV(rings []*svc.AsyncConn) *AsyncKV {
 	return &AsyncKV{Shards: len(rings), Rings: rings}
 }
 
-// SubmitPut enqueues a put (payload: u16 keyLen | key | val) on the
-// owning shard's ring.
+// SubmitPut enqueues a put (payload: PutFrame(key, val)) on the owning
+// shard's ring.
 func (a *AsyncKV) SubmitPut(env *mk.Env, key, val []byte) error {
-	payload := make([]byte, 2+len(key)+len(val))
-	payload[0], payload[1] = byte(len(key)), byte(len(key)>>8)
-	copy(payload[2:], key)
-	copy(payload[2+len(key):], val)
-	return a.submit(env, ShardOf(key, a.Shards), svc.Req{Op: OpPut, Data: payload})
+	return a.submit(env, ShardOf(key, a.Shards), svc.Req{Op: OpPut, Data: PutFrame(key, val)})
 }
 
 // SubmitGet enqueues a get on the owning shard's ring.

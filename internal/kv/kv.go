@@ -8,6 +8,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"skybridge/internal/hw"
@@ -165,22 +166,40 @@ func (s *Store) get(env *mk.Env, key []byte) ([]byte, uint64) {
 	return nil, StatusNotFound
 }
 
-// Handler serves OpPut (Data = u16 keyLen | key | val) and OpGet
+// PutFrame builds an OpPut payload: the key length as a little-endian
+// u16, the key, then the value.
+func PutFrame(key, val []byte) []byte {
+	b := make([]byte, 2+len(key)+len(val))
+	binary.LittleEndian.PutUint16(b, uint16(len(key)))
+	copy(b[2:], key)
+	copy(b[2+len(key):], val)
+	return b
+}
+
+// SplitPut parses an OpPut payload built by PutFrame. ok is false when
+// data is too short to hold its key length or its key.
+func SplitPut(data []byte) (key, val []byte, ok bool) {
+	if len(data) < 2 {
+		return nil, nil, false
+	}
+	klen := int(binary.LittleEndian.Uint16(data))
+	if 2+klen > len(data) {
+		return nil, nil, false
+	}
+	return data[2 : 2+klen], data[2+klen:], true
+}
+
+// Handler serves OpPut (Data = PutFrame(key, val)) and OpGet
 // (Data = key).
 func (s *Store) Handler() svc.Handler {
 	return func(env *mk.Env, req svc.Req) svc.Resp {
 		textTouch(env, s.text, &s.textSeq)
 		switch req.Op {
 		case OpPut:
-			if len(req.Data) < 2 {
+			key, val, ok := SplitPut(req.Data)
+			if !ok {
 				return svc.Resp{Status: StatusBadReq}
 			}
-			klen := int(req.Data[0]) | int(req.Data[1])<<8
-			if 2+klen > len(req.Data) {
-				return svc.Resp{Status: StatusBadReq}
-			}
-			key := req.Data[2 : 2+klen]
-			val := req.Data[2+klen:]
 			return svc.Resp{Status: s.put(env, key, val)}
 		case OpGet:
 			val, status := s.get(env, req.Data)
@@ -271,11 +290,7 @@ func (c *Client) Insert(env *mk.Env, key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	payload := make([]byte, 2+len(key)+len(enc.Data))
-	payload[0], payload[1] = byte(len(key)), byte(len(key)>>8)
-	copy(payload[2:], key)
-	copy(payload[2+len(key):], enc.Data)
-	resp, err := c.KV.Invoke(env, svc.Req{Op: OpPut, Data: payload})
+	resp, err := c.KV.Invoke(env, svc.Req{Op: OpPut, Data: PutFrame(key, enc.Data)})
 	if err != nil {
 		return err
 	}

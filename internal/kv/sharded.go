@@ -23,21 +23,17 @@ func ShardOf(key []byte, n int) int {
 	return int(fnv1a(key) % uint64(n))
 }
 
-// PickReq routes a store request (OpPut: u16 keyLen | key | val; OpGet:
-// key) to its shard by key hash. Malformed requests route to shard 0,
-// whose handler rejects them.
+// PickReq routes a store request (OpPut: PutFrame(key, val); OpGet: key)
+// to its shard by key hash. Malformed requests route to shard 0, whose
+// handler rejects them.
 func PickReq(n int) func(req svc.Req) int {
 	return func(req svc.Req) int {
 		key := req.Data
 		if req.Op == OpPut {
-			if len(req.Data) < 2 {
+			var ok bool
+			if key, _, ok = SplitPut(req.Data); !ok {
 				return 0
 			}
-			klen := int(req.Data[0]) | int(req.Data[1])<<8
-			if 2+klen > len(req.Data) {
-				return 0
-			}
-			key = req.Data[2 : 2+klen]
 		}
 		return ShardOf(key, n)
 	}
@@ -127,11 +123,7 @@ func (c *ShardedClient) InsertBatch(env *mk.Env, keys, vals [][]byte) error {
 	}
 	putReqs := make([]svc.Req, len(keys))
 	for i, key := range keys {
-		payload := make([]byte, 2+len(key)+len(encResps[i].Data))
-		payload[0], payload[1] = byte(len(key)), byte(len(key)>>8)
-		copy(payload[2:], key)
-		copy(payload[2+len(key):], encResps[i].Data)
-		putReqs[i] = svc.Req{Op: OpPut, Data: payload}
+		putReqs[i] = svc.Req{Op: OpPut, Data: PutFrame(key, encResps[i].Data)}
 	}
 	putResps, err := c.KV.InvokeBatch(env, putReqs)
 	if err != nil {

@@ -35,10 +35,8 @@ func TenantGuard(h svc.Handler) func(env *mk.Env, tenant int, req svc.Req) svc.R
 		var key []byte
 		switch req.Op {
 		case OpPut:
-			if len(req.Data) >= 2 {
-				if klen := int(req.Data[0]) | int(req.Data[1])<<8; 2+klen <= len(req.Data) {
-					key = req.Data[2 : 2+klen]
-				}
+			if k, _, ok := SplitPut(req.Data); ok {
+				key = k
 			}
 		case OpGet:
 			key = req.Data

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"testing"
 
 	"skybridge/internal/hw"
@@ -9,13 +10,28 @@ import (
 	"skybridge/internal/svc"
 )
 
-// putFrame builds an OpPut payload (u16 keyLen | key | val).
-func putFrame(key, val string) []byte {
-	b := make([]byte, 2+len(key)+len(val))
-	b[0], b[1] = byte(len(key)), byte(len(key)>>8)
-	copy(b[2:], key)
-	copy(b[2+len(key):], val)
-	return b
+// putFrame builds an OpPut payload from strings.
+func putFrame(key, val string) []byte { return PutFrame([]byte(key), []byte(val)) }
+
+// TestPutFrameSplit: a put frame is the key length as a little-endian
+// u16, the key, then the value; SplitPut inverts it and refuses frames
+// too short for their key.
+func TestPutFrameSplit(t *testing.T) {
+	key := bytes.Repeat([]byte("k"), 300)
+	frame := PutFrame(key, []byte("val"))
+	want := append(append([]byte{44, 1}, key...), "val"...)
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("PutFrame = %q, want %q", frame, want)
+	}
+	k, v, ok := SplitPut(frame)
+	if !ok || !bytes.Equal(k, key) || string(v) != "val" {
+		t.Errorf("SplitPut = %q, %q, %v", k, v, ok)
+	}
+	for _, bad := range [][]byte{nil, {1}, {4, 0, 'a', 'b', 'c'}} {
+		if _, _, ok := SplitPut(bad); ok {
+			t.Errorf("SplitPut(%v) accepted a short frame", bad)
+		}
+	}
 }
 
 // TestTenantGuard: the guarded handler confines each tenant to its own

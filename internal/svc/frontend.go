@@ -39,34 +39,7 @@ func NewFrontend(sb *core.SkyBridge, env *mk.Env, maxConns int, cfg core.Fronten
 	if err != nil {
 		return nil, err
 	}
-	// Same free-list discipline as RegisterSkyBridgeServer: the drain runs
-	// on one poll thread but handlers can nest at park points, so each
-	// in-flight request owns its buffer from pop to push.
-	var bufs [][]byte
-	fe, err := sb.NewFrontend(id, cfg, func(env *mk.Env, tenant int, dreq core.Request) core.Response {
-		req := Req{Op: dreq.Regs[0], Args: [3]uint64{dreq.Regs[1], dreq.Regs[2], dreq.Regs[3]}}
-		var buf []byte
-		if dreq.Len > 0 {
-			if n := len(bufs); n > 0 {
-				buf, bufs = bufs[n-1], bufs[:n-1]
-			}
-			if cap(buf) < dreq.Len {
-				buf = make([]byte, dreq.Len)
-			}
-			req.Data = buf[:dreq.Len]
-			env.Read(dreq.SharedBuf, req.Data, dreq.Len)
-		}
-		resp := handler(env, tenant, req)
-		out := core.Response{Regs: [4]uint64{resp.Status, resp.Vals[0], resp.Vals[1], resp.Vals[2]}}
-		if len(resp.Data) > 0 {
-			env.Write(dreq.SharedBuf, resp.Data, len(resp.Data))
-			out.Len = len(resp.Data)
-		}
-		if buf != nil {
-			bufs = append(bufs, buf)
-		}
-		return out
-	})
+	fe, err := sb.NewFrontend(id, cfg, coreHandler(handler))
 	if err != nil {
 		return nil, err
 	}

@@ -179,14 +179,24 @@ type sbConn struct {
 // RegisterSkyBridgeServer registers handler as a SkyBridge server on env's
 // process and returns the server ID.
 func RegisterSkyBridgeServer(sb *core.SkyBridge, env *mk.Env, maxConns int, handler Handler) (int, error) {
-	// Direct server calls execute on the *calling* thread, so several
-	// simulated threads can be inside this wrapper at once (interleaved at
-	// park points). Request buffers therefore come from a free list: each
-	// in-flight call owns its buffer exclusively from pop to push, and the
-	// push happens only after the reply payload has been written out
-	// (handlers do not retain req.Data; see Handler).
-	var bufs [][]byte
+	serve := coreHandler(func(env *mk.Env, _ int, req Req) Resp { return handler(env, req) })
 	return sb.RegisterServer(env, maxConns, 0, func(env *mk.Env, dreq core.Request) core.Response {
+		return serve(env, 0, dreq)
+	})
+}
+
+// coreHandler adapts a service handler to core's register form: it reads
+// the request payload out of the shared buffer or ring slot, runs h, and
+// writes the reply payload back in its place. Direct server calls execute
+// on the *calling* thread, and a frontend's handlers can nest at park
+// points too, so several simulated threads can be inside one adaptor at
+// once. Request buffers therefore come from a free list: each in-flight
+// request owns its buffer exclusively from pop to push, and the push
+// happens only after the reply payload has been written out (handlers do
+// not retain req.Data; see Handler).
+func coreHandler(h TenantHandler) core.TenantHandler {
+	var bufs [][]byte
+	return func(env *mk.Env, tenant int, dreq core.Request) core.Response {
 		req := Req{Op: dreq.Regs[0], Args: [3]uint64{dreq.Regs[1], dreq.Regs[2], dreq.Regs[3]}}
 		var buf []byte
 		if dreq.Len > 0 {
@@ -199,7 +209,7 @@ func RegisterSkyBridgeServer(sb *core.SkyBridge, env *mk.Env, maxConns int, hand
 			req.Data = buf[:dreq.Len]
 			env.Read(dreq.SharedBuf, req.Data, dreq.Len)
 		}
-		resp := handler(env, req)
+		resp := h(env, tenant, req)
 		out := core.Response{Regs: [4]uint64{resp.Status, resp.Vals[0], resp.Vals[1], resp.Vals[2]}}
 		if len(resp.Data) > 0 {
 			env.Write(dreq.SharedBuf, resp.Data, len(resp.Data))
@@ -209,7 +219,7 @@ func RegisterSkyBridgeServer(sb *core.SkyBridge, env *mk.Env, maxConns int, hand
 			bufs = append(bufs, buf)
 		}
 		return out
-	})
+	}
 }
 
 // NewSkyBridge registers the calling client to serverID and returns a Conn
