@@ -19,7 +19,7 @@ import (
 // (Baseline vs Delay vs IPC over 512 KV-store operations).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := bench.Table1()
+		r := bench.NewSession(nil).Table1()
 		ipc := r.Rows[2]
 		b.ReportMetric(float64(ipc.DTLBMisses), "ipc-dtlb-misses")
 		b.ReportMetric(float64(ipc.ICacheMisses), "ipc-icache-misses")
@@ -29,7 +29,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the instruction/operation latency table.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := bench.Table2()
+		r := bench.NewSession(nil).Table2()
 		for _, row := range r.Rows {
 			if row.Name == "VMFUNC" {
 				b.ReportMetric(float64(row.Cycles), "vmfunc-cycles")
@@ -42,7 +42,7 @@ func BenchmarkTable2(b *testing.B) {
 // transports x four payload sizes).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := bench.Figure2(128)
+		r := bench.NewSession(nil).Figure2(128)
 		b.ReportMetric(float64(r.Cycles[bench.TransportIPC][0]), "ipc-16B-cycles/op")
 	}
 }
@@ -51,7 +51,7 @@ func BenchmarkFigure2(b *testing.B) {
 // kernels plus SkyBridge.
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := bench.Figure7()
+		r := bench.NewSession(nil).Figure7()
 		for _, row := range r.Rows {
 			if row.Name == "seL4-SkyBridge" {
 				b.ReportMetric(float64(row.Total), "skybridge-cycles/rt")
@@ -66,7 +66,7 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 regenerates the KV-store series including SkyBridge.
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := bench.Figure8(128)
+		r := bench.NewSession(nil).Figure8(128)
 		b.ReportMetric(float64(r.Cycles[bench.TransportSkyBridge][0]), "skybridge-16B-cycles/op")
 	}
 }
@@ -74,7 +74,7 @@ func BenchmarkFigure8(b *testing.B) {
 // benchTable4 runs one kernel flavor's Table 4 block.
 func benchTable4(b *testing.B, flavor mk.Flavor) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Table4(bench.Table4Config{Flavor: flavor, Clients: 2, OpsPerKind: 15, Preload: 60})
+		r, err := bench.NewSession(nil).Table4(bench.Table4Config{Flavor: flavor, Clients: 2, OpsPerKind: 15, Preload: 60})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkTable4Zircon(b *testing.B) { benchTable4(b, mk.Zircon) }
 // benchYCSB runs one kernel flavor's YCSB-A scalability figure.
 func benchYCSB(b *testing.B, flavor mk.Flavor) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Figure9to11(bench.YCSBConfig{Flavor: flavor, Threads: []int{1, 4}, Records: 200, Ops: 30})
+		r, err := bench.NewSession(nil).Figure9to11(bench.YCSBConfig{Flavor: flavor, Threads: []int{1, 4}, Records: 200, Ops: 30})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkFigure11(b *testing.B) { benchYCSB(b, mk.Zircon) }
 // BenchmarkTable5 regenerates the virtualization-overhead table.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Table5(200, 30)
+		r, err := bench.NewSession(nil).Table5(200, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkTable5(b *testing.B) {
 // of the paper's code volume here; cmd/skybench -scale 1 for full size).
 func BenchmarkTable6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.Table6(64)
+		r, err := bench.NewSession(nil).Table6(64)
 		if err != nil {
 			b.Fatal(err)
 		}

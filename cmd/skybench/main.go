@@ -10,8 +10,8 @@
 //
 // Experiments: table1 table2 table4 table5 table6 fig2 fig7 fig8 fig9
 // fig10 fig11 ablations scaling async dbscale tenants skew (-list prints
-// them with one-line descriptions). Paper-scale knobs: -records, -ops,
-// -kvops, -clients, -scale, -tenants.
+// them with one-line descriptions). Paper-scale knobs, each at least 1:
+// -records, -ops, -kvops, -clients, -opskind, -preload, -scale, -tenants.
 //
 // -benchout <kind>=<path> runs a standalone benchmark and writes its JSON
 // document. Repeatable. The kinds are host (the wall-clock of each
@@ -96,16 +96,44 @@ func selectExperiments(runList string) (map[string]bool, error) {
 	return sel, nil
 }
 
+// knob is one paper-scale flag, bound to a field of bench.Options.
+type knob struct {
+	name  string
+	p     *int
+	usage string
+}
+
+// knobs returns the paper-scale flags bound to o's fields.
+func knobs(o *bench.Options) []knob {
+	return []knob{
+		{"records", &o.Records, "YCSB records per client (paper: 10000)"},
+		{"ops", &o.Ops, "YCSB operations per client thread"},
+		{"kvops", &o.KVOps, "KV-store operations per configuration"},
+		{"clients", &o.Clients, "SQLite clients (Table 4)"},
+		{"opskind", &o.OpsPerKind, "SQLite ops per kind per client (Table 4)"},
+		{"preload", &o.Preload, "SQLite preloaded rows per client (Table 4)"},
+		{"scale", &o.Scale, "Table 6 corpus scale divisor (1 = paper scale)"},
+		{"tenants", &o.Tenants, "multi-tenant sweep population ceiling (clips the 64/256/1024 ladder)"},
+	}
+}
+
+// checkKnobs rejects the first paper-scale knob below 1. Each counts
+// records, operations, clients or tenants, or divides Table 6's corpus;
+// below 1 the experiments hang, panic, or quietly run a default instead.
+func checkKnobs(o bench.Options) error {
+	for _, k := range knobs(&o) {
+		if *k.p < 1 {
+			return fmt.Errorf("-%s %d: must be at least 1", k.name, *k.p)
+		}
+	}
+	return nil
+}
+
 func main() {
 	opts := bench.DefaultOptions
-	flag.IntVar(&opts.Records, "records", opts.Records, "YCSB records per client (paper: 10000)")
-	flag.IntVar(&opts.Ops, "ops", opts.Ops, "YCSB operations per client thread")
-	flag.IntVar(&opts.KVOps, "kvops", opts.KVOps, "KV-store operations per configuration")
-	flag.IntVar(&opts.Clients, "clients", opts.Clients, "SQLite clients (Table 4)")
-	flag.IntVar(&opts.OpsPerKind, "opskind", opts.OpsPerKind, "SQLite ops per kind per client (Table 4)")
-	flag.IntVar(&opts.Preload, "preload", opts.Preload, "SQLite preloaded rows per client (Table 4)")
-	flag.IntVar(&opts.Scale, "scale", opts.Scale, "Table 6 corpus scale divisor (1 = paper scale)")
-	flag.IntVar(&opts.Tenants, "tenants", opts.Tenants, "multi-tenant sweep population ceiling (clips the 64/256/1024 ladder)")
+	for _, k := range knobs(&opts) {
+		flag.IntVar(k.p, k.name, *k.p, k.usage)
+	}
 	var (
 		list    = flag.Bool("list", false, "print the experiment names, one per line, and exit")
 		runList = flag.String("run", "all", "comma-separated experiments (or 'all')")
@@ -129,6 +157,12 @@ func main() {
 			fmt.Printf("%-10s %s\n", u.Name, u.Desc)
 		}
 		return
+	}
+
+	if err := checkKnobs(opts); err != nil {
+		fmt.Fprintln(os.Stderr, "skybench:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	bench.SetJobs(*jobs)

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"skybridge/internal/bench"
@@ -161,5 +164,34 @@ func TestRunHostBench(t *testing.T) {
 	}
 	if res.ParallelSec <= 0 || res.Jobs != 2 {
 		t.Errorf("parallel_sec = %v on %v jobs, want a positive time on 2", res.ParallelSec, res.Jobs)
+	}
+}
+
+// TestCheckKnobs: every paper-scale flag set to 0 or -1 is rejected with
+// its name and value (below 1 they hang, panic, or silently run a default
+// instead); skybench's defaults and CI's small knobs are accepted.
+func TestCheckKnobs(t *testing.T) {
+	for _, name := range []string{"records", "ops", "kvops", "clients", "opskind", "preload", "scale", "tenants"} {
+		for _, v := range []string{"0", "-1"} {
+			o := bench.DefaultOptions
+			fs := flag.NewFlagSet("skybench", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			for _, k := range knobs(&o) {
+				fs.IntVar(k.p, k.name, *k.p, k.usage)
+			}
+			if err := fs.Parse([]string{"-" + name, v}); err != nil {
+				t.Fatalf("-%s %s: %v", name, v, err)
+			}
+			err := checkKnobs(o)
+			if want := "-" + name + " " + v; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("-%s %s: checkKnobs = %v, want an error naming %q", name, v, err, want)
+			}
+		}
+	}
+	ci := bench.Options{Records: 200, Ops: 20, KVOps: 192, Clients: 2, OpsPerKind: 8, Preload: 50, Scale: 8, Tenants: 64}
+	for _, o := range []bench.Options{bench.DefaultOptions, ci} {
+		if err := checkKnobs(o); err != nil {
+			t.Errorf("checkKnobs(%+v) = %v, want nil", o, err)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 func main() {
 	const ops = 256
+	s := bench.NewSession(nil)
 	fmt.Println("KV pipeline: 50% insert / 50% query, per-op latency in simulated cycles")
 	fmt.Printf("%-14s", "transport")
 	for _, size := range bench.KVSizes {
@@ -23,8 +24,7 @@ func main() {
 	} {
 		fmt.Printf("%-14s", tr)
 		for _, size := range bench.KVSizes {
-			s := bench.RunKV(tr, size, ops)
-			fmt.Printf(" %12d", s.AvgCycles)
+			fmt.Printf(" %12d", s.RunKV(tr, size, ops).AvgCycles)
 		}
 		fmt.Println()
 	}

@@ -53,12 +53,10 @@ func AblationEPTClone() *AblationResult {
 	shallowPages := copied + 1
 
 	deep := base.CloneDeep()
-	before := deep.OwnedPages
 	if _, err := deep.RemapGPA(cr3, target, hw.EPTRead|hw.EPTWrite); err != nil {
 		panic(err)
 	}
 	deepPages := deep.OwnedPages // all pages were copied up front
-	_ = before
 
 	return &AblationResult{
 		Name: "EPT clone: shallow vs deep",
@@ -86,9 +84,7 @@ func AblationHugepageEPT() []*AblationResult {
 				env.Write(buf+hw.VA(i*hw.PageSize), nil, 64)
 			}
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
+		w.mustRun()
 		walkReads = w.K.Mach.Cores[0].Counters.EPTWalkReads
 		return
 	}
@@ -133,9 +129,7 @@ func AblationExitless() *AblationResult {
 			}
 			cycles = cpu.Clock - start
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
+		w.mustRun()
 		return cycles, w.K.Mach.TotalVMExits()
 	}
 	exitlessCycles, exitlessExits := run(false)
@@ -154,25 +148,10 @@ func AblationExitless() *AblationResult {
 func AblationKeyCheck() *AblationResult {
 	measure := func(kernelCheck bool) uint64 {
 		w := MustWorld(WorldConfig{Flavor: mk.SeL4, SkyBridge: true})
-		server := w.K.NewProcess("server")
-		client := w.K.NewProcess("client")
-		var id int
-		server.Spawn("reg", w.K.Mach.Cores[0], func(env *mk.Env) {
-			id, _ = svc.RegisterSkyBridgeServer(w.SB, env, 4, func(env *mk.Env, req svc.Req) svc.Resp {
-				return svc.Resp{}
-			})
-		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
 		var cycles uint64
-		client.Spawn("cli", w.K.Mach.Cores[0], func(env *mk.Env) {
-			conn, err := svc.NewSkyBridge(w.SB, env, id)
-			if err != nil {
-				panic(err)
-			}
+		skyPair(w, nullServer, func(env *mk.Env, _ int, conn svc.Conn) {
 			cpu := env.T.Core
-			call := func() {
+			cycles = timeRounds(env, 32, 256, nil, func() {
 				if kernelCheck {
 					// A kernel-mediated check adds a syscall round trip
 					// per call.
@@ -183,20 +162,8 @@ func AblationKeyCheck() *AblationResult {
 					cpu.Sysret()
 				}
 				conn.Invoke(env, svc.Req{})
-			}
-			for i := 0; i < 32; i++ {
-				call()
-			}
-			const rounds = 256
-			start := env.Now()
-			for i := 0; i < rounds; i++ {
-				call()
-			}
-			cycles = (env.Now() - start) / rounds
+			})
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
 		return cycles
 	}
 	return &AblationResult{
@@ -211,52 +178,30 @@ func AblationKeyCheck() *AblationResult {
 // AblationVPID compares VPID-tagged EPTP switching (no TLB flush) against
 // flush-on-switch hardware (DESIGN.md ablation 5).
 func AblationVPID() *AblationResult {
+	// touch reads one word from each of the 16 pages at buf: a small
+	// working set, so lost TLB entries matter.
+	touch := func(env *mk.Env, buf hw.VA) {
+		for i := 0; i < 16; i++ {
+			env.Read(buf+hw.VA(i*hw.PageSize), nil, 8)
+		}
+	}
 	measure := func(flush bool) uint64 {
 		w := MustWorld(WorldConfig{Flavor: mk.SeL4, SkyBridge: true})
 		w.SB.FlushTLBOnSwitch = flush
-		server := w.K.NewProcess("server")
-		client := w.K.NewProcess("client")
-		var id int
-		var srvBuf hw.VA
-		server.Spawn("reg", w.K.Mach.Cores[0], func(env *mk.Env) {
-			srvBuf = server.Alloc(16 * hw.PageSize)
-			id, _ = svc.RegisterSkyBridgeServer(w.SB, env, 4, func(env *mk.Env, req svc.Req) svc.Resp {
-				// Touch a small working set so lost TLB entries matter.
-				for i := 0; i < 16; i++ {
-					env.Read(srvBuf+hw.VA(i*hw.PageSize), nil, 8)
-				}
+		var cycles uint64
+		skyPair(w, func(env *mk.Env) svc.Handler {
+			srvBuf := env.P.Alloc(16 * hw.PageSize)
+			return func(env *mk.Env, req svc.Req) svc.Resp {
+				touch(env, srvBuf)
 				return svc.Resp{}
+			}
+		}, func(env *mk.Env, _ int, conn svc.Conn) {
+			cliBuf := env.P.Alloc(16 * hw.PageSize)
+			cycles = timeRounds(env, 32, 128, nil, func() {
+				touch(env, cliBuf)
+				conn.Invoke(env, svc.Req{})
 			})
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
-		var cycles uint64
-		client.Spawn("cli", w.K.Mach.Cores[0], func(env *mk.Env) {
-			conn, err := svc.NewSkyBridge(w.SB, env, id)
-			if err != nil {
-				panic(err)
-			}
-			cliBuf := client.Alloc(16 * hw.PageSize)
-			work := func() {
-				for i := 0; i < 16; i++ {
-					env.Read(cliBuf+hw.VA(i*hw.PageSize), nil, 8)
-				}
-				conn.Invoke(env, svc.Req{})
-			}
-			for i := 0; i < 32; i++ {
-				work()
-			}
-			const rounds = 128
-			start := env.Now()
-			for i := 0; i < rounds; i++ {
-				work()
-			}
-			cycles = (env.Now() - start) / rounds
-		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
 		return cycles
 	}
 	return &AblationResult{
@@ -271,16 +216,20 @@ func AblationVPID() *AblationResult {
 // AblationResults is the ablation suite's outcome, one comparison each.
 type AblationResults []*AblationResult
 
-// Ablations runs all design-choice ablations.
-func Ablations() AblationResults {
-	var out AblationResults
-	out = append(out, AblationEPTClone())
-	out = append(out, AblationHugepageEPT()...)
-	out = append(out, AblationExitless())
-	out = append(out, AblationKeyCheck())
-	out = append(out, AblationVPID())
-	out = append(out, AblationTempMapping())
-	return out
+// Ablations runs all design-choice ablations, recording each comparison.
+func (s *Session) Ablations() AblationResults {
+	var rs AblationResults
+	rs = append(rs, AblationEPTClone())
+	rs = append(rs, AblationHugepageEPT()...)
+	rs = append(rs, AblationExitless(), AblationKeyCheck(), AblationVPID(), AblationTempMapping())
+	for _, r := range rs {
+		s.record(Record{
+			Experiment: "ablation",
+			Config:     map[string]string{"name": r.Name, "unit": r.Unit},
+			Values:     map[string]float64{r.ArmA: r.ValueA, r.ArmB: r.ValueB},
+		})
+	}
+	return rs
 }
 
 // Render formats the ablation summary.
@@ -300,35 +249,15 @@ func AblationTempMapping() *AblationResult {
 	run := func(tempMap bool) uint64 {
 		w := MustWorld(WorldConfig{Flavor: mk.SeL4})
 		w.K.Cfg.TempMapping = tempMap
-		client := w.K.NewProcess("client")
-		server := w.K.NewProcess("server")
-		ep := w.K.NewEndpoint("e")
-		client.Grant(ep)
-		srvBuf := server.Alloc(4 * hw.PageSize)
-		server.Spawn("srv", w.K.Mach.Cores[0], func(env *mk.Env) {
-			w.K.Serve(env, ep, srvBuf, func(env *mk.Env, req mk.Msg) mk.Msg {
-				return mk.Msg{Buf: srvBuf, Len: req.Len}
-			})
-		})
 		const payload = 12288
 		var cycles uint64
-		cliBuf := client.Alloc(4 * hw.PageSize)
-		cliReply := client.Alloc(4 * hw.PageSize)
-		client.Spawn("cli", w.K.Mach.Cores[0], func(env *mk.Env) {
-			for i := 0; i < 8; i++ {
+		ipcPair(w, w.K.Mach.Cores[0], 4, func(env *mk.Env, ep *mk.Endpoint) {
+			cliBuf := env.P.Alloc(4 * hw.PageSize)
+			cliReply := env.P.Alloc(4 * hw.PageSize)
+			cycles = timeRounds(env, 8, 32, nil, func() {
 				env.Call(ep, mk.Msg{Buf: cliBuf, Len: payload}, cliReply)
-			}
-			start := env.Now()
-			const rounds = 32
-			for i := 0; i < rounds; i++ {
-				env.Call(ep, mk.Msg{Buf: cliBuf, Len: payload}, cliReply)
-			}
-			cycles = (env.Now() - start) / rounds
-			ep.Close()
+			})
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
 		return cycles
 	}
 	return &AblationResult{

@@ -9,7 +9,8 @@ import (
 // rank weight with largest-remainder rounding: slot 0 is the hog and
 // the tail stays warm at a one-op floor. Ties break on slot ID and an
 // over-assignment from the floor comes off the head slots, so the
-// split is deterministic and always sums to total (when total >= n).
+// split is deterministic and sums to total when total >= n. With
+// total < n every slot keeps its one-op floor, and the split sums to n.
 // Shared by the tenants sweep (per-tenant op counts) and the skew
 // sweep (per-client op counts in the low-load trough cells).
 func zipfApportion(total, n int, theta float64) []int {
@@ -40,10 +41,16 @@ func zipfApportion(total, n int, theta float64) []int {
 		ops[order[i]]++
 		assigned++
 	}
-	for t := 0; assigned > total && t < n; t = (t + 1) % n {
-		if ops[t] > 1 {
-			ops[t]--
-			assigned--
+	// Shed one op a slot per pass from the head, until a pass frees
+	// nothing: then every slot sits at the floor.
+	for freed := true; assigned > total && freed; {
+		freed = false
+		for t := 0; t < n && assigned > total; t++ {
+			if ops[t] > 1 {
+				ops[t]--
+				assigned--
+				freed = true
+			}
 		}
 	}
 	return ops

@@ -27,61 +27,24 @@ type KVStats struct {
 	DTLBMisses   uint64
 }
 
-// KVPlacement parameterizes the machine width and thread placement of
-// the KV pipeline. The zero value reproduces the paper's testbed: a
-// 4-core machine with the client (and same-core servers) on core 0, and
-// the cross-core configuration pinning the two servers to the next two
-// cores after the client (the paper pins client and servers to three
-// distinct cores).
-type KVPlacement struct {
-	// Cores is the machine width (0 = the default 4).
-	Cores int
-	// ClientCore is the logical core index the client thread runs on;
-	// servers place relative to it through mk.Placement.
-	ClientCore int
-}
-
-// serverCores returns the cores for the encryption and KV servers given
-// the transport: the client's own core for same-core transports, the two
-// cores after the client for the pinned cross-core configuration. This
-// is the one place the encCore/kvCore choice lives.
-func (p KVPlacement) serverCores(k *mk.Kernel, tr Transport) (encCore, kvCore *hw.CPU) {
-	pl := k.Placement()
-	if tr == TransportIPCCross {
-		return pl.Core(p.ClientCore + 1), pl.Core(p.ClientCore + 2)
-	}
-	return pl.Core(p.ClientCore), pl.Core(p.ClientCore)
-}
-
 // RunKV runs the Figure 1 pipeline in the given configuration: ops
 // operations (50% insert, 50% query) with the given key/value length,
 // returning per-op latency and the hardware counters of the measurement
-// window.
-func RunKV(tr Transport, size, ops int) *KVStats {
-	return NewSession(nil).RunKV(tr, size, ops)
-}
-
-// RunKV is the session form: each operation's latency feeds a histogram
-// named "kv/<transport>/<size>" and the run emits one Record. The
-// default placement reproduces the paper's testbed (see KVPlacement).
+// window. Each operation's latency feeds a histogram named
+// "kv/<transport>/<size>" and the run emits one Record. The placement is
+// the paper's testbed: a 4-core machine with the client (and same-core
+// servers) on core 0, and the cross-core configuration pinning the two
+// servers to cores 1 and 2 (the paper pins client and servers to three
+// distinct cores).
 func (s *Session) RunKV(tr Transport, size, ops int) *KVStats {
-	return s.RunKVPlaced(tr, size, ops, KVPlacement{})
-}
-
-// RunKVPlaced is RunKV with explicit machine width and core placement.
-func (s *Session) RunKVPlaced(tr Transport, size, ops int, place KVPlacement) *KVStats {
-	cfg := WorldConfig{Flavor: mk.SeL4, Cores: place.Cores}
-	if cfg.Cores == 0 {
-		cfg.Cores = 4
-	}
-	if tr == TransportSkyBridge {
-		cfg.SkyBridge = true
-	}
 	label := fmt.Sprintf("kv/%s/%d", tr, size)
-	w := s.world(label, cfg)
+	w := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: 4, SkyBridge: tr == TransportSkyBridge})
 	h := s.hist(label)
 	k := w.K
-	clientCore := k.Placement().Core(place.ClientCore)
+	encCore, kvCore := k.Mach.Cores[0], k.Mach.Cores[0]
+	if tr == TransportIPCCross {
+		encCore, kvCore = k.Mach.Cores[1], k.Mach.Cores[2]
+	}
 
 	stats := &KVStats{Transport: tr, Size: size}
 	slotSize := 4 + 2*1024 + 128
@@ -120,7 +83,6 @@ func (s *Session) RunKVPlaced(tr Transport, size, ops int, place KVPlacement) *K
 		crypto := kv.NewCrypto(encP)
 		encEP := k.NewEndpoint("enc")
 		kvEP := k.NewEndpoint("kv")
-		encCore, kvCore := place.serverCores(k, tr)
 		encP.Spawn("srv", encCore, func(env *mk.Env) { svc.ServeIPC(env, encEP, crypto.Handler()) })
 		kvP.Spawn("srv", kvCore, func(env *mk.Env) { svc.ServeIPC(env, kvEP, store.Handler()) })
 		closers = append(closers, encEP.Close, kvEP.Close)
@@ -134,16 +96,13 @@ func (s *Session) RunKVPlaced(tr Transport, size, ops int, place KVPlacement) *K
 		store := kv.NewStore(kvP, nslots, slotSize)
 		crypto := kv.NewCrypto(encP)
 		var encID, kvID int
-		encCore, kvCore := place.serverCores(k, tr)
 		encP.Spawn("reg", encCore, func(env *mk.Env) {
 			encID, _ = svc.RegisterSkyBridgeServer(w.SB, env, 8, crypto.Handler())
 		})
 		kvP.Spawn("reg", kvCore, func(env *mk.Env) {
 			kvID, _ = svc.RegisterSkyBridgeServer(w.SB, env, 8, store.Handler())
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
+		w.mustRun()
 		encConn = func(env *mk.Env) svc.Conn {
 			c, err := svc.NewSkyBridge(w.SB, env, encID)
 			if err != nil {
@@ -163,7 +122,7 @@ func (s *Session) RunKVPlaced(tr Transport, size, ops int, place KVPlacement) *K
 	if clientText == 0 {
 		clientText = client.Alloc(24 << 10)
 	}
-	client.Spawn("cli", clientCore, func(env *mk.Env) {
+	client.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
 		c := &kv.Client{Enc: encConn(env), KV: kvConn(env), Text: clientText, TextLen: 24 << 10}
 		rng := rand.New(rand.NewSource(17))
 		key := func(i int) []byte {
@@ -216,9 +175,7 @@ func (s *Session) RunKVPlaced(tr Transport, size, ops int, place KVPlacement) *K
 			c()
 		}
 	})
-	if err := w.Eng.Run(); err != nil {
-		panic(err)
-	}
+	w.mustRun()
 	s.record(Record{
 		Experiment: "kv",
 		Config: map[string]string{
@@ -249,9 +206,6 @@ type Table1Result struct {
 
 // Table1 runs 512 KV operations under Baseline, Delay, and IPC and
 // reports the processor-structure events.
-func Table1() *Table1Result { return NewSession(nil).Table1() }
-
-// Table1 is the session form.
 func (s *Session) Table1() *Table1Result {
 	res := &Table1Result{}
 	for _, tr := range []Transport{TransportBaseline, TransportDelay, TransportIPC} {
@@ -297,16 +251,10 @@ var figure2Paper = map[Transport][]uint64{
 }
 
 // Figure2 measures the KV pipeline latency across payload sizes for the
-// four non-SkyBridge transports (Figure 2); Figure8 adds SkyBridge.
-func Figure2(ops int) *Figure2Result { return NewSession(nil).Figure2(ops) }
-
-// Figure8 is Figure 2 plus the SkyBridge series.
-func Figure8(ops int) *Figure2Result { return NewSession(nil).Figure8(ops) }
-
-// Figure2 is the session form.
+// four non-SkyBridge transports (Figure 2).
 func (s *Session) Figure2(ops int) *Figure2Result { return s.runFigure2(ops, false) }
 
-// Figure8 is the session form.
+// Figure8 is Figure 2 plus the SkyBridge series.
 func (s *Session) Figure8(ops int) *Figure2Result { return s.runFigure2(ops, true) }
 
 func (s *Session) runFigure2(ops int, withSB bool) *Figure2Result {

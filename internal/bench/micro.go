@@ -7,6 +7,7 @@ import (
 
 	"skybridge/internal/hw"
 	"skybridge/internal/mk"
+	"skybridge/internal/obs"
 	"skybridge/internal/svc"
 )
 
@@ -24,9 +25,6 @@ type Table2Row struct {
 type Table2Result struct {
 	Rows []Table2Row
 }
-
-// Table2 measures the primitive operations through the hardware model.
-func Table2() *Table2Result { return NewSession(nil).Table2() }
 
 // Table2 measures the primitive operations through the hardware model,
 // recording one Record and one per-round latency histogram per row.
@@ -48,109 +46,47 @@ func (s *Session) Table2() *Table2Result {
 		w := s.world("table2/"+name, WorldConfig{Flavor: mk.SeL4, KPTI: kpti})
 		h := s.hist("table2/" + name)
 		var cycles uint64
-		p := w.K.NewProcess("m")
-		p.Spawn("m", w.K.Mach.Cores[0], func(env *mk.Env) {
-			cpu := env.T.Core
-			const rounds = 1000
-			// Warm up.
-			op(cpu, w.K)
-			start := cpu.Clock
-			for i := 0; i < rounds; i++ {
-				t := cpu.Clock
-				op(cpu, w.K)
-				h.Observe(cpu.Clock - t)
-			}
-			cycles = (cpu.Clock - start) / rounds
+		w.K.NewProcess("m").Spawn("m", w.K.Mach.Cores[0], func(env *mk.Env) {
+			cycles = timeRounds(env, 1, 1000, h, func() { op(env.T.Core, w.K) })
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
+		w.mustRun()
 		addRow(name, cycles, paper)
 	}
 
-	measure("write to CR3", 186, false, func(cpu *hw.CPU, k *mk.Kernel) {
+	measure("write to CR3", 186, false, func(cpu *hw.CPU, _ *mk.Kernel) {
 		cpu.Mode = hw.ModeKernel
 		cpu.WriteCR3(cpu.CR3, cpu.PCID)
 	})
-	nullSyscall := func(k *mk.Kernel) func(cpu *hw.CPU, _ *mk.Kernel) {
-		return func(cpu *hw.CPU, _ *mk.Kernel) {
-			cpu.Syscall()
-			cpu.Swapgs()
-			if k.Cfg.KPTI {
-				cpu.WriteCR3(cpu.CR3, cpu.PCID)
-			}
-			cpu.Tick(20) // dispatch + return setup
-			if k.Cfg.KPTI {
-				cpu.WriteCR3(cpu.CR3, cpu.PCID)
-			}
-			cpu.Swapgs()
-			cpu.Sysret()
+	nullSyscall := func(cpu *hw.CPU, k *mk.Kernel) {
+		cpu.Syscall()
+		cpu.Swapgs()
+		if k.Cfg.KPTI {
+			cpu.WriteCR3(cpu.CR3, cpu.PCID)
 		}
-	}
-	// The no-op syscall body depends on the world's kernel config, so it
-	// needs its own measure variant that builds the op after the world.
-	measureSyscall := func(name string, paper uint64, kpti bool) {
-		w := s.world("table2/"+name, WorldConfig{Flavor: mk.SeL4, KPTI: kpti})
-		h := s.hist("table2/" + name)
-		var cycles uint64
-		op := nullSyscall(w.K)
-		p := w.K.NewProcess("m")
-		p.Spawn("m", w.K.Mach.Cores[0], func(env *mk.Env) {
-			cpu := env.T.Core
-			const rounds = 1000
-			op(cpu, w.K)
-			start := cpu.Clock
-			for i := 0; i < rounds; i++ {
-				t := cpu.Clock
-				op(cpu, w.K)
-				h.Observe(cpu.Clock - t)
-			}
-			cycles = (cpu.Clock - start) / rounds
-		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
+		cpu.Tick(20) // dispatch + return setup
+		if k.Cfg.KPTI {
+			cpu.WriteCR3(cpu.CR3, cpu.PCID)
 		}
-		addRow(name, cycles, paper)
+		cpu.Swapgs()
+		cpu.Sysret()
 	}
-	measureSyscall("no-op system call w/ KPTI", 431, true)
-	measureSyscall("no-op system call w/o KPTI", 181, false)
+	measure("no-op system call w/ KPTI", 431, true, nullSyscall)
+	measure("no-op system call w/o KPTI", 181, false, nullSyscall)
 
-	// VMFUNC requires the virtualized world.
+	// VMFUNC requires the virtualized world. Each round is one VMFUNC,
+	// alternating into the server's EPT view (list index id) and back to
+	// the client's own (index 0).
 	{
 		w := s.world("table2/VMFUNC", WorldConfig{Flavor: mk.SeL4, SkyBridge: true})
 		h := s.hist("table2/VMFUNC")
-		server := w.K.NewProcess("server")
-		client := w.K.NewProcess("client")
-		var id int
-		server.Spawn("reg", w.K.Mach.Cores[0], func(env *mk.Env) {
-			id, _ = w.SB.RegisterServer(env, 2, 0, nil)
-		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
 		var cycles uint64
-		client.Spawn("m", w.K.Mach.Cores[0], func(env *mk.Env) {
-			if _, err := w.SB.RegisterClient(env, id); err != nil {
-				panic(err)
-			}
-			cpu := env.T.Core
-			const rounds = 1000
-			cpu.VMFunc(0, id)
-			cpu.VMFunc(0, 0)
-			start := cpu.Clock
-			for i := 0; i < rounds; i++ {
-				t := cpu.Clock
-				cpu.VMFunc(0, id)
-				h.Observe(cpu.Clock - t)
-				t = cpu.Clock
-				cpu.VMFunc(0, 0)
-				h.Observe(cpu.Clock - t)
-			}
-			cycles = (cpu.Clock - start) / (2 * rounds)
+		skyPair(w, nullServer, func(env *mk.Env, id int, _ svc.Conn) {
+			view := 0
+			cycles = timeRounds(env, 2, 2000, h, func() {
+				view = id - view
+				env.T.Core.VMFunc(0, view)
+			})
 		})
-		if err := w.Eng.Run(); err != nil {
-			panic(err)
-		}
 		addRow("VMFUNC", cycles, 134)
 	}
 
@@ -191,47 +127,105 @@ type Figure7Result struct {
 	Rows []Figure7Row
 }
 
-// measureEchoIPC runs a warm same- or cross-core empty-message echo and
-// returns (cycles per round trip, per-round component breakdown). Each
-// round trip is observed into the session histogram named label.
-func (s *Session) measureEchoIPC(flavor mk.Flavor, sameCore bool, virtualized bool, label string) (uint64, map[string]float64) {
-	w := s.world(label, WorldConfig{Flavor: flavor, Virtualized: virtualized})
-	h := s.hist(label)
+// timeRounds runs warm untimed rounds of op, then rounds timed ones,
+// observing each timed round into h (nil discards), and returns the mean
+// cycles per timed round. Every microbenchmark and ablation that times a
+// warm loop times it here.
+func timeRounds(env *mk.Env, warm, rounds int, h *obs.Histogram, op func()) uint64 {
+	for i := 0; i < warm; i++ {
+		op()
+	}
+	start := env.Now()
+	for i := 0; i < rounds; i++ {
+		t := env.Now()
+		op()
+		h.Observe(env.Now() - t)
+	}
+	return (env.Now() - start) / uint64(rounds)
+}
+
+// skyPair runs a SkyBridge client and server on w. Process "server"
+// builds its handler inside its registration thread, so the handler's
+// buffers are allocated before the registration's, and registers it with
+// 4 connections on core 0. Process "client" then binds on core 0 and runs
+// body with the server's ID and the connection; buffers body allocates
+// come after the bind's. Physical frames pick cache sets, so this order
+// is part of every measurement made on the pair. A failed registration
+// or bind panics, as MustWorld does.
+func skyPair(w *World, handler func(env *mk.Env) svc.Handler, body func(env *mk.Env, id int, conn svc.Conn)) {
+	server := w.K.NewProcess("server")
+	client := w.K.NewProcess("client")
+	var id int
+	server.Spawn("reg", w.K.Mach.Cores[0], func(env *mk.Env) {
+		var err error
+		if id, err = svc.RegisterSkyBridgeServer(w.SB, env, 4, handler(env)); err != nil {
+			panic(err)
+		}
+	})
+	w.mustRun()
+	client.Spawn("cli", w.K.Mach.Cores[0], func(env *mk.Env) {
+		conn, err := svc.NewSkyBridge(w.SB, env, id)
+		if err != nil {
+			panic(err)
+		}
+		body(env, id, conn)
+	})
+	w.mustRun()
+}
+
+// nullServer builds a handler that answers every request with an empty
+// reply.
+func nullServer(*mk.Env) svc.Handler {
+	return func(*mk.Env, svc.Req) svc.Resp { return svc.Resp{} }
+}
+
+// ipcPair runs a kernel-IPC client and server on w. Process "server"
+// serves endpoint "echo" on srvCore from a bufPages-page receive buffer,
+// echoing each request's first register and payload; process "client"
+// runs body on core 0 and then closes the endpoint. The server's buffer
+// is allocated before either thread starts.
+func ipcPair(w *World, srvCore *hw.CPU, bufPages int, body func(env *mk.Env, ep *mk.Endpoint)) {
 	client := w.K.NewProcess("client")
 	server := w.K.NewProcess("server")
 	ep := w.K.NewEndpoint("echo")
 	client.Grant(ep)
-
-	serverCore := w.K.Mach.Cores[0]
-	if !sameCore {
-		serverCore = w.K.Mach.Cores[1]
-	}
-	srvBuf := server.Alloc(hw.PageSize)
-	server.Spawn("srv", serverCore, func(env *mk.Env) {
-		w.K.Serve(env, ep, srvBuf, func(env *mk.Env, req mk.Msg) mk.Msg {
-			return mk.Msg{Regs: [4]uint64{req.Regs[0]}}
+	srvBuf := server.Alloc(bufPages * hw.PageSize)
+	server.Spawn("srv", srvCore, func(env *mk.Env) {
+		w.K.Serve(env, ep, srvBuf, func(_ *mk.Env, req mk.Msg) mk.Msg {
+			return mk.Msg{Regs: [4]uint64{req.Regs[0]}, Buf: srvBuf, Len: req.Len}
 		})
 	})
-	var cycles uint64
 	client.Spawn("cli", w.K.Mach.Cores[0], func(env *mk.Env) {
-		for i := 0; i < 64; i++ {
-			env.Call(ep, mk.Msg{}, 0)
-		}
-		w.K.BD = mk.NewBreakdown()
-		const rounds = 256
-		start := env.Now()
-		for i := 0; i < rounds; i++ {
-			t := env.Now()
-			env.Call(ep, mk.Msg{}, 0)
-			h.Observe(env.Now() - t)
-			w.K.BD.Rounds++
-		}
-		cycles = (env.Now() - start) / rounds
+		body(env, ep)
 		ep.Close()
 	})
-	if err := w.Eng.Run(); err != nil {
-		panic(err)
+	w.mustRun()
+}
+
+// measureEchoIPC runs a warm same- or cross-core empty-message echo and
+// returns (cycles per round trip, per-round component breakdown). Each
+// round trip is observed into the session histogram named label.
+func (s *Session) measureEchoIPC(flavor mk.Flavor, sameCore bool, label string) (uint64, map[string]float64) {
+	w := s.world(label, WorldConfig{Flavor: flavor})
+	h := s.hist(label)
+	srvCore := w.K.Mach.Cores[0]
+	if !sameCore {
+		srvCore = w.K.Mach.Cores[1]
 	}
+	const warm, rounds = 64, 256
+	var cycles uint64
+	ipcPair(w, srvCore, 1, func(env *mk.Env, ep *mk.Endpoint) {
+		// The kernel's breakdown covers the timed rounds only: it is
+		// installed as the first of them starts.
+		round := 0
+		cycles = timeRounds(env, warm, rounds, h, func() {
+			if round++; round == warm+1 {
+				w.K.BD = mk.NewBreakdown()
+			}
+			env.Call(ep, mk.Msg{}, 0)
+		})
+	})
+	w.K.BD.Rounds = rounds
 	return cycles, w.K.BD.PerRound()
 }
 
@@ -240,50 +234,21 @@ func (s *Session) measureEchoIPC(flavor mk.Flavor, sameCore bool, virtualized bo
 func (s *Session) measureSkyBridge(flavor mk.Flavor, label string) (uint64, map[string]float64) {
 	w := s.world(label, WorldConfig{Flavor: flavor, SkyBridge: true})
 	h := s.hist(label)
-	server := w.K.NewProcess("server")
-	client := w.K.NewProcess("client")
-	var id int
-	server.Spawn("reg", w.K.Mach.Cores[0], func(env *mk.Env) {
-		id, _ = svc.RegisterSkyBridgeServer(w.SB, env, 4, func(env *mk.Env, req svc.Req) svc.Resp {
-			return svc.Resp{}
-		})
-	})
-	if err := w.Eng.Run(); err != nil {
-		panic(err)
-	}
+	const warm, rounds = 64, 256
 	var cycles, vmfuncs uint64
-	client.Spawn("cli", w.K.Mach.Cores[0], func(env *mk.Env) {
-		conn, err := svc.NewSkyBridge(w.SB, env, id)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < 64; i++ {
-			conn.Invoke(env, svc.Req{})
-		}
+	skyPair(w, nullServer, func(env *mk.Env, _ int, conn svc.Conn) {
 		cpu := env.T.Core
-		const rounds = 256
 		startVM := cpu.Counters.VMFuncs
-		start := env.Now()
-		for i := 0; i < rounds; i++ {
-			t := env.Now()
-			conn.Invoke(env, svc.Req{})
-			h.Observe(env.Now() - t)
-		}
-		cycles = (env.Now() - start) / rounds
-		vmfuncs = (cpu.Counters.VMFuncs - startVM) / rounds
+		cycles = timeRounds(env, warm, rounds, h, func() { conn.Invoke(env, svc.Req{}) })
+		// Every round trip, warm or timed, takes the same VMFUNCs.
+		vmfuncs = (cpu.Counters.VMFuncs - startVM) / (warm + rounds)
 	})
-	if err := w.Eng.Run(); err != nil {
-		panic(err)
-	}
 	vm := float64(vmfuncs) * float64(hw.CostVMFUNC)
 	return cycles, map[string]float64{
 		mk.CatVMFUNC: vm,
 		mk.CatOther:  float64(cycles) - vm,
 	}
 }
-
-// Figure7 regenerates the IPC breakdown chart.
-func Figure7() *Figure7Result { return NewSession(nil).Figure7() }
 
 // Figure7 regenerates the IPC breakdown chart, recording one Record and one
 // per-round-trip latency histogram per configuration.
@@ -315,10 +280,10 @@ func (s *Session) Figure7() *Figure7Result {
 	}
 	for _, fl := range []mk.Flavor{mk.SeL4, mk.Fiasco, mk.Zircon} {
 		name := fl.String() + " single-core"
-		c, comps := s.measureEchoIPC(fl, true, false, "fig7/"+name)
+		c, comps := s.measureEchoIPC(fl, true, "fig7/"+name)
 		add(name, c, comps, papers[fl.String()][0])
 		name = fl.String() + " cross-core"
-		c, comps = s.measureEchoIPC(fl, false, false, "fig7/"+name)
+		c, comps = s.measureEchoIPC(fl, false, "fig7/"+name)
 		add(name, c, comps, papers[fl.String()][1])
 	}
 	return res

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 
 	"skybridge/internal/obs"
@@ -32,9 +31,9 @@ type Record struct {
 
 // Session runs experiments with shared observability state: an optional
 // tracer (each world becomes one trace process) and a registry of per-op
-// latency histograms, plus the accumulated Records. The zero-config entry
-// points (Table2(), Figure7(), ...) are thin wrappers over a throwaway
-// Session, so existing callers are unaffected.
+// latency histograms, plus the accumulated Records. Every paper unit is a
+// Session method, the one entry point the catalog calls; a caller that
+// wants a unit alone runs it on NewSession(nil).
 type Session struct {
 	// Trace, when non-nil, receives one trace process per world built by
 	// the session's experiments.
@@ -153,63 +152,4 @@ func (s *Session) WriteMetrics(w io.Writer) error {
 		out.Histograms = snap.Histograms
 	}
 	return WriteJSON(w, out)
-}
-
-// --- session wrappers for the macro experiments ---
-//
-// These run the existing experiment functions and convert their result
-// structs to Records; the micro/KV experiments (micro.go, kvbench.go) and
-// the YCSB paper cells (sqlite.go) are session-native.
-
-// Table4 runs Table 4 for one flavor and records each mode's throughputs.
-func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
-	r, err := Table4(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range r.Rows {
-		s.record(Record{
-			Experiment: "table4",
-			Config:     map[string]string{"flavor": r.Flavor.String(), "mode": row.Mode.String()},
-			Values: map[string]float64{
-				"insert_ops_per_sec": row.Insert,
-				"update_ops_per_sec": row.Update,
-				"query_ops_per_sec":  row.Query,
-				"delete_ops_per_sec": row.Delete,
-			},
-		})
-	}
-	return r, nil
-}
-
-// Table6 runs the inadvertent-VMFUNC scan and records each program class.
-func (s *Session) Table6(scale int) (*Table6Result, error) {
-	r, err := Table6(scale)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range r.Rows {
-		s.record(Record{
-			Experiment: "table6",
-			Config:     map[string]string{"program": row.Program, "scale": fmt.Sprintf("%d", r.Scale)},
-			Values: map[string]float64{
-				"inadvertent": float64(row.Inadvertent),
-				"paper_count": float64(row.PaperCount),
-			},
-		})
-	}
-	return r, nil
-}
-
-// Ablations runs the design-choice ablations and records each comparison.
-func (s *Session) Ablations() AblationResults {
-	rs := Ablations()
-	for _, r := range rs {
-		s.record(Record{
-			Experiment: "ablation",
-			Config:     map[string]string{"name": r.Name, "unit": r.Unit},
-			Values:     map[string]float64{r.ArmA: r.ValueA, r.ArmB: r.ValueB},
-		})
-	}
-	return rs
 }

@@ -16,7 +16,7 @@ func within(t *testing.T, name string, got, want float64, tol float64) {
 
 // TestTable2MatchesPaper checks the primitive-operation latencies.
 func TestTable2MatchesPaper(t *testing.T) {
-	r := Table2()
+	r := NewSession(nil).Table2()
 	vals := map[string]uint64{}
 	for _, row := range r.Rows {
 		vals[row.Name] = row.Cycles
@@ -39,7 +39,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 // TestFigure7MatchesPaper checks every bar of the IPC breakdown against the
 // paper's measurements.
 func TestFigure7MatchesPaper(t *testing.T) {
-	r := Figure7()
+	r := NewSession(nil).Figure7()
 	got := map[string]uint64{}
 	for _, row := range r.Rows {
 		got[row.Name] = row.Total
@@ -66,7 +66,7 @@ func TestFigure7MatchesPaper(t *testing.T) {
 // TestFigure8Shape checks the KV-store latency ordering at every payload
 // size: Baseline < SkyBridge < Delay/IPC < IPC-CrossCore, gaps shrinking.
 func TestFigure8Shape(t *testing.T) {
-	r := Figure8(96)
+	r := NewSession(nil).Figure8(96)
 	for i := range KVSizes {
 		base := r.Cycles[TransportBaseline][i]
 		sb := r.Cycles[TransportSkyBridge][i]
@@ -89,7 +89,7 @@ func TestFigure8Shape(t *testing.T) {
 // TestTable1Shape checks that IPC pollutes processor structures far more
 // than Baseline and Delay.
 func TestTable1Shape(t *testing.T) {
-	r := Table1()
+	r := NewSession(nil).Table1()
 	base, delay, ipc := r.Rows[0], r.Rows[1], r.Rows[2]
 	if ipc.ICacheMisses <= delay.ICacheMisses || ipc.ICacheMisses <= base.ICacheMisses {
 		t.Errorf("i-cache: ipc=%d delay=%d base=%d; IPC should pollute most",
@@ -106,7 +106,7 @@ func TestTable1Shape(t *testing.T) {
 // TestTable4Shape checks the server-mode ordering for the write-heavy
 // SQLite operations (SkyBridge > MT > ST) and that query benefits least.
 func TestTable4Shape(t *testing.T) {
-	r, err := Table4(Table4Config{Flavor: mk.SeL4, Clients: 2, OpsPerKind: 15, Preload: 60})
+	r, err := NewSession(nil).Table4(Table4Config{Flavor: mk.SeL4, Clients: 2, OpsPerKind: 15, Preload: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTable4Shape(t *testing.T) {
 // TestYCSBShape checks Figures 9-11's ordering: SkyBridge on top at every
 // thread count.
 func TestYCSBShape(t *testing.T) {
-	r, err := Figure9to11(YCSBConfig{Flavor: mk.SeL4, Threads: []int{1, 4}, Records: 150, Ops: 25})
+	r, err := NewSession(nil).Figure9to11(YCSBConfig{Flavor: mk.SeL4, Threads: []int{1, 4}, Records: 150, Ops: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestYCSBShape(t *testing.T) {
 // TestTable5Shape checks the virtualization-overhead claims: zero VM exits
 // and near-native throughput under the Rootkernel.
 func TestTable5Shape(t *testing.T) {
-	r, err := Table5(150, 25)
+	r, err := NewSession(nil).Table5(150, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTable5Shape(t *testing.T) {
 // TestTable6Shape checks the corpus scan: exactly the one planted GIMP-like
 // occurrence is found.
 func TestTable6Shape(t *testing.T) {
-	r, err := Table6(64)
+	r, err := NewSession(nil).Table6(64)
 	if err != nil {
 		t.Fatal(err)
 	}

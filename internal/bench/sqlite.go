@@ -399,8 +399,9 @@ var table4Paper = map[string]map[string][4]float64{
 }
 
 // Table4 measures insert/update/query/delete throughput for one kernel
-// flavor in the three server configurations.
-func Table4(cfg Table4Config) (*Table4Result, error) {
+// flavor in the three server configurations, recording each mode's
+// throughputs.
+func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
 	if cfg.Clients == 0 {
 		cfg.Clients = 4
 	}
@@ -417,6 +418,16 @@ func Table4(cfg Table4Config) (*Table4Result, error) {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, *row)
+		s.record(Record{
+			Experiment: "table4",
+			Config:     map[string]string{"flavor": cfg.Flavor.String(), "mode": mode.String()},
+			Values: map[string]float64{
+				"insert_ops_per_sec": row.Insert,
+				"update_ops_per_sec": row.Update,
+				"query_ops_per_sec":  row.Query,
+				"delete_ops_per_sec": row.Delete,
+			},
+		})
 	}
 	return res, nil
 }
@@ -632,11 +643,8 @@ type YCSBResult struct {
 }
 
 // Figure9to11 regenerates the YCSB-A scalability figure for one flavor
-// (Figure 9 = seL4, 10 = Fiasco.OC, 11 = Zircon).
-func Figure9to11(cfg YCSBConfig) (*YCSBResult, error) { return NewSession(nil).Figure9to11(cfg) }
-
-// Figure9to11 is the session form: its cells run on sweep, and each cell
-// is recorded.
+// (Figure 9 = seL4, 10 = Fiasco.OC, 11 = Zircon): its cells run on sweep,
+// and each cell is recorded.
 func (s *Session) Figure9to11(cfg YCSBConfig) (*YCSBResult, error) {
 	if len(cfg.Threads) == 0 {
 		cfg.Threads = []int{1, 2, 4, 8}
@@ -709,12 +717,9 @@ type Table5Result struct {
 }
 
 // Table5 runs YCSB-A on seL4 (MT servers, no SkyBridge) natively and under
-// the Rootkernel and reports throughput plus VM-exit counts.
-func Table5(records, ops int) (*Table5Result, error) { return NewSession(nil).Table5(records, ops) }
-
-// Table5 is the session form: its cells run on sweep, the native ones
-// shared with Figure 9 through the session tree's memo, and each row is
-// recorded.
+// the Rootkernel and reports throughput plus VM-exit counts: its cells run
+// on sweep, the native ones shared with Figure 9 through the session
+// tree's memo, and each row is recorded.
 func (s *Session) Table5(records, ops int) (*Table5Result, error) {
 	if records == 0 {
 		records = 400

@@ -160,7 +160,7 @@ func TestPaperCellsRunOncePerSessionTree(t *testing.T) {
 		t.Errorf("concurrent requests simulated %d cells, want 1", n)
 	}
 
-	fresh, err := Table5(records, ops)
+	fresh, err := NewSession(nil).Table5(records, ops)
 	if err != nil {
 		t.Fatal(err)
 	}

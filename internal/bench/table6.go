@@ -52,11 +52,11 @@ func table6Seed(row int) int64 { return 0x7A7A + int64(row+1)*0x9E3779B9 }
 
 // Table6 synthesizes the corpus at 1/scale of the paper's code volume and
 // scans every program, one row per worker (SetJobs) with a per-row seeded
-// generator. The "Other Apps" class plants the paper's single GIMP-2.8
-// finding: a VMFUNC encoding inside the immediate of a long call
-// instruction, which the rewriter classifies and neutralizes via the
-// jump-like-instruction strategy.
-func Table6(scale int) (*Table6Result, error) {
+// generator, and records each program class. The "Other Apps" class
+// plants the paper's single GIMP-2.8 finding: a VMFUNC encoding inside the
+// immediate of a long call instruction, which the rewriter classifies and
+// neutralizes via the jump-like-instruction strategy.
+func (s *Session) Table6(scale int) (*Table6Result, error) {
 	if scale <= 0 {
 		scale = 8
 	}
@@ -110,6 +110,16 @@ func Table6(scale int) (*Table6Result, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	for _, row := range res.Rows {
+		s.record(Record{
+			Experiment: "table6",
+			Config:     map[string]string{"program": row.Program, "scale": fmt.Sprintf("%d", res.Scale)},
+			Values: map[string]float64{
+				"inadvertent": float64(row.Inadvertent),
+				"paper_count": float64(row.PaperCount),
+			},
+		})
 	}
 	return res, nil
 }

@@ -115,6 +115,14 @@ func (w *World) run(errs *firstErr) error {
 	return errors.Join(errs.err, err)
 }
 
+// mustRun drives w's engine until every thread has exited, or panics
+// (like MustWorld, for units whose setup errors are fatal).
+func (w *World) mustRun() {
+	if err := w.Eng.Run(); err != nil {
+		panic(err)
+	}
+}
+
 // OpsPerSec converts (operations, cycles) to a throughput at the nominal
 // 4 GHz clock.
 func OpsPerSec(ops int, cycles uint64) float64 {

@@ -40,12 +40,22 @@ import (
 // FIFO is preserved across steals.
 //
 // Autoscaling. When the mean load per active drain stays under
-// LowWater for HystTicks control periods, the coldest drain hands its
+// LowWater for hystTicks control periods, the coldest drain hands its
 // shards away, drains its rings dry, and parks on an mk.Gate (the
 // calibrated AdaptiveWait HLT path with a minimal spin budget). When
-// the mean crosses HighWater for HystTicks periods the controller
+// the mean crosses HighWater for hystTicks periods the controller
 // IPI-wakes a parked drain; migration then rebalances shards onto it.
-// Gate.ParkedCycles lets experiments report busy-core-cycles.
+// At least one drain stays active. Gate.ParkedCycles lets experiments
+// report busy-core-cycles.
+
+const (
+	// ewmaShift smooths the per-shard load average: 1/2^shift of each
+	// new sample folds in per control period.
+	ewmaShift = 1
+	// hystTicks is how many consecutive control periods the mean must
+	// sit past a watermark before the scale decision fires.
+	hystTicks = 2
+)
 
 // DirectorConfig parameterizes adaptive placement. Zero values mean
 // defaults.
@@ -55,9 +65,6 @@ type DirectorConfig struct {
 	// ControlPeriod is the simulated-cycle spacing of control
 	// evaluations (default 24_000).
 	ControlPeriod uint64
-	// EWMAShift smooths the per-shard load average: 1/2^shift of each
-	// new sample folds in per period (default 1).
-	EWMAShift uint
 	// MigrateMin is the minimum hottest-drain load (ops/period) before
 	// migration triggers, filtering noise at idle (default 4).
 	MigrateMin uint64
@@ -66,11 +73,6 @@ type DirectorConfig struct {
 	// unparks one. Zero LowWater disables scale-down; zero HighWater
 	// disables scale-up.
 	LowWater, HighWater uint64
-	// HystTicks is how many consecutive control periods the mean must
-	// sit past a watermark before the scale decision fires (default 2).
-	HystTicks int
-	// MinActive floors the active drain count (default 1).
-	MinActive int
 	// Static freezes the initial block placement: the routing region is
 	// published once and no migration, stealing, or scaling happens —
 	// the ablation baseline.
@@ -88,17 +90,8 @@ func (c DirectorConfig) withDefaults() DirectorConfig {
 	if c.ControlPeriod == 0 {
 		c.ControlPeriod = 24_000
 	}
-	if c.EWMAShift == 0 {
-		c.EWMAShift = 1
-	}
 	if c.MigrateMin == 0 {
 		c.MigrateMin = 4
-	}
-	if c.HystTicks == 0 {
-		c.HystTicks = 2
-	}
-	if c.MinActive == 0 {
-		c.MinActive = 1
 	}
 	return c
 }
@@ -161,9 +154,6 @@ func (sb *SkyBridge) NewDirector(env *mk.Env, cfg DirectorConfig, fes []*Fronten
 	if len(fes) > 256 {
 		return nil, fmt.Errorf("core: owner bytes cap frontends at 256, got %d", len(fes))
 	}
-	if cfg.MinActive > len(fes) {
-		cfg.MinActive = len(fes)
-	}
 	for _, fe := range fes {
 		if fe.sink.srv.Proc != env.P {
 			return nil, fmt.Errorf("core: frontend for %s attached from process %s",
@@ -199,7 +189,7 @@ func (sb *SkyBridge) NewDirector(env *mk.Env, cfg DirectorConfig, fes []*Fronten
 		fe.slot = i
 	}
 	for s := range d.load {
-		d.load[s].Shift = cfg.EWMAShift
+		d.load[s].Shift = ewmaShift
 	}
 	if cfg.Obs != nil {
 		cfg.Obs.Bind("place.migrations", &d.Migrations)
@@ -474,7 +464,7 @@ func (d *Director) evaluate(env *mk.Env) {
 	default:
 		d.lowTicks, d.highTicks = 0, 0
 	}
-	if d.lowTicks >= d.cfg.HystTicks && nAct > d.cfg.MinActive {
+	if d.lowTicks >= hystTicks && nAct > 1 {
 		d.lowTicks = 0
 		p := lo
 		d.active[p] = false
@@ -496,7 +486,7 @@ func (d *Director) evaluate(env *mk.Env) {
 		}
 		d.kick(env, p)
 	}
-	if d.highTicks >= d.cfg.HystTicks {
+	if d.highTicks >= hystTicks {
 		for p := range d.fes {
 			if d.active[p] {
 				continue

@@ -377,7 +377,6 @@ func TestScaleDownParksAndScaleUpWakes(t *testing.T) {
 		ControlPeriod: 10_000,
 		LowWater:      1,
 		HighWater:     3,
-		HystTicks:     2,
 	}
 	server, fes, d, execs := placedWorld(t, eng, k, sb, 2, 2, cfg, 2_500, 0)
 

@@ -38,7 +38,7 @@ import (
 // mechanisms bound the damage of a malicious clear: before parking, the
 // arm sequence re-scans every ring's submission tail directly (the
 // Dekker re-check, O(N) but paid only on the sleep edge), and every
-// FullSweepEvery busy sweeps the loop rescans all tails and repairs the
+// fullSweepEvery busy sweeps the loop rescans all tails and repairs the
 // bits. A cleared bit therefore delays a tenant by at most a bounded
 // number of sweeps, and never loses its work.
 //
@@ -78,10 +78,11 @@ type FrontendConfig struct {
 	// requests a tenant's deficit grows by each time the sweep reaches
 	// its set bit (default 4).
 	Quantum int
-	// FullSweepEvery is how many busy sweeps pass between full
-	// tail rescans repairing the bitmap (default 64).
-	FullSweepEvery int
 }
+
+// fullSweepEvery is how many busy sweeps pass between full tail rescans
+// repairing the bitmap.
+const fullSweepEvery = 64
 
 func (c FrontendConfig) withDefaults() FrontendConfig {
 	if c.Credit == 0 {
@@ -89,9 +90,6 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 	}
 	if c.Quantum == 0 {
 		c.Quantum = 4
-	}
-	if c.FullSweepEvery == 0 {
-		c.FullSweepEvery = 64
 	}
 	return c
 }
@@ -309,7 +307,7 @@ func (fe *Frontend) sweep(env *mk.Env) (int, error) {
 	writeDirU64(env, fe.dirSrv, dirOffEpoch, fe.epoch)
 
 	fe.sweepsSinceFull++
-	if fe.sweepsSinceFull >= fe.cfg.FullSweepEvery {
+	if fe.sweepsSinceFull >= fullSweepEvery {
 		fe.sweepsSinceFull = 0
 		fe.FullSweeps++
 		for t, r := range fe.rings {

@@ -42,9 +42,6 @@ const (
 
 // Config tunes the Rootkernel.
 type Config struct {
-	// ReservedBytes is the physical memory kept for the Rootkernel
-	// (default 128 MiB; the paper reserves 100 MB).
-	ReservedBytes uint64
 	// TrapAll configures a legacy-hypervisor-style VMCS where CR3 writes
 	// and external interrupts exit — the ablation baseline for the
 	// exit-less design.
@@ -52,10 +49,16 @@ type Config struct {
 	// SmallPageEPT builds the base EPT from 4 KiB pages instead of 1 GiB
 	// hugepages — the ablation baseline for the hugepage design.
 	SmallPageEPT bool
-	// BootCycles is charged to core 0 for the self-virtualization
-	// sequence.
-	BootCycles uint64
 }
+
+const (
+	// reservedBytes is the physical memory kept for the Rootkernel (the
+	// paper reserves 100 MB).
+	reservedBytes = 128 << 20
+	// bootCycles is charged to core 0 for the self-virtualization
+	// sequence (~0.5 ms at 4 GHz).
+	bootCycles = 2_000_000
+)
 
 // regionAlloc is a bump allocator over the Rootkernel's reserved region.
 type regionAlloc struct {
@@ -130,14 +133,8 @@ type Rootkernel struct {
 // Rootkernel, which builds the base EPT, configures a VMCS per core with
 // every avoidable exit disabled, and downgrades all cores to non-root mode.
 func Boot(sub *mk.Kernel, cfg Config) (*Rootkernel, error) {
-	if cfg.ReservedBytes == 0 {
-		cfg.ReservedBytes = 128 << 20
-	}
-	if cfg.BootCycles == 0 {
-		cfg.BootCycles = 2_000_000 // ~0.5 ms at 4 GHz
-	}
 	mach := sub.Mach
-	lo, hi, err := mach.Mem.ReserveRegionAligned(cfg.ReservedBytes, hw.Page2MSize)
+	lo, hi, err := mach.Mem.ReserveRegionAligned(reservedBytes, hw.Page2MSize)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +172,7 @@ func Boot(sub *mk.Kernel, cfg Config) (*Rootkernel, error) {
 		cpu.SetEPT(rk.BaseEPT)
 	}
 	mach.SetExitHandler(rk.handleExit)
-	mach.Cores[0].Tick(cfg.BootCycles)
+	mach.Cores[0].Tick(bootCycles)
 
 	// Hook the Subkernel: EPT state for new processes, EPTP-list install
 	// on context switch (§4.2).

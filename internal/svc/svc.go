@@ -14,7 +14,6 @@
 package svc
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"skybridge/internal/core"
@@ -251,9 +250,3 @@ func (c *sbConn) Invoke(env *mk.Env, req Req) (Resp, error) {
 	}
 	return resp, nil
 }
-
-// PutU64/GetU64 are payload marshalling helpers shared by services.
-func PutU64(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
-
-// GetU64 reads a little-endian u64 at off.
-func GetU64(b []byte, off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }

@@ -137,14 +137,6 @@ func TestSkyBridgeTransport(t *testing.T) {
 	}
 }
 
-func TestPutGetU64(t *testing.T) {
-	b := make([]byte, 16)
-	PutU64(b, 4, 0xDEADBEEF12345678)
-	if GetU64(b, 4) != 0xDEADBEEF12345678 {
-		t.Fatal("u64 helper round trip failed")
-	}
-}
-
 func TestIPCOversizedPayloadRejected(t *testing.T) {
 	eng := sim.NewEngine(hw.NewMachine(hw.MachineConfig{Cores: 2, MemBytes: 1 << 28}))
 	k := mk.New(mk.Config{Flavor: mk.SeL4}, eng)
