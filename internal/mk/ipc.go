@@ -110,34 +110,30 @@ type Endpoint struct {
 	Calls uint64
 }
 
-// callCtx tracks one in-flight call. The call and reply legs are
-// independently fast or slow, as in seL4 (a register-sized request can
+// leg is one direction of a call: the request or the reply. Each leg is
+// fast or slow on its own, as in seL4 (a register-sized request can
 // receive a long reply via the slow reply path).
-type callCtx struct {
-	req       Msg
-	reply     Msg
-	client    *sim.Thread
-	clientP   *Process
-	serverP   *Process // set at reply time (temporary-mapping reply leg)
-	replyBuf  hw.VA
-	fastCall  bool
-	crossCall bool
-	fastReply bool
-	crossRep  bool
-	timedOut  bool
-	done      bool
-	err       error
+type leg struct {
+	msg   Msg
+	fast  bool // takes the fastpath: a direct switch, no scheduler
+	cross bool // its receiver runs on another core
+	// inline carries a register-sized payload (<= regMsgBytes), which
+	// travels in CPU registers rather than through the kernel buffer.
+	inline []byte
+	// stage holds a copied payload while in flight. The cache traffic of
+	// the kernel transfer buffer is charged via copyIn/copyOut; the bytes
+	// are staged per message (as a real kernel's per-message buffers
+	// would) so concurrent in-flight messages cannot alias.
+	stage []byte
+}
 
-	// reqInline/repInline carry register-sized payloads (<= regMsgBytes),
-	// which travel in CPU registers rather than through the kernel buffer.
-	reqInline []byte
-	repInline []byte
-	// reqStage/repStage hold copied payloads while in flight. The cache
-	// traffic of the kernel transfer buffer is charged via copyIn/copyOut;
-	// the bytes are staged per message (as a real kernel's per-message
-	// buffers would) so concurrent in-flight messages cannot alias.
-	reqStage []byte
-	repStage []byte
+// callCtx tracks one in-flight call.
+type callCtx struct {
+	call, reply leg
+	client      *Env
+	serverP     *Process // set at reply time (temporary-mapping reply leg)
+	timedOut    bool
+	done        bool
 }
 
 // NewEndpoint creates an endpoint on the kernel.
@@ -159,16 +155,17 @@ func (ep *Endpoint) Close() {
 	}
 }
 
-// takeWaiter removes and returns a parked server thread, preferring one on
-// the given core; anyOK allows falling back to any core.
-func (ep *Endpoint) takeWaiter(coreID int, anyOK bool) *sim.Thread {
-	if th := ep.recvQ.TakeWhere(func(t *sim.Thread) bool { return t.Core.ID == coreID }); th != nil {
-		return th
+// takeWaiter removes and returns a parked server, preferring one on the
+// given core (the fastpath's condition), or nil when none is parked.
+func (ep *Endpoint) takeWaiter(coreID int) *Env {
+	th := ep.recvQ.TakeWhere(func(t *sim.Thread) bool { return t.Core.ID == coreID })
+	if th == nil {
+		th = ep.recvQ.TakeWhere(func(*sim.Thread) bool { return true })
 	}
-	if anyOK {
-		return ep.recvQ.TakeWhere(func(t *sim.Thread) bool { return true })
+	if th == nil {
+		return nil
 	}
-	return nil
+	return th.Ctx.(*Env)
 }
 
 // getStage returns an n-byte staging buffer, reusing a pooled one when a
@@ -277,69 +274,22 @@ func (e *Env) callInternal(ep *Endpoint, req Msg, replyBuf hw.VA, timeout uint64
 	ep.Calls++
 	span := cpu.Trace.Begin(cpu.Clock, "ipc.call", "mk")
 
-	ctx := &callCtx{req: req, client: e.T, clientP: e.P, replyBuf: replyBuf}
-
-	// A register-sized payload is loaded into registers in user mode
-	// before the syscall.
-	if req.Len > 0 && !k.needsCopy(req.Len) {
-		ctx.reqInline = make([]byte, req.Len)
-		e.Read(req.Buf, ctx.reqInline, req.Len)
-	}
-
-	// Kernel entry.
-	k.record(cpu, CatSyscall, func() { cpu.Syscall(); cpu.Swapgs() })
-	k.record(cpu, CatCtxSw, func() { k.kptiEnter(cpu) })
-
-	fast := k.prof.hasFastpath && req.Len <= regMsgBytes && !k.needsCopy(req.Len)
-	var srv *sim.Thread
-	if fast {
-		srv = ep.takeWaiter(cpu.ID, false)
-		fast = srv != nil
-	}
-
-	if fast {
-		// seL4-style fastpath: direct switch to the server, no scheduler.
-		ctx.fastCall = true
+	ctx := &callCtx{call: leg{msg: req}, client: e}
+	ctx.call.load(e)
+	// Only the call leg chooses its receiver: a parked server, preferring
+	// one on this core, or none, which queues the call on the endpoint.
+	// Only the call leg counts fastpaths and slowpaths.
+	srv := ep.takeWaiter(cpu.ID)
+	ep.send(&ctx.call, e, srv)
+	if ctx.call.fast {
 		k.Fastpaths++
-		k.record(cpu, CatOther, func() {
-			k.touchKernel(cpu, k.prof.fastTextBytes, k.prof.fastDataLines)
-			cpu.Tick(k.prof.fastResidual)
-		})
-		k.record(cpu, CatCtxSw, func() {
-			k.switchTo(cpu, srv.Ctx.(*Env).P)
-			k.kptiExit(cpu)
-		})
-		k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
-		k.Eng.Wake(srv, cpu.Clock, ctx)
 	} else {
-		// Slowpath: scheduler, optional copy, optional IPI.
 		k.Slowpaths++
-		k.record(cpu, CatOther, func() {
-			k.touchKernel(cpu, k.prof.slowTextBytes, k.prof.slowDataLines)
-			cpu.Tick(k.prof.slowResidual)
-		})
-		k.record(cpu, CatSched, func() { cpu.Tick(k.prof.schedCycles) })
-		if k.needsCopy(req.Len) {
-			if k.Cfg.TempMapping {
-				// Temporary mapping: no sender-side copy; snapshot the
-				// frames' content (the sender blocks, so they are stable).
-				ctx.reqStage = k.rawRead(e.P, req.Buf, req.Len)
-			} else {
-				k.record(cpu, CatCopy, func() { ctx.reqStage = ep.copyIn(cpu, req.Buf, req.Len) })
-			}
-		}
-		srv = ep.takeWaiter(cpu.ID, true)
-		switch {
-		case srv != nil && srv.Core.ID != cpu.ID:
-			ctx.crossCall = true
-			k.record(cpu, CatSched, func() { cpu.Tick(k.prof.crossExtra) })
-			k.record(cpu, CatIPI, func() { k.Mach.SendIPI(cpu.ID, srv.Core.ID) })
-			k.Eng.Wake(srv, cpu.Clock, ctx)
-		case srv != nil:
-			k.Eng.Wake(srv, cpu.Clock, ctx)
-		default:
-			ep.pending = append(ep.pending, ctx)
-		}
+	}
+	if srv != nil {
+		k.Eng.Wake(srv.T, cpu.Clock, ctx)
+	} else {
+		ep.pending = append(ep.pending, ctx)
 	}
 
 	if timeout > 0 {
@@ -347,8 +297,7 @@ func (e *Env) callInternal(ep *Endpoint, req Msg, replyBuf hw.VA, timeout uint64
 		k.Eng.At(deadline, func() {
 			if !ctx.done {
 				ctx.timedOut = true
-				ctx.err = ErrTimeout
-				k.Eng.Wake(ctx.client, deadline, ctx)
+				k.Eng.Wake(e.T, deadline, ctx)
 			}
 		})
 	}
@@ -358,61 +307,18 @@ func (e *Env) callInternal(ep *Endpoint, req Msg, replyBuf hw.VA, timeout uint64
 	if got != ctx {
 		panic("mk: ipc wake context mismatch")
 	}
-
-	// Client-side return path.
-	if ctx.err != nil {
-		// Timed out: the kernel aborts the call; return to user.
-		k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
+	if ctx.timedOut {
+		// The kernel aborts the call and returns to user mode with
+		// SWAPGS+SYSRET alone: no KPTI switch back is charged.
+		k.sysret(cpu)
 		cpu.Trace.End(span, cpu.Clock, obs.U("timeout", 1))
-		return Msg{}, ctx.err
+		return Msg{}, ErrTimeout
 	}
-	if !ctx.fastReply {
-		if ctx.crossRep {
-			k.record(cpu, CatIPI, func() {
-				if err := cpu.Interrupt(); err != nil {
-					panic(err)
-				}
-			})
-		} else {
-			cpu.Mode = hw.ModeKernel
-		}
-		k.record(cpu, CatSched, func() { cpu.Tick(k.prof.schedCycles) })
-		k.record(cpu, CatCtxSw, func() {
-			k.switchTo(cpu, e.P)
-			k.kptiExit(cpu)
-		})
-		if k.needsCopy(ctx.reply.Len) {
-			if k.Cfg.TempMapping {
-				k.record(cpu, CatCopy, func() {
-					win, pages, err := k.tempMap(cpu, ctx.serverP, e.P, ctx.reply.Buf, ctx.reply.Len, ep.winVA)
-					if err != nil {
-						panic(err)
-					}
-					k.tempCopy(cpu, win, replyBuf, ctx.repStage)
-					k.tempUnmap(cpu, e.P, ep.winVA, pages)
-				})
-			} else {
-				k.record(cpu, CatCopy, func() { ep.copyOut(cpu, replyBuf, ctx.repStage) })
-			}
-			// The reply has been deposited in the client's address space; the
-			// staging buffer is dead and can be recycled.
-			k.putStage(ctx.repStage)
-			ctx.repStage = nil
-		}
-		k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
-	} else {
-		cpu.Mode = hw.ModeUser
-	}
-	reply := ctx.reply
-	if reply.Len > 0 {
-		if ctx.repInline != nil {
-			// Register-sized reply: stored from registers in user mode.
-			e.Write(replyBuf, ctx.repInline, len(ctx.repInline))
-		}
-		reply.Buf = replyBuf
-	}
+	// The client's receive charges KPTI's switch back before the copy.
+	ep.receive(&ctx.reply, ctx.serverP, e, replyBuf, false)
+	reply := ctx.reply.store(e, replyBuf)
 	cpu.Trace.End(span, cpu.Clock,
-		obs.U("fast", b2u(ctx.fastCall)), obs.U("cross", b2u(ctx.crossCall)))
+		obs.U("fast", b2u(ctx.call.fast)), obs.U("cross", b2u(ctx.call.cross)))
 	return reply, nil
 }
 
@@ -421,6 +327,129 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
+}
+
+// load moves a register-sized payload into registers: a user-mode read
+// of the sender's buffer before the kernel entry.
+func (l *leg) load(env *Env) {
+	if l.msg.Len > 0 && !env.K.needsCopy(l.msg.Len) {
+		l.inline = make([]byte, l.msg.Len)
+		env.Read(l.msg.Buf, l.inline, l.msg.Len)
+	}
+}
+
+// store is the receiver's half of load, after the receive half: a
+// user-mode store of an inline payload to buf. It returns the message as
+// the receiver sees it, with any payload at buf.
+func (l *leg) store(env *Env, buf hw.VA) Msg {
+	m := l.msg
+	if m.Len > 0 {
+		if l.inline != nil {
+			env.Write(buf, l.inline, len(l.inline))
+		}
+		m.Buf = buf
+	}
+	return m
+}
+
+// send is the send half of a leg, on the sender's core. It routes the leg
+// to its receiver (to is nil when no server is parked yet) and enters the
+// kernel. The fastpath then switches straight into the receiver's address
+// space and returns to its user mode. The slowpath runs the scheduler,
+// stages the payload (copied in, or snapshotted for temporary mapping)
+// and, for a receiver on another core, sends the IPI; it returns still in
+// the kernel.
+func (ep *Endpoint) send(l *leg, from, to *Env) {
+	k, cpu := ep.k, from.T.Core
+	l.cross = to != nil && to.T.Core.ID != cpu.ID
+	l.fast = k.prof.hasFastpath && to != nil && !l.cross && !k.needsCopy(l.msg.Len)
+	k.enterKernel(cpu)
+	if l.fast {
+		k.record(cpu, CatOther, func() {
+			k.touchKernel(cpu, k.prof.fastTextBytes, k.prof.fastDataLines)
+			cpu.Tick(k.prof.fastResidual)
+		})
+		k.record(cpu, CatCtxSw, func() { k.switchTo(cpu, to.P) })
+		k.exitKernel(cpu)
+		return
+	}
+	k.record(cpu, CatOther, func() {
+		k.touchKernel(cpu, k.prof.slowTextBytes, k.prof.slowDataLines)
+		cpu.Tick(k.prof.slowResidual)
+	})
+	k.record(cpu, CatSched, func() { cpu.Tick(k.prof.schedCycles) })
+	if k.needsCopy(l.msg.Len) {
+		if k.Cfg.TempMapping {
+			// No sender-side copy: snapshot the frames' content (the
+			// sender blocks, so they are stable).
+			l.stage = k.rawRead(from.P, l.msg.Buf, l.msg.Len)
+		} else {
+			k.record(cpu, CatCopy, func() { l.stage = ep.copyIn(cpu, l.msg.Buf, l.msg.Len) })
+		}
+	}
+	if l.cross {
+		k.record(cpu, CatSched, func() { cpu.Tick(k.prof.crossExtra) })
+		k.record(cpu, CatIPI, func() { k.Mach.SendIPI(cpu.ID, to.T.Core.ID) })
+	}
+}
+
+// receive is the receive half of a leg, on the receiver's core after the
+// sender woke it. A fastpath leg already switched into this address space
+// and returned to user mode. A slowpath leg resumes in the kernel (by the
+// IPI's interrupt when cross-core), runs the scheduler, switches in,
+// delivers a staged payload to buf (copied out, or copied once through a
+// temporary mapping of the sender's frames), recycles the staging buffer
+// and returns to user mode. The server's receive charges KPTI's switch to
+// the kernel table after its address-space switch and the switch back
+// after the copy; the client's charges only the switch back, before the
+// copy.
+func (ep *Endpoint) receive(l *leg, from *Process, to *Env, buf hw.VA, server bool) {
+	k, cpu := ep.k, to.T.Core
+	if l.fast {
+		cpu.Mode = hw.ModeUser
+		return
+	}
+	if l.cross {
+		k.record(cpu, CatIPI, func() {
+			if err := cpu.Interrupt(); err != nil {
+				panic(err)
+			}
+		})
+	} else {
+		cpu.Mode = hw.ModeKernel
+	}
+	k.record(cpu, CatSched, func() { cpu.Tick(k.prof.schedCycles) })
+	k.record(cpu, CatCtxSw, func() {
+		k.switchTo(cpu, to.P)
+		if server {
+			k.kptiEnter(cpu)
+		} else {
+			k.kptiExit(cpu)
+		}
+	})
+	if k.needsCopy(l.msg.Len) {
+		if k.Cfg.TempMapping {
+			k.record(cpu, CatCopy, func() {
+				win, pages, err := k.tempMap(cpu, from, to.P, l.msg.Buf, l.msg.Len, ep.winVA)
+				if err != nil {
+					panic(err)
+				}
+				k.tempCopy(cpu, win, buf, l.stage)
+				k.tempUnmap(cpu, to.P, ep.winVA, pages)
+			})
+		} else {
+			k.record(cpu, CatCopy, func() { ep.copyOut(cpu, buf, l.stage) })
+		}
+		// The payload now lives in the receiver's buffer; the staging
+		// buffer is dead and can be recycled.
+		k.putStage(l.stage)
+		l.stage = nil
+	}
+	if server {
+		k.exitKernel(cpu)
+	} else {
+		k.sysret(cpu)
+	}
 }
 
 // Serve runs a server loop on the endpoint: park in Recv, run handler,
@@ -449,63 +478,13 @@ func (k *Kernel) Serve(env *Env, ep *Endpoint, recvBuf hw.VA, handler func(env *
 		if ctx.timedOut {
 			// Client is gone; drop the request. Its staged payload (if any)
 			// will never be copied out, so recycle it here.
-			k.putStage(ctx.reqStage)
-			ctx.reqStage = nil
+			k.putStage(ctx.call.stage)
+			ctx.call.stage = nil
 			continue
 		}
 		span := cpu.Trace.Begin(cpu.Clock, "ipc.serve", "mk")
-
-		// Server-side receive path.
-		if ctx.fastCall {
-			// The client's fastpath leg already switched to this address
-			// space and returned to user mode: nothing more to charge.
-			env.T.Core.Mode = hw.ModeUser
-		} else {
-			if ctx.crossCall {
-				k.record(cpu, CatIPI, func() {
-					if err := cpu.Interrupt(); err != nil {
-						panic(err)
-					}
-				})
-			} else {
-				cpu.Mode = hw.ModeKernel
-			}
-			k.record(cpu, CatSched, func() { cpu.Tick(k.prof.schedCycles) })
-			k.record(cpu, CatCtxSw, func() {
-				k.switchTo(cpu, env.P)
-				k.kptiEnter(cpu)
-			})
-			if k.needsCopy(ctx.req.Len) {
-				if k.Cfg.TempMapping {
-					k.record(cpu, CatCopy, func() {
-						win, pages, err := k.tempMap(cpu, ctx.clientP, env.P, ctx.req.Buf, ctx.req.Len, ep.winVA)
-						if err != nil {
-							panic(err)
-						}
-						k.tempCopy(cpu, win, recvBuf, ctx.reqStage)
-						k.tempUnmap(cpu, env.P, ep.winVA, pages)
-					})
-				} else {
-					k.record(cpu, CatCopy, func() { ep.copyOut(cpu, recvBuf, ctx.reqStage) })
-				}
-				// The request now lives in the server's receive buffer; the
-				// staging buffer is dead and can be recycled.
-				k.putStage(ctx.reqStage)
-				ctx.reqStage = nil
-			}
-			k.record(cpu, CatCtxSw, func() { k.kptiExit(cpu) })
-			k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
-		}
-
-		req := ctx.req
-		if req.Len > 0 {
-			if ctx.reqInline != nil {
-				// Register payload: store it to the receive buffer.
-				env.Write(recvBuf, ctx.reqInline, len(ctx.reqInline))
-			}
-			req.Buf = recvBuf
-		}
-		reply := handler(env, req)
+		ep.receive(&ctx.call, ctx.client.P, env, recvBuf, true)
+		reply := handler(env, ctx.call.store(env, recvBuf))
 
 		// Re-enter the event queue at the handler's finish time so that
 		// earlier-timestamped events (e.g. the client's timeout) order
@@ -517,62 +496,20 @@ func (k *Kernel) Serve(env *Env, ep *Endpoint, recvBuf hw.VA, handler func(env *
 			cpu.Trace.End(span, cpu.Clock, obs.U("timeout", 1))
 			continue // timed out while we were handling it; drop the reply
 		}
-		ctx.reply = reply
-		if reply.Len > 0 && !k.needsCopy(reply.Len) {
-			// Register-sized reply: loaded into registers server-side.
-			ctx.repInline = make([]byte, reply.Len)
-			env.Read(reply.Buf, ctx.repInline, reply.Len)
-		}
+		ctx.reply.msg = reply
+		ctx.reply.load(env)
 		ctx.serverP = env.P
 		ctx.done = true
 
 		// Reply path (ReplyWait: reply and wait combined in one syscall).
-		// The reply leg is fast or slow independently of the call leg.
-		ctx.crossRep = cpu.ID != ctx.client.Core.ID
-		ctx.fastReply = k.prof.hasFastpath && !ctx.crossRep && !k.needsCopy(reply.Len)
-
-		k.record(cpu, CatSyscall, func() { cpu.Syscall(); cpu.Swapgs() })
-		k.record(cpu, CatCtxSw, func() { k.kptiEnter(cpu) })
-		if ctx.fastReply {
-			k.record(cpu, CatOther, func() {
-				k.touchKernel(cpu, k.prof.fastTextBytes, k.prof.fastDataLines)
-				cpu.Tick(k.prof.fastResidual)
-			})
-			k.record(cpu, CatCtxSw, func() {
-				k.switchTo(cpu, ctx.clientP)
-				k.kptiExit(cpu)
-			})
-			k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
-			k.Eng.Wake(ctx.client, cpu.Clock, ctx)
-		} else {
-			k.record(cpu, CatOther, func() {
-				k.touchKernel(cpu, k.prof.slowTextBytes, k.prof.slowDataLines)
-				cpu.Tick(k.prof.slowResidual)
-			})
-			k.record(cpu, CatSched, func() { cpu.Tick(k.prof.schedCycles) })
-			if k.needsCopy(reply.Len) {
-				if k.Cfg.TempMapping {
-					ctx.repStage = k.rawRead(env.P, reply.Buf, reply.Len)
-				} else {
-					k.record(cpu, CatCopy, func() { ctx.repStage = ep.copyIn(cpu, reply.Buf, reply.Len) })
-				}
-			}
-			if ctx.crossRep {
-				k.record(cpu, CatSched, func() { cpu.Tick(k.prof.crossExtra) })
-				k.record(cpu, CatIPI, func() { k.Mach.SendIPI(cpu.ID, ctx.client.Core.ID) })
-			}
-			k.record(cpu, CatCtxSw, func() { k.kptiExit(cpu) })
-			k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
-			k.Eng.Wake(ctx.client, cpu.Clock, ctx)
+		// A slow reply returns the server to user mode before it wakes
+		// the client; a slow call leaves its client in the kernel.
+		ep.send(&ctx.reply, env, ctx.client)
+		if !ctx.reply.fast {
+			k.exitKernel(cpu)
 		}
+		k.Eng.Wake(ctx.client.T, cpu.Clock, ctx)
 		cpu.Trace.End(span, cpu.Clock,
-			obs.U("fast_reply", b2u(ctx.fastReply)), obs.U("cross", b2u(ctx.crossRep)))
+			obs.U("fast_reply", b2u(ctx.reply.fast)), obs.U("cross", b2u(ctx.reply.cross)))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -55,9 +55,7 @@ func (c *KCond) Broadcast(env *Env) {
 	}
 	cpu := t.Core
 	// Kernel wake path, entered once for the whole broadcast.
-	cpu.Syscall()
-	cpu.Swapgs()
-	c.k.kptiEnter(cpu)
+	c.k.enterKernel(cpu)
 	for c.q.Len() > 0 {
 		cpu.Tick(c.k.prof.schedCycles)
 		if th := c.q.TakeWhere(func(*sim.Thread) bool { return true }); th != nil {
@@ -68,7 +66,5 @@ func (c *KCond) Broadcast(env *Env) {
 			c.k.Eng.Wake(th, t.Now(), nil)
 		}
 	}
-	c.k.kptiExit(cpu)
-	cpu.Swapgs()
-	cpu.Sysret()
+	c.k.exitKernel(cpu)
 }

@@ -328,6 +328,26 @@ func (k *Kernel) kptiExit(cpu *hw.CPU) {
 	}
 }
 
+// enterKernel is every kernel entry from user mode: SYSCALL and SWAPGS,
+// then KPTI's switch to the kernel page table.
+func (k *Kernel) enterKernel(cpu *hw.CPU) {
+	k.record(cpu, CatSyscall, func() { cpu.Syscall(); cpu.Swapgs() })
+	k.record(cpu, CatCtxSw, func() { k.kptiEnter(cpu) })
+}
+
+// exitKernel is every return to user mode: KPTI's switch back to the user
+// page table, then sysret.
+func (k *Kernel) exitKernel(cpu *hw.CPU) {
+	k.record(cpu, CatCtxSw, func() { k.kptiExit(cpu) })
+	k.sysret(cpu)
+}
+
+// sysret is the SWAPGS+SYSRET tail of exitKernel. The paths that charged
+// KPTI's switch back earlier, or charge none, return through it alone.
+func (k *Kernel) sysret(cpu *hw.CPU) {
+	k.record(cpu, CatSyscall, func() { cpu.Swapgs(); cpu.Sysret() })
+}
+
 // CurrentIdentity reads the SkyBridge identity page through its kernel
 // mapping, returning the PID of the process whose EPT view is active. It
 // returns 0 when no identity page is mapped (no Rootkernel, or the process

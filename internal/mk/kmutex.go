@@ -71,9 +71,7 @@ func (m *KMutex) Lock(env *Env) {
 // chargeSleep is the kernel entry + schedule-away cost of blocking.
 func (m *KMutex) chargeSleep(env *Env) {
 	cpu := env.T.Core
-	cpu.Syscall()
-	cpu.Swapgs()
-	m.k.kptiEnter(cpu)
+	m.k.enterKernel(cpu)
 	cpu.Tick(m.k.prof.schedCycles)
 }
 
@@ -81,9 +79,7 @@ func (m *KMutex) chargeSleep(env *Env) {
 func (m *KMutex) chargeWakeup(env *Env) {
 	cpu := env.T.Core
 	cpu.Tick(m.k.prof.schedCycles)
-	m.k.kptiExit(cpu)
-	cpu.Swapgs()
-	cpu.Sysret()
+	m.k.exitKernel(cpu)
 	// Re-establish our address space: the core may have run others.
 	env.enter()
 }
@@ -108,16 +104,12 @@ func (m *KMutex) Unlock(env *Env) {
 	m.waiters = m.waiters[1:]
 	m.owner = next
 	// Kernel wake path.
-	cpu.Syscall()
-	cpu.Swapgs()
-	m.k.kptiEnter(cpu)
+	m.k.enterKernel(cpu)
 	cpu.Tick(m.k.prof.schedCycles)
 	if next.Core.ID != cpu.ID {
 		m.k.Mach.SendIPI(cpu.ID, next.Core.ID)
 		m.WakeIPIs++
 	}
-	m.k.kptiExit(cpu)
-	cpu.Swapgs()
-	cpu.Sysret()
+	m.k.exitKernel(cpu)
 	m.k.Eng.Wake(next, t.Now(), nil)
 }
