@@ -245,8 +245,6 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	k.Mach.AlignClocks()
 	k.Mach.ResetStats()
 	s.callSite(label).Obs.Reset() // breakdown covers the window, not binding
-	baseDirect := world.SB.DirectCalls
-	baseWake := readWake(world)
 
 	for i, rs := range ringServers {
 		i, rs := i, rs
@@ -350,8 +348,8 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	cell := &AsyncCell{
 		Workload: w.Name, Cores: cores, Mode: mode, QD: qd,
 		ClientCycles: durations,
-		DirectCalls:  world.SB.DirectCalls - baseDirect,
-		wakeCounters: readWake(world).since(baseWake),
+		DirectCalls:  world.SB.DirectCalls,
+		wakeCounters: readWake(world),
 	}
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	if qd > 0 {

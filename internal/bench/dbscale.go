@@ -31,10 +31,11 @@ type DBScaleConfig struct {
 	CoreCounts []int
 	// Workloads are the YCSB mixes driven (default A, B, E).
 	Workloads []ycsb.Workload
-	// Records is the per-client preloaded row count.
+	// Records is the per-client preloaded row count (at least 1).
 	Records int
-	// OpsPerClient is the measured operation count per client (scan-heavy
-	// workloads run a quarter of it; one scan touches many rows).
+	// OpsPerClient is the measured operation count per client, at least 1
+	// (scan-heavy workloads run a quarter of it; one scan touches many
+	// rows).
 	OpsPerClient int
 }
 
@@ -93,11 +94,8 @@ func (s *Session) DBScale(cfg DBScaleConfig) (*DBScaleResult, error) {
 	if len(cfg.CoreCounts) == 0 {
 		cfg.CoreCounts = []int{1, 2, 4}
 	}
-	if cfg.Records == 0 {
-		cfg.Records = 240
-	}
-	if cfg.OpsPerClient == 0 {
-		cfg.OpsPerClient = 48
+	if cfg.Records < 1 || cfg.OpsPerClient < 1 {
+		return nil, fmt.Errorf("dbscale: %d records and %d ops per client: both must be at least 1", cfg.Records, cfg.OpsPerClient)
 	}
 	if len(cfg.Workloads) == 0 {
 		cfg.Workloads = []ycsb.Workload{
@@ -229,8 +227,6 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	k.Mach.AlignClocks()
 	k.Mach.ResetStats()
 	s.callSite(label).Obs.Reset()
-	baseDirect, baseBatch := world.SB.DirectCalls, world.SB.BatchCalls
-	baseRing, baseBells := world.SB.RingOps, world.SB.RingDoorbells
 	acq0, cont0, wait0, ipi0 := st.FS.LockStats()
 	hits0, miss0, commits0 := st.FS.Cache()
 	var reads0, writes0 uint64
@@ -279,10 +275,10 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 		Workload: w.Name, Cores: cores, Lock: lock, IO: ioMode,
 		TotalOps:       ops * cores,
 		ClientCycles:   durations,
-		DirectCalls:    world.SB.DirectCalls - baseDirect,
-		BatchCalls:     world.SB.BatchCalls - baseBatch,
-		RingOps:        world.SB.RingOps - baseRing,
-		Doorbells:      world.SB.RingDoorbells - baseBells,
+		DirectCalls:    world.SB.DirectCalls,
+		BatchCalls:     world.SB.BatchCalls,
+		RingOps:        world.SB.RingOps,
+		Doorbells:      world.SB.RingDoorbells,
 		LockAcq:        acq1 - acq0,
 		LockContended:  cont1 - cont0,
 		LockWaitCycles: wait1 - wait0,

@@ -70,3 +70,32 @@ func TestDBScaleSweep(t *testing.T) {
 		t.Error("dbscale JSON differs between SetJobs(1) and SetJobs(4)")
 	}
 }
+
+// TestDBScaleCatalogSmallRecords: the catalog preloads a quarter of
+// -records per dbscale client, and at least one row, so -records 1-3 run
+// one row instead of falling back to a built-in count. DBScale itself
+// rejects a zero record or op count instead of defaulting it.
+func TestDBScaleCatalogSmallRecords(t *testing.T) {
+	o := DefaultOptions
+	o.Records, o.Ops = 3, 1
+	var got *DBScaleResult
+	for _, u := range Catalog() {
+		if u.Name != "dbscale" {
+			continue
+		}
+		r, err := u.Run(NewSession(nil), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = r.(*DBScaleResult)
+	}
+	if got == nil {
+		t.Fatal("no dbscale unit in the catalog")
+	}
+	if got.Records != 1 {
+		t.Errorf("-records 3 preloaded %d rows per client, want 1", got.Records)
+	}
+	if _, err := NewSession(nil).DBScale(DBScaleConfig{}); err == nil {
+		t.Error("DBScale(DBScaleConfig{}) returned no error")
+	}
+}

@@ -114,7 +114,7 @@ func Catalog() []Experiment {
 			return s.Async(AsyncConfig{Records: o.Records, TotalOps: o.KVOps})
 		}},
 		Experiment{Name: "dbscale", Label: "dbscale", Bench: "db", Desc: "SQLite/FS lock granularity and fast-path sweep", Run: func(s *Session, o Options) (Result, error) {
-			return s.DBScale(DBScaleConfig{Records: o.Records / 4, OpsPerClient: o.Ops})
+			return s.DBScale(DBScaleConfig{Records: max(1, o.Records/4), OpsPerClient: o.Ops})
 		}},
 		Experiment{Name: "tenants", Label: "tenants", Bench: "tenants", Desc: "multi-tenant frontend sweep (rings + directory drain)", Run: func(s *Session, o Options) (Result, error) {
 			return s.Tenants(TenantsConfig{MaxTenants: o.Tenants})
@@ -231,7 +231,10 @@ type wakeCounters struct {
 	IPIs       uint64 `json:"ipis"`
 }
 
-// readWake snapshots w's ring and wakeup counters.
+// readWake reads w's ring and wakeup counters. Every one is bound into
+// the machine registry, so the Machine.ResetStats that opens a
+// measurement window zeroes them, and at the window's close they are the
+// window's counts.
 func readWake(w *World) wakeCounters {
 	return wakeCounters{
 		RingOps:          w.SB.RingOps,
@@ -242,20 +245,6 @@ func readWake(w *World) wakeCounters {
 		LocalWakes:       w.K.LocalWakes,
 		IPIWakes:         w.K.IPIWakes,
 		IPIs:             w.K.Mach.Obs.Value("machine.ipis"),
-	}
-}
-
-// since returns the counts accrued from base to c.
-func (c wakeCounters) since(base wakeCounters) wakeCounters {
-	return wakeCounters{
-		RingOps:          c.RingOps - base.RingOps,
-		Doorbells:        c.Doorbells - base.Doorbells,
-		DoorbellsSkipped: c.DoorbellsSkipped - base.DoorbellsSkipped,
-		SpinWakes:        c.SpinWakes - base.SpinWakes,
-		Parks:            c.Parks - base.Parks,
-		LocalWakes:       c.LocalWakes - base.LocalWakes,
-		IPIWakes:         c.IPIWakes - base.IPIWakes,
-		IPIs:             c.IPIs - base.IPIs,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"skybridge/internal/mk"
 	"skybridge/internal/obs"
 )
 
@@ -113,6 +114,56 @@ func TestExperimentNamesStable(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("names[%d] = %q, want %q (full: %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestResetStatsZeroesWindowCounters pins the contract the sweeps'
+// measurement windows rely on: every counter that scaling, async, tenants
+// and dbscale read at a window's close, without a base snapshot, is bound
+// into the machine registry, so the Machine.ResetStats that opens the
+// window zeroes it.
+func TestResetStatsZeroesWindowCounters(t *testing.T) {
+	w := MustWorld(WorldConfig{Flavor: mk.SeL4, Cores: 2, SkyBridge: true})
+	for _, p := range []*uint64{
+		&w.SB.DirectCalls, &w.SB.BatchCalls, &w.SB.RingOps,
+		&w.SB.RingDoorbells, &w.SB.RingDoorbellsSkipped,
+		&w.K.SpinWakes, &w.K.Parks, &w.K.LocalWakes, &w.K.IPIWakes,
+		&w.K.SpinCycles, &w.K.Mach.IPICount,
+	} {
+		*p = 1
+	}
+	// The slot counters have no exported field; set them through their
+	// registry names, which reach the Rootkernel only if they are bound.
+	w.K.Mach.Obs.Counter("hv.slot_loads").Inc()
+	w.K.Mach.Obs.Counter("hv.slot_evictions").Inc()
+	read := func() map[string]uint64 {
+		wc := readWake(w)
+		return map[string]uint64{
+			"direct_calls":      w.SB.DirectCalls,
+			"batch_calls":       w.SB.BatchCalls,
+			"slot_loads":        w.RK.SlotLoads(),
+			"slot_evictions":    w.RK.SlotEvictions(),
+			"ring_ops":          wc.RingOps,
+			"doorbells":         wc.Doorbells,
+			"doorbells_skipped": wc.DoorbellsSkipped,
+			"spin_wakes":        wc.SpinWakes,
+			"parks":             wc.Parks,
+			"local_wakes":       wc.LocalWakes,
+			"ipi_wakes":         wc.IPIWakes,
+			"ipis":              wc.IPIs,
+			"spin_cycles":       w.K.SpinCycles,
+		}
+	}
+	for name, v := range read() {
+		if v == 0 {
+			t.Fatalf("%s reads 0 after being set", name)
+		}
+	}
+	w.K.Mach.ResetStats()
+	for name, v := range read() {
+		if v != 0 {
+			t.Errorf("%s = %d after ResetStats, want 0", name, v)
 		}
 	}
 }

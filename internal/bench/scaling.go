@@ -225,8 +225,6 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 			baseCalls[i] = srv.Calls
 		}
 	}
-	baseDirect, baseBatch := world.SB.DirectCalls, world.SB.BatchCalls
-	baseLoads, baseEvict := world.RK.SlotLoads(), world.RK.SlotEvictions()
 
 	durations := make([]uint64, clients)
 	for ci := 0; ci < clients; ci++ {
@@ -281,10 +279,10 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	cell := &ScalingCell{
 		Workload: w.Name, Cores: cores, Batch: batch,
 		ClientCycles:   durations,
-		BatchCrossings: world.SB.BatchCalls - baseBatch,
-		DirectCalls:    world.SB.DirectCalls - baseDirect,
-		SlotLoads:      world.RK.SlotLoads() - baseLoads,
-		SlotEvictions:  world.RK.SlotEvictions() - baseEvict,
+		BatchCrossings: world.SB.BatchCalls,
+		DirectCalls:    world.SB.DirectCalls,
+		SlotLoads:      world.RK.SlotLoads(),
+		SlotEvictions:  world.RK.SlotEvictions(),
 	}
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	for i, id := range kvIDs {

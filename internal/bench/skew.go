@@ -60,7 +60,7 @@ type SkewConfig struct {
 	// middle segment and a zipf-apportioned per-client op split — the
 	// autoscaling cell.
 	Dists []string
-	// TotalOps is the aggregate operation count per cell (default 4096).
+	// TotalOps is the aggregate operation count per cell (at least 1).
 	TotalOps int
 }
 
@@ -126,8 +126,8 @@ func (s *Session) Skew(cfg SkewConfig) (*SkewResult, error) {
 	if len(cfg.Dists) == 0 {
 		cfg.Dists = []string{ycsb.DistUniform, ycsb.DistHotspot, ycsb.DistShifting, "trough"}
 	}
-	if cfg.TotalOps == 0 {
-		cfg.TotalOps = 4096
+	if cfg.TotalOps < 1 {
+		return nil, fmt.Errorf("skew: total ops %d must be at least 1", cfg.TotalOps)
 	}
 	res := &SkewResult{
 		ServerCores: cfg.ServerCores, Dists: cfg.Dists,

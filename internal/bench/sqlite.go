@@ -358,7 +358,8 @@ func (c *sqlClient) check(key int64, vals []db.Value, found bool) error {
 
 // Table4Config sizes the experiment.
 type Table4Config struct {
-	Flavor  mk.Flavor
+	Flavor mk.Flavor
+	// Clients, OpsPerKind and Preload must each be at least 1.
 	Clients int
 	// OpsPerKind is the measured operations per op kind per client.
 	OpsPerKind int
@@ -402,14 +403,9 @@ var table4Paper = map[string]map[string][4]float64{
 // flavor in the three server configurations, recording each mode's
 // throughputs.
 func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
-	if cfg.Clients == 0 {
-		cfg.Clients = 4
-	}
-	if cfg.OpsPerKind == 0 {
-		cfg.OpsPerKind = 40
-	}
-	if cfg.Preload == 0 {
-		cfg.Preload = 100
+	if cfg.Clients < 1 || cfg.OpsPerKind < 1 || cfg.Preload < 1 {
+		return nil, fmt.Errorf("table4: %d clients, %d ops per kind and %d preloaded rows: each must be at least 1",
+			cfg.Clients, cfg.OpsPerKind, cfg.Preload)
 	}
 	res := &Table4Result{Flavor: cfg.Flavor}
 	for _, mode := range []ServerMode{ModeST, ModeMT, ModeSB} {
@@ -626,7 +622,8 @@ func runYCSBCell(c ycsbCell) (ycsbRun, error) {
 	return ycsbRun{Tput: OpsPerSec(c.Ops*c.Threads, window), Exits: k.Mach.TotalVMExits()}, nil
 }
 
-// YCSBConfig sizes the experiment.
+// YCSBConfig sizes the experiment. Threads defaults to 1, 2, 4 and 8;
+// Records and Ops must be at least 1.
 type YCSBConfig struct {
 	Flavor  mk.Flavor
 	Threads []int
@@ -649,11 +646,8 @@ func (s *Session) Figure9to11(cfg YCSBConfig) (*YCSBResult, error) {
 	if len(cfg.Threads) == 0 {
 		cfg.Threads = []int{1, 2, 4, 8}
 	}
-	if cfg.Records == 0 {
-		cfg.Records = 400
-	}
-	if cfg.Ops == 0 {
-		cfg.Ops = 60
+	if cfg.Records < 1 || cfg.Ops < 1 {
+		return nil, fmt.Errorf("ycsb: %d records and %d ops per thread: both must be at least 1", cfg.Records, cfg.Ops)
 	}
 	var cells []ycsbCell
 	for _, mode := range []ServerMode{ModeST, ModeMT, ModeSB} {
@@ -721,11 +715,8 @@ type Table5Result struct {
 // on sweep, the native ones shared with Figure 9 through the session
 // tree's memo, and each row is recorded.
 func (s *Session) Table5(records, ops int) (*Table5Result, error) {
-	if records == 0 {
-		records = 400
-	}
-	if ops == 0 {
-		ops = 60
+	if records < 1 || ops < 1 {
+		return nil, fmt.Errorf("table5: %d records and %d ops per thread: both must be at least 1", records, ops)
 	}
 	var cells []ycsbCell
 	for _, th := range []int{1, 8} {

@@ -57,8 +57,8 @@ func table6Seed(row int) int64 { return 0x7A7A + int64(row+1)*0x9E3779B9 }
 // immediate of a long call instruction, which the rewriter classifies and
 // neutralizes via the jump-like-instruction strategy.
 func (s *Session) Table6(scale int) (*Table6Result, error) {
-	if scale <= 0 {
-		scale = 8
+	if scale < 1 {
+		return nil, fmt.Errorf("table6: scale divisor %d must be at least 1", scale)
 	}
 	res := &Table6Result{Scale: scale, Rows: make([]Table6Row, len(table6Corpus))}
 	errs := make([]error, len(table6Corpus))

@@ -283,7 +283,6 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	s.callSite(label).Obs.Reset()
 	hotSite.Obs.Reset()
 	coldSite.Obs.Reset()
-	baseWake := readWake(world)
 
 	for f, fe := range fes {
 		f, fe := f, fe
@@ -388,7 +387,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		Tenants: tenants, ServerCores: serverCores, Dist: dist,
 		TotalOps: totalOps, Credit: tenantCredit, Quantum: tenantQuantum,
 		HotTenants:   hotTenants,
-		wakeCounters: readWake(world).since(baseWake),
+		wakeCounters: readWake(world),
 		SpinCycles:   k.SpinCycles,
 	}
 	for _, fe := range fes {

@@ -610,8 +610,8 @@ func (r *AsyncRing) observeReaped(end uint64, out []Completion, spin, delivery u
 			b2 = clampRange(r.svcS[idx], b1, end)
 			b3 = clampRange(r.svcE[idx], b2, end)
 		}
-		b4 := b3 + min64(delivery, end-b3)
-		b5 := b4 + min64(spin, end-b4)
+		b4 := b3 + min(delivery, end-b3)
+		b5 := b4 + min(spin, end-b4)
 		*rec = obs.CallRecord{
 			Flow: r.flowID(seq), Kind: obs.CallAsync, Seq: uint64(seq),
 			Server: r.serverID, Start: b0, End: end, Wake: uint8(wake),
@@ -634,13 +634,6 @@ func clampRange(v, lo, hi uint64) uint64 {
 		return hi
 	}
 	return v
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Serve is the server's poll loop: drain every attached ring, and when

@@ -33,18 +33,19 @@ const (
 	ClockHz = 4_000_000_000
 )
 
-// Cache hierarchy latencies and geometry (Skylake-like defaults).
+// Cache hierarchy latencies and geometry (Skylake-like, the paper's
+// i7-6700K testbed). Only the D-TLB size is a MachineConfig field.
 const (
-	DefaultL1Latency  uint64 = 4
-	DefaultL2Latency  uint64 = 12
-	DefaultL3Latency  uint64 = 42
-	DefaultMemLatency uint64 = 200
+	L1Latency  uint64 = 4
+	L2Latency  uint64 = 12
+	L3Latency  uint64 = 42
+	MemLatency uint64 = 200
 
-	DefaultL1ISize = 32 << 10
-	DefaultL1DSize = 32 << 10
-	DefaultL2Size  = 256 << 10
-	DefaultL3Size  = 8 << 20
+	L1ISize = 32 << 10
+	L1DSize = 32 << 10
+	L2Size  = 256 << 10
+	L3Size  = 8 << 20
 
-	DefaultITLBEntries = 128
+	ITLBEntries        = 128
 	DefaultDTLBEntries = 64
 )

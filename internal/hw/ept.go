@@ -267,17 +267,8 @@ func (e *EPT) copyTablePage(src HPA) HPA {
 // Translate resolves gpa to an HPA, enforcing permissions. On failure it
 // returns an *EPTViolation describing the fault.
 func (e *EPT) Translate(gpa GPA, acc Access) (HPA, *EPTViolation) {
-	hpa, _, v := e.TranslateTrace(gpa, acc)
+	hpa, _, v := e.TranslateInto(gpa, acc, nil)
 	return hpa, v
-}
-
-// TranslateTrace is Translate but additionally returns the physical
-// addresses of every EPT entry the walk read, so the CPU model can charge
-// cache accesses for the walk (this is where the 2-level-translation cost
-// the paper discusses comes from).
-func (e *EPT) TranslateTrace(gpa GPA, acc Access) (HPA, []HPA, *EPTViolation) {
-	hpa, trace, v := e.TranslateInto(gpa, acc, nil)
-	return hpa, trace, v
 }
 
 // eptNeed returns the EPT permission bit an access kind requires.
@@ -291,9 +282,11 @@ func eptNeed(acc Access) EPTFlags {
 	return EPTRead
 }
 
-// TranslateInto is TranslateTrace appending entry slots to the
-// caller-provided trace buffer (pass a reused scratch slice to avoid the
-// per-walk allocation).
+// TranslateInto is Translate that also appends the physical address of
+// every EPT entry the walk read to trace, so the CPU model can charge
+// cache accesses for the walk (this is where the 2-level-translation cost
+// the paper discusses comes from). Pass a reused scratch slice to avoid
+// the per-walk allocation.
 func (e *EPT) TranslateInto(gpa GPA, acc Access, trace []HPA) (HPA, []HPA, *EPTViolation) {
 	need := eptNeed(acc)
 	table := e.Root

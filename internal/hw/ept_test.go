@@ -195,7 +195,7 @@ func TestEPTTranslateTraceLengths(t *testing.T) {
 	if err := e.Map(0, 0, Page1GSize, EPTAll); err != nil {
 		t.Fatal(err)
 	}
-	_, trace, v := e.TranslateTrace(0x1000, AccessRead)
+	_, trace, v := e.TranslateInto(0x1000, AccessRead, nil)
 	if v != nil {
 		t.Fatal(v)
 	}
@@ -205,7 +205,7 @@ func TestEPTTranslateTraceLengths(t *testing.T) {
 	if err := e.Map(GPA(2<<30), HPA(2<<30), PageSize, EPTAll); err != nil {
 		t.Fatal(err)
 	}
-	_, trace, v = e.TranslateTrace(GPA(2<<30), AccessRead)
+	_, trace, v = e.TranslateInto(GPA(2<<30), AccessRead, nil)
 	if v != nil {
 		t.Fatal(v)
 	}

@@ -6,17 +6,15 @@ import (
 	"skybridge/internal/obs"
 )
 
-// MachineConfig sizes a simulated machine. Zero fields take Skylake-like
-// defaults matching the paper's i7-6700K testbed.
+// MachineConfig sizes a simulated machine. Zero fields take defaults
+// matching the paper's i7-6700K testbed; the cache hierarchy is fixed
+// (costs.go).
 type MachineConfig struct {
 	Cores    int
 	MemBytes uint64
-
-	L1ISize, L1DSize, L2Size, L3Size int
-	L1Latency, L2Latency, L3Latency  uint64
-	MemLatency                       uint64
-
-	ITLBEntries, DTLBEntries int
+	// DTLBEntries sizes each core's D-TLB (tests shrink it to force
+	// TLB churn).
+	DTLBEntries int
 }
 
 func (c *MachineConfig) applyDefaults() {
@@ -25,33 +23,6 @@ func (c *MachineConfig) applyDefaults() {
 	}
 	if c.MemBytes == 0 {
 		c.MemBytes = 16 << 30
-	}
-	if c.L1ISize == 0 {
-		c.L1ISize = DefaultL1ISize
-	}
-	if c.L1DSize == 0 {
-		c.L1DSize = DefaultL1DSize
-	}
-	if c.L2Size == 0 {
-		c.L2Size = DefaultL2Size
-	}
-	if c.L3Size == 0 {
-		c.L3Size = DefaultL3Size
-	}
-	if c.L1Latency == 0 {
-		c.L1Latency = DefaultL1Latency
-	}
-	if c.L2Latency == 0 {
-		c.L2Latency = DefaultL2Latency
-	}
-	if c.L3Latency == 0 {
-		c.L3Latency = DefaultL3Latency
-	}
-	if c.MemLatency == 0 {
-		c.MemLatency = DefaultMemLatency
-	}
-	if c.ITLBEntries == 0 {
-		c.ITLBEntries = DefaultITLBEntries
 	}
 	if c.DTLBEntries == 0 {
 		c.DTLBEntries = DefaultDTLBEntries
@@ -96,19 +67,19 @@ func NewMachine(cfg MachineConfig) *Machine {
 		Obs:     obs.NewRegistry(),
 		VMExits: make(map[ExitReason]uint64),
 	}
-	m.L3 = NewCache(CacheConfig{Name: "L3", Size: cfg.L3Size, Ways: 16, Latency: cfg.L3Latency}, nil, cfg.MemLatency)
+	m.L3 = NewCache(CacheConfig{Name: "L3", Size: L3Size, Ways: 16, Latency: L3Latency}, nil, MemLatency)
 	m.L3.BindObs(m.Obs)
 	for i := 0; i < cfg.Cores; i++ {
-		l2 := NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L2", i), Size: cfg.L2Size, Ways: 4, Latency: cfg.L2Latency}, m.L3, 0)
+		l2 := NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L2", i), Size: L2Size, Ways: 4, Latency: L2Latency}, m.L3, 0)
 		cpu := &CPU{
 			ID:   i,
 			mach: m,
 			Mode: ModeKernel,
 			VPID: uint16(i + 1),
-			L1I:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1I", i), Size: cfg.L1ISize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
-			L1D:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1D", i), Size: cfg.L1DSize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
+			L1I:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1I", i), Size: L1ISize, Ways: 8, Latency: L1Latency}, l2, 0),
+			L1D:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1D", i), Size: L1DSize, Ways: 8, Latency: L1Latency}, l2, 0),
 			L2:   l2,
-			ITLB: NewTLB(cfg.ITLBEntries),
+			ITLB: NewTLB(ITLBEntries),
 			DTLB: NewTLB(cfg.DTLBEntries),
 		}
 		m.Cores = append(m.Cores, cpu)

@@ -164,7 +164,7 @@ type Kernel struct {
 	// endpoints lists created endpoints (window allocation).
 	endpoints []*Endpoint
 
-	// stagePool recycles staged-payload buffers (callCtx.reqStage/repStage)
+	// stagePool recycles staged-payload buffers (leg.stage)
 	// by exact size. Host-side only: a staged buffer is exclusively owned by
 	// its in-flight call from copy-in until the consuming copy-out, which
 	// returns it here. Payload sizes repeat heavily (the same buffers are
