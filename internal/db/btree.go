@@ -55,11 +55,12 @@ func (bp *btPage) cellBytes() int {
 // parsePage decodes a B+tree page, charging the reads.
 func parsePage(env *mk.Env, pg *page) (*btPage, error) {
 	hdr := pg.read(env, 0, btHdrSize)
+	ncells := int(binary.LittleEndian.Uint16(hdr[2:]))
 	bp := &btPage{
 		typ:        int(hdr[0]),
 		rightChild: int(binary.LittleEndian.Uint32(hdr[6:])),
+		cells:      make([]btCell, 0, ncells), // at most 65,535 (uint16)
 	}
-	ncells := int(binary.LittleEndian.Uint16(hdr[2:]))
 	used := int(binary.LittleEndian.Uint16(hdr[4:]))
 	if bp.typ != pageLeaf && bp.typ != pageInterior {
 		return nil, fmt.Errorf("db: page %d: bad btree page type %d", pg.no, bp.typ)

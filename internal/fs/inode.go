@@ -1,8 +1,11 @@
 package fs
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
+	"skybridge/internal/hw"
 	"skybridge/internal/mk"
 )
 
@@ -57,9 +60,19 @@ func (f *FS) allocInode(env *mk.Env, typ uint16) (uint64, error) {
 	return 0, fmt.Errorf("fs: out of inodes")
 }
 
+// zeroBlock is the image balloc writes over a new block; it is only ever
+// read from (bcache.write copies it).
+var zeroBlock [BlockSize]byte
+
 // balloc allocates a zeroed data block. In fine mode alloclk covers the
 // whole scan: the read-bit→write-bit window crosses park points (shard
 // locks, the log lock), so without it two writers could claim one bit.
+//
+// Like xv6, the scan tests the bitmap one bit at a time, each test a
+// one-byte load of the bit's byte. The search runs on the host copy, and
+// the loads it stands for (the bits up to and including the clear one, or
+// the block's whole limit) are charged as eight loads of each whole byte,
+// then the rest on the last byte.
 func (f *FS) balloc(env *mk.Env) (int, error) {
 	if f.alloclk != nil {
 		f.alloclk.Lock(env)
@@ -72,26 +85,40 @@ func (f *FS) balloc(env *mk.Env) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		for bi := 0; bi < bitsPerBlock && bn+bi < int(f.sb.Size); bi++ {
-			byteOff, mask := bi/8, byte(1)<<(bi%8)
-			cur := b.read(env, byteOff, 1)
-			if cur[0]&mask == 0 {
-				f.bc.write(env, b, byteOff, []byte{cur[0] | mask})
-				// Zero the block.
-				zb, err := f.bc.get(env, bn+bi)
-				if err != nil {
-					f.bc.put(b)
-					return 0, err
-				}
-				f.bc.write(env, zb, 0, make([]byte, BlockSize))
-				f.bc.put(zb)
-				f.bc.put(b)
-				return bn + bi, nil
-			}
+		limit := min(bitsPerBlock, int(f.sb.Size)-bn)
+		bi := firstClear(b.data, limit)
+		tested := min(bi+1, limit)
+		env.ReadRepeat(b.slotVA, tested/8, 8)
+		env.ReadRepeat(b.slotVA+hw.VA(tested/8), 1, tested%8)
+		if bi == limit {
+			f.bc.put(b)
+			continue
 		}
+		byteOff := bi / 8
+		f.bc.write(env, b, byteOff, []byte{b.data[byteOff] | 1<<(bi%8)})
+		zb, err := f.bc.get(env, bn+bi)
+		if err != nil {
+			f.bc.put(b)
+			return 0, err
+		}
+		f.bc.write(env, zb, 0, zeroBlock[:])
+		f.bc.put(zb)
 		f.bc.put(b)
+		return bn + bi, nil
 	}
 	return 0, fmt.Errorf("fs: out of data blocks")
+}
+
+// firstClear returns the first clear bit of bitmap below limit, or limit
+// if there is none. Bit i is bit i%8 of byte i/8; bitmap holds whole
+// 64-bit words past limit.
+func firstClear(bitmap []byte, limit int) int {
+	for i := 0; i < limit; i += 64 {
+		if w := ^binary.LittleEndian.Uint64(bitmap[i/8:]); w != 0 {
+			return min(i+bits.TrailingZeros64(w), limit)
+		}
+	}
+	return limit
 }
 
 // bfree releases a data block.

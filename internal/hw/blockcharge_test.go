@@ -1,7 +1,10 @@
 package hw
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -110,6 +113,216 @@ func TestAccessRangeExactEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ReadRepeat cases run in a window of repeatPages mapped pages at
+// repeatBase, followed by one unmapped page a run can fault on, then
+// probePages mapped pages the eviction probe reads.
+const (
+	repeatBase          VA = 0x40_0000
+	repeatPages            = 3
+	probeBase              = repeatBase + (repeatPages+1)*PageSize
+	probePages             = 7 // an L1D set's ways less one
+	smallDTLBEntries       = 6
+	repeatWindowBytes      = repeatPages * PageSize
+	repeatMaxReps          = 8
+	repeatDataFrameBase    = 0x10_0000
+)
+
+// repeatPair is two identical single-core machines: a charges each run
+// with ReadRepeat, b with the per-byte ReadData loop it stands for.
+type repeatPair struct{ a, b *Machine }
+
+// newRepeatPair builds the pair, natively or under an identity EPT, with a
+// default or a small D-TLB.
+func newRepeatPair(t *testing.T, ept, smallTLB bool) *repeatPair {
+	t.Helper()
+	cfg := MachineConfig{Cores: 1, MemBytes: 1 << 26}
+	if smallTLB {
+		cfg.DTLBEntries = smallDTLBEntries
+	}
+	p := &repeatPair{a: NewMachine(cfg), b: NewMachine(cfg)}
+	for _, m := range []*Machine{p.a, p.b} {
+		cpu := m.Cores[0]
+		pt := NewPageTable(m.Mem)
+		cpu.CR3 = pt.Root
+		if ept {
+			installVirt(t, m, cpu)
+		}
+		if err := pt.MapRange(repeatBase, repeatDataFrameBase, repeatPages, PTEUser|PTEWrite); err != nil {
+			t.Fatal(err)
+		}
+		if err := pt.MapRange(probeBase, repeatDataFrameBase+repeatWindowBytes, probePages, PTEUser|PTEWrite); err != nil {
+			t.Fatal(err)
+		}
+		cpu.Mode = ModeUser
+	}
+	return p
+}
+
+// both applies op to each machine's core.
+func (p *repeatPair) both(op func(c *CPU)) {
+	op(p.a.Cores[0])
+	op(p.b.Cores[0])
+}
+
+// check charges reps one-byte reads of each byte of [va, va+n) on both
+// machines and requires the same error and the same machine state, then
+// runs the eviction probe on both and requires the same state again.
+func (p *repeatPair) check(t *testing.T, va VA, n, reps int) error {
+	t.Helper()
+	errA := p.a.Cores[0].ReadRepeat(va, n, reps)
+	errB := func() error {
+		c := p.b.Cores[0]
+		for i := 0; i < n; i++ {
+			for r := 0; r < reps; r++ {
+				if err := c.ReadData(va+VA(i), nil, 1); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}()
+	what := fmt.Sprintf("ReadRepeat(%#x, %d, %d)", uint64(va), n, reps)
+	if !reflect.DeepEqual(errA, errB) {
+		t.Fatalf("%s returned %v, the per-byte loop %v", what, errA, errB)
+	}
+	p.same(t, what)
+	p.both(probe)
+	p.same(t, what+" and the eviction probe")
+	return errA
+}
+
+// probe evicts all but the most recent old entry of the small D-TLB and
+// all but the most recent old line of every L1D set, reading the window
+// after each: which of the window's pages and lines survived to hit
+// depends on every LRU stamp, so a wrong stamp moves the clock and the
+// stats.
+func probe(c *CPU) {
+	for pg := VA(0); pg < smallDTLBEntries-1; pg++ {
+		_ = c.ReadData(probeBase+pg*PageSize, nil, 1)
+	}
+	for pg := VA(0); pg < repeatPages; pg++ {
+		_ = c.ReadData(repeatBase+pg*PageSize, nil, 1)
+	}
+	for off := VA(0); off < probePages*PageSize; off += LineSize {
+		_ = c.ReadData(probeBase+off, nil, 1)
+	}
+	for off := VA(0); off < repeatWindowBytes; off += LineSize {
+		_ = c.ReadData(repeatBase+off, nil, 1)
+	}
+}
+
+// tlbEntries returns t's entries ordered by LRU stamp.
+func tlbEntries(t *TLB) []tlbEntry {
+	es := append([]tlbEntry(nil), t.entries...)
+	sort.Slice(es, func(i, j int) bool { return es[i].lru < es[j].lru })
+	return es
+}
+
+// same requires both machines to be in the same simulated state: the
+// core's clock and counters, both TLBs' stats, clocks and entries in LRU
+// order, every cache level's stats, clock and per-set (tag, LRU)
+// contents, and the VM-exit counts.
+func (p *repeatPair) same(t *testing.T, after string) {
+	t.Helper()
+	a, b := p.a.Cores[0], p.b.Cores[0]
+	if a.Clock != b.Clock || a.Counters != b.Counters {
+		t.Fatalf("after %s: clock %d counters %+v, per-byte loop clock %d counters %+v",
+			after, a.Clock, a.Counters, b.Clock, b.Counters)
+	}
+	for _, pair := range [][2]*TLB{{a.DTLB, b.DTLB}, {a.ITLB, b.ITLB}} {
+		x, y := pair[0], pair[1]
+		if x.Stats != y.Stats || x.clock != y.clock || !reflect.DeepEqual(tlbEntries(x), tlbEntries(y)) {
+			t.Fatalf("after %s: TLB stats %+v clock %d entries %+v, per-byte loop %+v clock %d entries %+v",
+				after, x.Stats, x.clock, tlbEntries(x), y.Stats, y.clock, tlbEntries(y))
+		}
+	}
+	for _, pair := range [][2]*Cache{{a.L1I, b.L1I}, {a.L1D, b.L1D}, {a.L2, b.L2}, {p.a.L3, p.b.L3}} {
+		x, y := pair[0], pair[1]
+		if x.Stats != y.Stats || x.clock != y.clock {
+			t.Fatalf("after %s: %s stats %+v clock %d, per-byte loop %+v clock %d",
+				after, x.cfg.Name, x.Stats, x.clock, y.Stats, y.clock)
+		}
+		// Equal way arrays are equal per-set contents; only a difference
+		// needs the canonical, slot-order-free comparison.
+		if (!slices.Equal(x.tags, y.tags) || !slices.Equal(x.lrus, y.lrus)) &&
+			!reflect.DeepEqual(setContents(x), setContents(y)) {
+			t.Fatalf("after %s: %s set contents differ from the per-byte loop's", after, x.cfg.Name)
+		}
+	}
+	if !reflect.DeepEqual(p.a.VMExits, p.b.VMExits) {
+		t.Fatalf("after %s: VM exits %v, per-byte loop %v", after, p.a.VMExits, p.b.VMExits)
+	}
+}
+
+// TestReadRepeatExact drives ReadRepeat and the per-byte ReadData loop it
+// stands for on two identical machines, natively and under an EPT, with a
+// default and a small D-TLB. Random runs start anywhere in the window and
+// stay in one line, cross lines, cross a page or run into the unmapped
+// page, at 1 to 8 reads per byte; between them the TLB or every cache is
+// flushed (cold) or part of the window is read (warm). After every run
+// and every eviction probe the two machines must match exactly.
+func TestReadRepeatExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x0B17))
+	for _, ept := range []bool{false, true} {
+		for _, small := range []bool{false, true} {
+			p := newRepeatPair(t, ept, small)
+			faults := 0
+			for i := 0; i < 120; i++ {
+				switch rng.Intn(4) {
+				case 0:
+					p.both(func(c *CPU) { c.DTLB.FlushAll() })
+				case 1:
+					p.both(func(c *CPU) {
+						for _, l := range []*Cache{c.L1D, c.L2, c.mach.L3} {
+							l.Flush()
+						}
+					})
+				case 2:
+					off, n := VA(rng.Intn(repeatWindowBytes)), rng.Intn(PageSize)
+					p.both(func(c *CPU) { _ = c.ReadData(repeatBase+off, nil, n) })
+				}
+				var off, n int
+				switch rng.Intn(4) {
+				case 0: // within a line or across one boundary
+					off, n = rng.Intn(repeatWindowBytes), 1+rng.Intn(LineSize)
+				case 1: // across several lines
+					off, n = rng.Intn(repeatWindowBytes), 1+rng.Intn(10*LineSize)
+				case 2: // across a page boundary
+					off = PageSize*(1+rng.Intn(repeatPages-1)) - 1 - rng.Intn(5*LineSize)
+					n = 2 + rng.Intn(10*LineSize)
+				default: // into the unmapped page
+					off = repeatWindowBytes - 1 - rng.Intn(5*LineSize)
+					n = 1 + rng.Intn(10*LineSize)
+				}
+				if p.check(t, repeatBase+VA(off), n, 1+rng.Intn(repeatMaxReps)) != nil {
+					faults++
+				}
+			}
+			if faults == 0 {
+				t.Errorf("ept=%v small=%v: no run faulted", ept, small)
+			}
+		}
+	}
+}
+
+// FuzzReadRepeat runs one ReadRepeat against the per-byte ReadData loop on
+// a fresh machine pair through TestReadRepeatExact's checker. flags bit 0
+// runs under an EPT, bit 1 shrinks the D-TLB, bit 2 reads the window
+// first (warm), and bit 3 repeats the run (warm from itself).
+func FuzzReadRepeat(f *testing.F) {
+	f.Fuzz(func(t *testing.T, off, n uint16, reps, flags uint8) {
+		p := newRepeatPair(t, flags&1 != 0, flags&2 != 0)
+		if flags&4 != 0 {
+			p.both(func(c *CPU) { _ = c.ReadData(repeatBase, nil, repeatWindowBytes) })
+		}
+		va := repeatBase + VA(int(off)%repeatWindowBytes)
+		runs := 1 + int(flags>>3&1)
+		for i := 0; i < runs; i++ {
+			p.check(t, va, int(n)%(2*PageSize), int(reps)%(repeatMaxReps+1))
+		}
+	})
 }
 
 // driveBlocks performs a mixed burst workload: multi-KB reads and writes

@@ -178,6 +178,21 @@ func (c *Cache) Access(h HPA, write bool) uint64 {
 	return cost
 }
 
+// accessRepeat is k consecutive Access calls to the line holding h, read
+// only, returning the cycles they cost. The first may miss and fill; either
+// way it leaves the line resident and lineIdx pointing at its slot, so the
+// rest are hits, applied in bulk to the clock, Accesses, Hits and the
+// line's LRU stamp.
+func (c *Cache) accessRepeat(h HPA, k uint64) uint64 {
+	cost := c.Access(h, false)
+	k--
+	c.clock += k
+	c.Stats.Accesses += k
+	c.Stats.Hits += k
+	c.lrus[c.lineIdx[c.lineHash(uint64(h)>>LineShift+1)]-1] = c.clock
+	return cost + k*c.cfg.Latency
+}
+
 // lineHash spreads line keys over the lineIdx memo (Fibonacci hashing).
 func (c *Cache) lineHash(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> (64 - c.lineBits))

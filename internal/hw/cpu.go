@@ -221,6 +221,35 @@ func (c *CPU) ReadData(va VA, buf []byte, n int) error {
 	return c.accessData(va, buf, n, AccessRead)
 }
 
+// ReadRepeat charges exactly what reps calls of ReadData(v, nil, 1) on each
+// byte v of [va, va+n), in ascending order, would charge, and returns the
+// fault the first failing one would: a bitmap scan that tests each bit
+// with its own one-byte load is such a run. The first read on each cache
+// line goes through accessData. Once an access succeeds, its translation
+// and its line stay resident until the next access, so the rest of that
+// line's reads are D-TLB and L1D hits, applied in bulk.
+func (c *CPU) ReadRepeat(va VA, n, reps int) error {
+	if reps <= 0 {
+		return nil
+	}
+	for end := va + VA(n); va < end; {
+		next := min(end, (va|(LineSize-1))+1)
+		if err := c.accessData(va, nil, 1, AccessRead); err != nil {
+			return err
+		}
+		if k := uint64(next-va)*uint64(reps) - 1; k > 0 {
+			pfn, flags, ok := c.DTLB.lookupRepeat(c.tlbTag(), va.PageNum(), k)
+			if !ok || checkPTPerms(flags, AccessRead, c.Mode, va) != nil {
+				panic(fmt.Sprintf("hw: translation of %#x not resident after its own access", uint64(va)))
+			}
+			c.Clock += c.L1D.accessRepeat(pfn+HPA(va.PageOff()), k)
+			c.Counters.DataAccesses += k
+		}
+		va = next
+	}
+	return nil
+}
+
 // WriteData performs a charged data write of n bytes at va from buf (buf
 // may be nil to model the access pattern only; the memory is then zeroed).
 func (c *CPU) WriteData(va VA, buf []byte, n int) error {

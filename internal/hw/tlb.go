@@ -98,6 +98,25 @@ func (t *TLB) Lookup(tag TLBTag, vpn uint64) (HPA, PTFlags, bool) {
 	return 0, 0, false
 }
 
+// lookupRepeat is k consecutive Lookup calls for (tag, vpn), returning the
+// last one's result. Nothing between them changes the TLB, so the rest
+// repeat the first one's outcome and are applied in bulk: a hit moves the
+// clock, Lookups, Hits and the entry's LRU stamp (a Lookup hit leaves the
+// index pointing at its entry), a miss the clock, Lookups and Misses.
+func (t *TLB) lookupRepeat(tag TLBTag, vpn uint64, k uint64) (HPA, PTFlags, bool) {
+	pfn, flags, ok := t.Lookup(tag, vpn)
+	k--
+	t.clock += k
+	t.Stats.Lookups += k
+	if !ok {
+		t.Stats.Misses += k
+		return 0, 0, false
+	}
+	t.Stats.Hits += k
+	t.entries[t.idx[tlbHash(tag, vpn)]-1].lru = t.clock
+	return pfn, flags, true
+}
+
 // Insert caches a translation, evicting the least recently used entry if
 // the TLB is full.
 func (t *TLB) Insert(tag TLBTag, vpn uint64, pfn HPA, flags PTFlags) {

@@ -236,6 +236,15 @@ func (e *Env) Read(va hw.VA, buf []byte, n int) {
 	}
 }
 
+// ReadRepeat charges reps user-mode one-byte reads of each byte of
+// [va, va+n), in ascending order, without moving data.
+func (e *Env) ReadRepeat(va hw.VA, n, reps int) {
+	e.enter()
+	if err := e.T.Core.ReadRepeat(va, n, reps); err != nil {
+		panic(fmt.Sprintf("mk: %s: read %#x: %v", e.T.Name, uint64(va), err))
+	}
+}
+
 // Write performs a charged user-mode write of n bytes at va.
 func (e *Env) Write(va hw.VA, buf []byte, n int) {
 	e.enter()
