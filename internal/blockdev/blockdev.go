@@ -106,100 +106,58 @@ type Client struct {
 
 // ReadBlock fetches block bn.
 func (c *Client) ReadBlock(env *mk.Env, bn int) ([]byte, error) {
-	resp, err := c.Conn.Invoke(env, Req{Op: OpRead, Args: [3]uint64{uint64(bn)}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("blockdev: read %d: status %d", bn, resp.Status)
-	}
-	return resp.Data, nil
+	resp, err := c.call(env, Req{Op: OpRead, Args: [3]uint64{uint64(bn)}})
+	return resp.Data, err
 }
 
 // WriteBlock stores block bn.
 func (c *Client) WriteBlock(env *mk.Env, bn int, data []byte) error {
-	resp, err := c.Conn.Invoke(env, Req{Op: OpWrite, Args: [3]uint64{uint64(bn)}, Data: data})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("blockdev: write %d: status %d", bn, resp.Status)
-	}
-	return nil
+	_, err := c.call(env, Req{Op: OpWrite, Args: [3]uint64{uint64(bn)}, Data: data})
+	return err
 }
 
-// batchBlocks is how many full-size blocks fit in one batched crossing:
-// the 4-page shared buffer holds the ring headers plus three 4096-byte
-// slots (core.BatchLayout rounds each slot to a cache line).
-const batchBlocks = 3
-
-// ReadBlocks fetches the given blocks, batching up to three reads per
-// transport crossing when the connection supports it (svc.Batcher). The
-// RespCap hint sizes each ring slot for a full block reply even though
-// read requests carry no payload.
-func (c *Client) ReadBlocks(env *mk.Env, bns []int) ([][]byte, error) {
-	out := make([][]byte, 0, len(bns))
-	for start := 0; start < len(bns); start += batchBlocks {
-		end := start + batchBlocks
-		if end > len(bns) {
-			end = len(bns)
-		}
-		reqs := make([]Req, end-start)
-		for i, bn := range bns[start:end] {
-			reqs[i] = Req{Op: OpRead, Args: [3]uint64{uint64(bn)}, RespCap: BlockSize}
-		}
-		resps, err := svc.InvokeBatch(env, c.Conn, reqs)
-		if err != nil {
-			return nil, err
-		}
-		for i, resp := range resps {
-			if resp.Status != StatusOK {
-				return nil, fmt.Errorf("blockdev: read %d: status %d", bns[start+i], resp.Status)
-			}
-			out = append(out, resp.Data)
-		}
-	}
-	return out, nil
+// ReadBlocks fetches the given blocks, per to a transport crossing
+// (svc.InvokeEach). The RespCap hint sizes each batch slot for a full
+// block reply even though read requests carry no payload.
+func (c *Client) ReadBlocks(env *mk.Env, per int, bns []int) ([][]byte, error) {
+	out := make([][]byte, len(bns))
+	return out, svc.InvokeEach(env, c.Conn, per, len(bns),
+		func(i int) Req { return Req{Op: OpRead, Args: [3]uint64{uint64(bns[i])}, RespCap: BlockSize} },
+		func(i int, resp Resp) error {
+			out[i] = resp.Data
+			return status(OpRead, bns[i], resp)
+		})
 }
 
-// WriteBlocks stores data[i] at block bns[i], batching up to three writes
-// per transport crossing. Within a batch the device applies entries in
-// submission order, so a caller folding a journal/log protocol into one
-// crossing keeps its write ordering.
-func (c *Client) WriteBlocks(env *mk.Env, bns []int, datas [][]byte) error {
-	if len(bns) != len(datas) {
-		return fmt.Errorf("blockdev: write batch: %d blocks, %d buffers", len(bns), len(datas))
-	}
-	for start := 0; start < len(bns); start += batchBlocks {
-		end := start + batchBlocks
-		if end > len(bns) {
-			end = len(bns)
-		}
-		reqs := make([]Req, end-start)
-		for i := range reqs {
-			reqs[i] = Req{Op: OpWrite, Args: [3]uint64{uint64(bns[start+i])}, Data: datas[start+i]}
-		}
-		resps, err := svc.InvokeBatch(env, c.Conn, reqs)
-		if err != nil {
-			return err
-		}
-		for i, resp := range resps {
-			if resp.Status != StatusOK {
-				return fmt.Errorf("blockdev: write %d: status %d", bns[start+i], resp.Status)
-			}
-		}
-	}
-	return nil
+// WriteBlocks stores datas[i] at block bns[i], per to a transport
+// crossing. Within a batch the device applies entries in submission
+// order, so a caller folding a journal/log protocol into one crossing
+// keeps its write ordering.
+func (c *Client) WriteBlocks(env *mk.Env, per int, bns []int, datas [][]byte) error {
+	return svc.InvokeEach(env, c.Conn, per, len(bns),
+		func(i int) Req { return Req{Op: OpWrite, Args: [3]uint64{uint64(bns[i])}, Data: datas[i]} },
+		func(i int, resp Resp) error { return status(OpWrite, bns[i], resp) })
 }
 
 // Flush issues a device barrier.
 func (c *Client) Flush(env *mk.Env) error {
-	resp, err := c.Conn.Invoke(env, Req{Op: OpFlush})
+	_, err := c.call(env, Req{Op: OpFlush})
+	return err
+}
+
+// call invokes req and turns a failed status into an error.
+func (c *Client) call(env *mk.Env, req Req) (Resp, error) {
+	resp, err := c.Conn.Invoke(env, req)
 	if err != nil {
-		return err
+		return Resp{}, err
 	}
+	return resp, status(req.Op, int(req.Args[0]), resp)
+}
+
+// status reports a failed reply to op on block bn as an error.
+func status(op uint64, bn int, resp Resp) error {
 	if resp.Status != StatusOK {
-		return fmt.Errorf("blockdev: flush: status %d", resp.Status)
+		return fmt.Errorf("blockdev: op %d on block %d: status %d", op, bn, resp.Status)
 	}
 	return nil
 }

@@ -36,9 +36,13 @@ func assertExactPartition(t *testing.T, recs []obs.CallRecord, kind obs.CallKind
 		if r.Flow == 0 {
 			t.Errorf("record %d: zero flow id", i)
 		}
-		if r.PhaseSum() != r.E2E() {
+		var sum uint64
+		for _, v := range r.Phases {
+			sum += v
+		}
+		if sum != r.E2E() {
 			t.Errorf("record %d: phases sum to %d, e2e %d (phases %v)",
-				i, r.PhaseSum(), r.E2E(), r.Phases)
+				i, sum, r.E2E(), r.Phases)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package db
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"skybridge/internal/mk"
@@ -52,7 +54,9 @@ func (bp *btPage) cellBytes() int {
 	return n
 }
 
-// parsePage decodes a B+tree page, charging the reads.
+// parsePage decodes a B+tree page, charging the reads. A used-bytes field
+// or a cell that runs past the page is an error; the used-bytes check
+// comes before the body read is charged, so valid pages charge the same.
 func parsePage(env *mk.Env, pg *page) (*btPage, error) {
 	hdr := pg.read(env, 0, btHdrSize)
 	ncells := int(binary.LittleEndian.Uint16(hdr[2:]))
@@ -62,27 +66,34 @@ func parsePage(env *mk.Env, pg *page) (*btPage, error) {
 		cells:      make([]btCell, 0, ncells), // at most 65,535 (uint16)
 	}
 	used := int(binary.LittleEndian.Uint16(hdr[4:]))
-	if bp.typ != pageLeaf && bp.typ != pageInterior {
+	cellHdr := 12 // key, child
+	switch {
+	case bp.typ == pageLeaf:
+		cellHdr = 10 // key, value length
+	case bp.typ != pageInterior:
 		return nil, fmt.Errorf("db: page %d: bad btree page type %d", pg.no, bp.typ)
+	}
+	if used > PageSize-btHdrSize {
+		return nil, fmt.Errorf("db: page %d: %d used bytes overrun the page", pg.no, used)
 	}
 	body := pg.read(env, btHdrSize, used)
 	off := 0
 	for i := 0; i < ncells; i++ {
-		if off+8 > len(body) {
+		if off+cellHdr > len(body) {
 			return nil, fmt.Errorf("db: page %d: truncated cell %d", pg.no, i)
 		}
-		key := int64(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-		var c btCell
-		c.key = key
+		c := btCell{key: int64(binary.LittleEndian.Uint64(body[off:]))}
 		if bp.typ == pageLeaf {
-			vlen := int(binary.LittleEndian.Uint16(body[off:]))
-			off += 2
+			vlen := int(binary.LittleEndian.Uint16(body[off+8:]))
+			off += cellHdr
+			if off+vlen > len(body) {
+				return nil, fmt.Errorf("db: page %d: cell %d value overruns the page", pg.no, i)
+			}
 			c.val = append([]byte(nil), body[off:off+vlen]...)
 			off += vlen
 		} else {
-			c.child = int(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
+			c.child = int(binary.LittleEndian.Uint32(body[off+8:]))
+			off += cellHdr
 		}
 		bp.cells = append(bp.cells, c)
 	}
@@ -132,37 +143,52 @@ func CreateBtree(env *mk.Env, pager *Pager) (*Btree, error) {
 // OpenBtree attaches to an existing tree.
 func OpenBtree(pager *Pager, root int) *Btree { return &Btree{pager: pager, Root: root} }
 
-// findChild returns the child of an interior page to descend into for key.
-func findChild(bp *btPage, key int64) int {
-	i := sort.Search(len(bp.cells), func(i int) bool { return key <= bp.cells[i].key })
-	if i == len(bp.cells) {
-		return bp.rightChild
-	}
-	return bp.cells[i].child
+// search returns the index of the first cell whose key is >= key.
+func (bp *btPage) search(key int64) int {
+	return sort.Search(len(bp.cells), func(i int) bool { return bp.cells[i].key >= key })
 }
 
-// Search returns the value stored under key.
-func (t *Btree) Search(env *mk.Env, key int64) ([]byte, bool, error) {
+// find returns the index of key's cell, and whether it is there.
+func (bp *btPage) find(key int64) (int, bool) {
+	i := bp.search(key)
+	return i, i < len(bp.cells) && bp.cells[i].key == key
+}
+
+// findChild returns the child of an interior page to descend into for key.
+func findChild(bp *btPage, key int64) int {
+	if i := bp.search(key); i < len(bp.cells) {
+		return bp.cells[i].child
+	}
+	return bp.rightChild
+}
+
+// descend walks from the root to the leaf whose key range holds key and
+// returns that leaf's page and cells.
+func (t *Btree) descend(env *mk.Env, key int64) (*page, *btPage, error) {
 	no := t.Root
 	for {
 		pg, err := t.pager.Get(env, no)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		bp, err := parsePage(env, pg)
-		if err != nil {
-			return nil, false, err
+		if err != nil || bp.typ == pageLeaf {
+			return pg, bp, err
 		}
-		if bp.typ == pageInterior {
-			no = findChild(bp, key)
-			continue
-		}
-		i := sort.Search(len(bp.cells), func(i int) bool { return bp.cells[i].key >= key })
-		if i < len(bp.cells) && bp.cells[i].key == key {
-			return bp.cells[i].val, true, nil
-		}
-		return nil, false, nil
+		no = findChild(bp, key)
 	}
+}
+
+// Search returns the value stored under key.
+func (t *Btree) Search(env *mk.Env, key int64) ([]byte, bool, error) {
+	_, bp, err := t.descend(env, key)
+	if err != nil {
+		return nil, false, err
+	}
+	if i, ok := bp.find(key); ok {
+		return bp.cells[i].val, true, nil
+	}
+	return nil, false, nil
 }
 
 // Insert stores value under key, replacing any existing value.
@@ -228,9 +254,8 @@ func (t *Btree) insertInto(env *mk.Env, no int, key int64, value []byte) (int64,
 		}
 		// The child split: insert (sep -> old child), new child takes the
 		// old child's position.
-		i := sort.Search(len(bp.cells), func(i int) bool { return sep <= bp.cells[i].key })
-		cell := btCell{key: sep, child: childNo}
-		bp.cells = append(bp.cells[:i], append([]btCell{cell}, bp.cells[i:]...)...)
+		i := bp.search(sep)
+		bp.cells = slices.Insert(bp.cells, i, btCell{key: sep, child: childNo})
 		if i == len(bp.cells)-1 {
 			// Old child was the rightmost: the new child becomes rightmost.
 			if bp.rightChild == childNo {
@@ -245,12 +270,11 @@ func (t *Btree) insertInto(env *mk.Env, no int, key int64, value []byte) (int64,
 	}
 
 	// Leaf.
-	i := sort.Search(len(bp.cells), func(i int) bool { return bp.cells[i].key >= key })
-	if i < len(bp.cells) && bp.cells[i].key == key {
-		bp.cells[i].val = append([]byte(nil), value...)
+	cell := btCell{key: key, val: append([]byte(nil), value...)}
+	if i, ok := bp.find(key); ok {
+		bp.cells[i] = cell
 	} else {
-		cell := btCell{key: key, val: append([]byte(nil), value...)}
-		bp.cells = append(bp.cells[:i], append([]btCell{cell}, bp.cells[i:]...)...)
+		bp.cells = slices.Insert(bp.cells, i, cell)
 	}
 	return t.storeOrSplit(env, pg, bp)
 }
@@ -302,37 +326,31 @@ func (t *Btree) storeOrSplit(env *mk.Env, pg *page, bp *btPage) (int64, int, err
 // rebalanced (deleted space is reused by later inserts, as in SQLite
 // without vacuum).
 func (t *Btree) Delete(env *mk.Env, key int64) (bool, error) {
-	no := t.Root
-	for {
-		pg, err := t.pager.Get(env, no)
-		if err != nil {
-			return false, err
-		}
-		bp, err := parsePage(env, pg)
-		if err != nil {
-			return false, err
-		}
-		if bp.typ == pageInterior {
-			no = findChild(bp, key)
-			continue
-		}
-		i := sort.Search(len(bp.cells), func(i int) bool { return bp.cells[i].key >= key })
-		if i >= len(bp.cells) || bp.cells[i].key != key {
-			return false, nil
-		}
-		bp.cells = append(bp.cells[:i], bp.cells[i+1:]...)
-		return true, t.storePage(env, pg, bp)
+	pg, bp, err := t.descend(env, key)
+	if err != nil {
+		return false, err
 	}
+	i, ok := bp.find(key)
+	if !ok {
+		return false, nil
+	}
+	bp.cells = slices.Delete(bp.cells, i, i+1)
+	return true, t.storePage(env, pg, bp)
 }
 
-// Scan walks the tree in key order, invoking fn for every cell until fn
-// returns false.
-func (t *Btree) Scan(env *mk.Env, fn func(key int64, value []byte) bool) error {
-	_, err := t.scanFrom(env, t.Root, fn)
+// ScanFrom walks the tree in key order from the first key >= start,
+// calling fn on each cell until fn returns false or an error
+// (math.MinInt64 scans the whole tree).
+func (t *Btree) ScanFrom(env *mk.Env, start int64, fn func(key int64, value []byte) (bool, error)) error {
+	_, err := t.scan(env, t.Root, start, fn)
 	return err
 }
 
-func (t *Btree) scanFrom(env *mk.Env, no int, fn func(int64, []byte) bool) (bool, error) {
+// scan is ScanFrom over the subtree at page no; it reports whether the
+// walk should go on. Children left of the start key hold only smaller
+// keys and are skipped. Every child after the first holds only keys above
+// start, so its search begins at cell 0, as a whole-tree scan's does.
+func (t *Btree) scan(env *mk.Env, no int, start int64, fn func(int64, []byte) (bool, error)) (bool, error) {
 	pg, err := t.pager.Get(env, no)
 	if err != nil {
 		return false, err
@@ -341,104 +359,40 @@ func (t *Btree) scanFrom(env *mk.Env, no int, fn func(int64, []byte) bool) (bool
 	if err != nil {
 		return false, err
 	}
+	j := bp.search(start)
 	if bp.typ == pageLeaf {
-		for _, c := range bp.cells {
-			if !fn(c.key, c.val) {
-				return false, nil
+		for _, c := range bp.cells[j:] {
+			if more, err := fn(c.key, c.val); err != nil || !more {
+				return false, err
 			}
 		}
 		return true, nil
 	}
-	children := make([]int, 0, len(bp.cells)+1)
-	for _, c := range bp.cells {
-		children = append(children, c.child)
-	}
-	children = append(children, bp.rightChild)
-	for i, ch := range children {
-		// Top up the readahead ring each step: the Get below retires the
-		// completion for ch, freeing a slot for a child further ahead.
-		if err := t.pager.Prefetch(env, children[i:]); err != nil {
-			return false, err
-		}
-		cont, err := t.scanFrom(env, ch, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
-}
-
-// ScanFrom walks the tree in key order starting at the first key >= start,
-// invoking fn until it returns false (the YCSB SCAN access path).
-func (t *Btree) ScanFrom(env *mk.Env, start int64, fn func(key int64, value []byte) bool) error {
-	_, err := t.scanFromKey(env, t.Root, start, fn)
-	return err
-}
-
-// scanFromKey descends to the leaf containing start, then continues like
-// scanFrom across the remaining subtrees.
-func (t *Btree) scanFromKey(env *mk.Env, no int, start int64, fn func(int64, []byte) bool) (bool, error) {
-	pg, err := t.pager.Get(env, no)
-	if err != nil {
-		return false, err
-	}
-	bp, err := parsePage(env, pg)
-	if err != nil {
-		return false, err
-	}
-	if bp.typ == pageLeaf {
-		i := sort.Search(len(bp.cells), func(i int) bool { return bp.cells[i].key >= start })
-		for _, c := range bp.cells[i:] {
-			if !fn(c.key, c.val) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	// Children left of the start key hold only smaller keys — skip them.
-	j := sort.Search(len(bp.cells), func(i int) bool { return start <= bp.cells[i].key })
 	children := make([]int, 0, len(bp.cells)-j+1)
 	for _, c := range bp.cells[j:] {
 		children = append(children, c.child)
 	}
 	children = append(children, bp.rightChild)
 	for k, ch := range children {
+		// Top up the readahead ring each step: the Get below retires the
+		// completion for ch, freeing a slot for a child further ahead.
 		if err := t.pager.Prefetch(env, children[k:]); err != nil {
 			return false, err
 		}
-		var cont bool
-		var err error
-		if k == 0 {
-			cont, err = t.scanFromKey(env, ch, start, fn)
-		} else {
-			cont, err = t.scanFrom(env, ch, fn)
-		}
-		if err != nil || !cont {
-			return cont, err
+		if more, err := t.scan(env, ch, start, fn); err != nil || !more {
+			return false, err
 		}
 	}
 	return true, nil
 }
 
-// MaxKey returns the largest key in the tree (0, false if empty).
+// MaxKey returns the largest key in the tree (0, false if empty). Every
+// separator is below math.MaxInt64, so descending toward it takes the
+// rightmost child at every level.
 func (t *Btree) MaxKey(env *mk.Env) (int64, bool, error) {
-	no := t.Root
-	for {
-		pg, err := t.pager.Get(env, no)
-		if err != nil {
-			return 0, false, err
-		}
-		bp, err := parsePage(env, pg)
-		if err != nil {
-			return 0, false, err
-		}
-		if bp.typ == pageInterior {
-			no = bp.rightChild
-			continue
-		}
-		if len(bp.cells) == 0 {
-			return 0, false, nil
-		}
-		return bp.cells[len(bp.cells)-1].key, true, nil
+	_, bp, err := t.descend(env, math.MaxInt64)
+	if err != nil || len(bp.cells) == 0 {
+		return 0, false, err
 	}
+	return bp.cells[len(bp.cells)-1].key, true, nil
 }

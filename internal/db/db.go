@@ -298,28 +298,18 @@ func (t *Table) Delete(env *mk.Env, rowid int64) (bool, error) {
 	return ok, t.db.commitAuto(env, auto)
 }
 
-// Scan iterates all rows in rowid order.
-func (t *Table) Scan(env *mk.Env, fn func(rowid int64, vals []Value) bool) error {
-	return t.tree.Scan(env, func(key int64, rec []byte) bool {
-		vals, err := DecodeRecord(rec)
-		if err != nil {
-			return false
-		}
-		env.Compute(uint64(10 + len(rec)/8))
-		return fn(key, vals)
-	})
-}
-
 // ScanFrom iterates rows in rowid order starting at the first rowid >=
-// start, until fn returns false (range scans, YCSB workload E).
+// start, until fn returns false (range scans, YCSB workload E;
+// math.MinInt64 scans the whole table). A row that does not decode ends
+// the scan with an error.
 func (t *Table) ScanFrom(env *mk.Env, start int64, fn func(rowid int64, vals []Value) bool) error {
-	return t.tree.ScanFrom(env, start, func(key int64, rec []byte) bool {
+	return t.tree.ScanFrom(env, start, func(key int64, rec []byte) (bool, error) {
 		vals, err := DecodeRecord(rec)
 		if err != nil {
-			return false
+			return false, fmt.Errorf("db: %s: row %d: %w", t.Name, key, err)
 		}
 		env.Compute(uint64(10 + len(rec)/8))
-		return fn(key, vals)
+		return fn(key, vals), nil
 	})
 }
 

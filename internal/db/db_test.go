@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,7 @@ func dbWorld(t *testing.T, body func(env *mk.Env, d *DB)) {
 	k := mk.New(mk.Config{Flavor: mk.SeL4}, eng)
 	p := k.NewProcess("dbworld")
 	dev := blockdev.New(p, 4096)
-	f := fs.New(p, svc.NewLocal(dev.Handler()))
+	f := fs.NewFS(p, svc.NewLocal(dev.Handler()), fs.Config{})
 	p.Spawn("main", k.Mach.Cores[0], func(env *mk.Env) {
 		if err := f.Mkfs(env, 4096, 64); err != nil {
 			t.Errorf("mkfs: %v", err)
@@ -163,7 +164,7 @@ func TestBtreeManyInsertsAndSplits(t *testing.T) {
 		// Scan returns all keys in order.
 		prev := int64(-1)
 		count := 0
-		tab.Scan(env, func(rowid int64, vals []Value) bool {
+		tab.ScanFrom(env, math.MinInt64, func(rowid int64, vals []Value) bool {
 			if rowid <= prev {
 				t.Errorf("scan out of order: %d after %d", rowid, prev)
 			}
@@ -262,7 +263,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	k := mk.New(mk.Config{Flavor: mk.SeL4}, eng)
 	p := k.NewProcess("dbworld")
 	dev := blockdev.New(p, 4096)
-	f := fs.New(p, svc.NewLocal(dev.Handler()))
+	f := fs.NewFS(p, svc.NewLocal(dev.Handler()), fs.Config{})
 	p.Spawn("main", k.Mach.Cores[0], func(env *mk.Env) {
 		if err := f.Mkfs(env, 4096, 64); err != nil {
 			t.Error(err)

@@ -1,6 +1,8 @@
 package db
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"skybridge/internal/blockdev"
@@ -19,7 +21,7 @@ func TestHotJournalRollback(t *testing.T) {
 	k := mk.New(mk.Config{Flavor: mk.SeL4}, eng)
 	p := k.NewProcess("crash")
 	dev := blockdev.New(p, 4096)
-	f := fs.New(p, svc.NewLocal(dev.Handler()))
+	f := fs.NewFS(p, svc.NewLocal(dev.Handler()), fs.Config{})
 	p.Spawn("main", k.Mach.Cores[0], func(env *mk.Env) {
 		if err := f.Mkfs(env, 4096, 64); err != nil {
 			t.Error(err)
@@ -54,14 +56,14 @@ func TestHotJournalRollback(t *testing.T) {
 				continue
 			}
 			rec := make([]byte, 8+PageSize)
-			putU64(rec, 0, uint64(no))
+			binary.LittleEndian.PutUint64(rec, uint64(no))
 			copy(rec[8:], orig)
 			fsc.WriteAt(env, jfd, off, rec)
 			off += len(rec)
 			cnt++
 		}
-		putU64(hdr, 0, journalMagic)
-		putU64(hdr, 8, uint64(cnt))
+		binary.LittleEndian.PutUint64(hdr, journalMagic)
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(cnt))
 		fsc.WriteAt(env, jfd, 0, hdr)
 		for i := range d.pager.cache {
 			pg := &d.pager.cache[i]
@@ -109,4 +111,38 @@ func TestJournalClearedAfterCommit(t *testing.T) {
 			t.Errorf("journal not truncated after commit: %d bytes", size)
 		}
 	})
+}
+
+// TestRollbackChargesRepeat: rolling back a transaction that changed many
+// pages charges the same cycles every time; the restores do not follow
+// the journal map's iteration order.
+func TestRollbackChargesRepeat(t *testing.T) {
+	var clocks []uint64
+	for r := 0; r < 4; r++ {
+		dbWorld(t, func(env *mk.Env, d *DB) {
+			mustExec(t, env, d, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+			tab, _ := d.TableByName("t")
+			row := func(i int, fill string) []Value {
+				return []Value{IntValue(int64(i)), TextValue(strings.Repeat(fill, 1500))}
+			}
+			for i := 0; i < 40; i++ {
+				if _, err := tab.Insert(env, row(i, "x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustExec(t, env, d, "BEGIN")
+			for i := 0; i < 40; i += 2 {
+				if _, err := tab.Update(env, int64(i), row(i, "y")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustExec(t, env, d, "ROLLBACK")
+			clocks = append(clocks, env.Now())
+		})
+	}
+	for _, c := range clocks[1:] {
+		if c != clocks[0] {
+			t.Fatalf("identical rollbacks ended at clocks %v", clocks)
+		}
+	}
 }

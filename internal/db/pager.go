@@ -1,6 +1,7 @@
 package db
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -35,8 +36,8 @@ type page struct {
 // PagerIO selects how the pager routes its FS traffic.
 type PagerIO struct {
 	// Batch folds each commit's journal-record writes and dirty-page
-	// writeback into batched WriteAt crossings (svc.InvokeBatch) instead
-	// of one crossing per page.
+	// writeback into batched WriteAt crossings, svc.PageBatch to a
+	// crossing, instead of one crossing per page.
 	Batch bool
 	// Async, when non-nil, is a second connection to the FS server with
 	// an async submission/completion ring: commit writeback streams
@@ -134,42 +135,49 @@ func (p *Pager) Get(env *mk.Env, no int) (*page, error) {
 		// Install dropped the page (every slot dirty): fall through to the
 		// synchronous path, which fails the same way a plain miss would.
 	}
-	var victim *page
-	for i := range p.cache {
-		pg := &p.cache[i]
-		if !pg.valid {
-			victim = pg
-			break
-		}
-		if pg.dirty {
-			continue // dirty pages are held until commit
-		}
-		if victim == nil || pg.lru < victim.lru {
-			victim = pg
-		}
-	}
+	victim := p.victim()
 	if victim == nil {
 		return nil, fmt.Errorf("db: page cache full of dirty pages")
-	}
-	if victim.valid {
-		delete(p.index, victim.no)
 	}
 	p.FsReads++
 	data, err := p.fsc.ReadAt(env, p.fd, no*PageSize, PageSize)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < PageSize {
-		data = append(data, make([]byte, PageSize-len(data))...)
-	}
-	victim.no = no
-	victim.data = append(victim.data[:0], data...)
-	victim.dirty = false
-	victim.valid = true
-	victim.lru = p.clock
-	p.index[no] = victim
-	env.Write(victim.slotVA, nil, PageSize)
+	p.fill(env, victim, no, data)
 	return victim, nil
+}
+
+// victim picks the slot a page read fills: a free slot, else the
+// least-recently-used clean page (dirty pages are held until commit). It
+// returns nil when every slot is dirty.
+func (p *Pager) victim() *page {
+	var victim *page
+	for i := range p.cache {
+		pg := &p.cache[i]
+		if !pg.valid {
+			return pg
+		}
+		if !pg.dirty && (victim == nil || pg.lru < victim.lru) {
+			victim = pg
+		}
+	}
+	return victim
+}
+
+// fill caches data, zero-padded to a page, as page no in slot pg and
+// charges the write of the whole slot.
+func (p *Pager) fill(env *mk.Env, pg *page, no int, data []byte) {
+	if pg.valid {
+		delete(p.index, pg.no)
+	}
+	pg.data = append(pg.data[:0], data...)
+	if pad := PageSize - len(data); pad > 0 {
+		pg.data = append(pg.data, make([]byte, pad)...)
+	}
+	pg.no, pg.dirty, pg.valid, pg.lru = no, false, true, p.clock
+	p.index[no] = pg
+	env.Write(pg.slotVA, nil, PageSize)
 }
 
 // read charges and returns n bytes at off of the page.
@@ -245,47 +253,30 @@ func (p *Pager) Commit(env *mk.Env) error {
 	if len(p.journal) == 0 {
 		return nil
 	}
-	// 1. Journal file: original page images in page-number order (the
-	// map's iteration order must not leak into the on-disk layout or the
-	// batched submission order), then the header that commits them.
+	// 1. Journal file: original page images in page-number order, then
+	// the header that commits them.
 	jfd, _, err := p.fsc.Open(env, p.jname, true)
 	if err != nil {
 		return err
 	}
-	nos := make([]int, 0, len(p.journal))
-	for no, orig := range p.journal {
-		if orig == nil {
-			continue // page was fresh; nothing to restore
-		}
-		nos = append(nos, no)
-	}
-	sort.Ints(nos)
+	nos := p.restorable()
 	offs := make([]int, 0, len(nos)+1)
 	datas := make([][]byte, 0, len(nos)+1)
 	off := PageSize
 	for _, no := range nos {
 		rec := make([]byte, 8+PageSize)
-		putU64(rec, 0, uint64(no))
+		binary.LittleEndian.PutUint64(rec, uint64(no))
 		copy(rec[8:], p.journal[no])
 		offs = append(offs, off)
 		datas = append(datas, rec)
 		off += len(rec)
 	}
 	hdr := make([]byte, 16)
-	putU64(hdr, 0, journalMagic)
-	putU64(hdr, 8, uint64(len(nos)))
+	binary.LittleEndian.PutUint64(hdr, journalMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(nos)))
 	offs = append(offs, 0)
 	datas = append(datas, hdr)
-	if p.io.Batch {
-		err = p.fsc.WriteAtBatch(env, jfd, offs, datas)
-	} else {
-		for i := range offs {
-			if err = p.fsc.WriteAt(env, jfd, offs[i], datas[i]); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := p.fsc.WriteAtBatch(env, jfd, p.width(), offs, datas); err != nil {
 		return err
 	}
 	if err := p.fsc.Fsync(env); err != nil {
@@ -306,38 +297,32 @@ func (p *Pager) Commit(env *mk.Env) error {
 	return nil
 }
 
+// width is how many of a commit's FS writes share one crossing.
+func (p *Pager) width() int {
+	if p.io.Batch {
+		return svc.PageBatch
+	}
+	return 1
+}
+
 // writeback flushes every dirty cached page to the database file, through
-// the async ring, batched crossings, or one call per page depending on
-// the pager's IO mode.
+// the async ring or p.width() pages to a crossing.
 func (p *Pager) writeback(env *mk.Env) error {
 	if p.io.Async != nil {
 		return p.writebackAsync(env)
 	}
-	if p.io.Batch {
-		var offs []int
-		var datas [][]byte
-		for i := range p.cache {
-			pg := &p.cache[i]
-			if pg.valid && pg.dirty {
-				p.FsWrites++
-				offs = append(offs, pg.no*PageSize)
-				datas = append(datas, pg.data)
-				pg.dirty = false
-			}
-		}
-		return p.fsc.WriteAtBatch(env, p.fd, offs, datas)
-	}
+	var offs [cachePages]int
+	var datas [cachePages][]byte
+	n := 0
 	for i := range p.cache {
-		pg := &p.cache[i]
-		if pg.valid && pg.dirty {
-			p.FsWrites++
-			if err := p.fsc.WriteAt(env, p.fd, pg.no*PageSize, pg.data); err != nil {
-				return err
-			}
+		if pg := &p.cache[i]; pg.valid && pg.dirty {
+			offs[n], datas[n] = pg.no*PageSize, pg.data
 			pg.dirty = false
+			n++
 		}
 	}
-	return nil
+	p.FsWrites += uint64(n)
+	return p.fsc.WriteAtBatch(env, p.fd, p.width(), offs[:n], datas[:n])
 }
 
 // writebackAsync streams the dirty pages through the submission ring,
@@ -501,44 +486,17 @@ func (p *Pager) pfHas(no int) bool {
 	return false
 }
 
-// installPage caches a prefetched page image, evicting the
-// least-recently-used clean page. Under pressure (every slot dirty) the
-// prefetch is dropped rather than displacing transaction state.
+// installPage caches a prefetched page image in the victim slot. Under
+// pressure (every slot dirty) the prefetch is dropped rather than
+// displacing transaction state.
 func (p *Pager) installPage(env *mk.Env, no int, data []byte) {
 	if _, ok := p.index[no]; ok {
 		return
 	}
 	p.clock++
-	var victim *page
-	for i := range p.cache {
-		pg := &p.cache[i]
-		if !pg.valid {
-			victim = pg
-			break
-		}
-		if pg.dirty {
-			continue
-		}
-		if victim == nil || pg.lru < victim.lru {
-			victim = pg
-		}
+	if victim := p.victim(); victim != nil {
+		p.fill(env, victim, no, data)
 	}
-	if victim == nil {
-		return
-	}
-	if victim.valid {
-		delete(p.index, victim.no)
-	}
-	if len(data) < PageSize {
-		data = append(data, make([]byte, PageSize-len(data))...)
-	}
-	victim.no = no
-	victim.data = append(victim.data[:0], data...)
-	victim.dirty = false
-	victim.valid = true
-	victim.lru = p.clock
-	p.index[no] = victim
-	env.Write(victim.slotVA, nil, PageSize)
 }
 
 // Rollback discards the transaction's in-memory changes.
@@ -547,26 +505,41 @@ func (p *Pager) Rollback(env *mk.Env) error {
 		return fmt.Errorf("db: rollback outside transaction")
 	}
 	p.inTx = false
-	for no, orig := range p.journal {
+	for _, no := range p.restorable() {
 		if pg, ok := p.index[no]; ok {
-			if orig != nil {
-				copy(pg.data, orig)
-				env.Write(pg.slotVA, nil, PageSize)
-			} else {
-				pg.valid = false
-				delete(p.index, no)
-			}
+			copy(pg.data, p.journal[no])
+			env.Write(pg.slotVA, nil, PageSize)
 			pg.dirty = false
 		}
 	}
 	// Pages allocated this tx disappear.
 	for no, orig := range p.journal {
-		if orig == nil && no < p.npages {
-			p.npages = no
+		if orig != nil {
+			continue
 		}
+		if pg, ok := p.index[no]; ok {
+			pg.valid, pg.dirty = false, false
+			delete(p.index, no)
+		}
+		p.npages = min(p.npages, no)
 	}
 	p.journal = make(map[int][]byte)
 	return nil
+}
+
+// restorable returns the pages whose original images the open
+// transaction journaled, in page-number order: the journal map's
+// iteration order must not reach the journal file's layout, the batched
+// submission order or the cache model.
+func (p *Pager) restorable() []int {
+	nos := make([]int, 0, len(p.journal))
+	for no, orig := range p.journal {
+		if orig != nil { // nil: the page is fresh, nothing to restore
+			nos = append(nos, no)
+		}
+	}
+	sort.Ints(nos)
+	return nos
 }
 
 const journalMagic = 0x5B_1C_CAFE
@@ -585,10 +558,10 @@ func (p *Pager) rollbackHotJournal(env *mk.Env) error {
 	if err != nil {
 		return err
 	}
-	if getU64(h, 0) != journalMagic {
+	if binary.LittleEndian.Uint64(h) != journalMagic {
 		return nil
 	}
-	cnt := int(getU64(h, 8))
+	cnt := int(binary.LittleEndian.Uint64(h[8:]))
 	off := PageSize
 	for i := 0; i < cnt; i++ {
 		rec, err := p.fsc.ReadAt(env, jfd, off, 8+PageSize)
@@ -598,25 +571,11 @@ func (p *Pager) rollbackHotJournal(env *mk.Env) error {
 		if len(rec) < 8+PageSize {
 			break
 		}
-		no := int(getU64(rec, 0))
+		no := int(binary.LittleEndian.Uint64(rec))
 		if err := p.fsc.WriteAt(env, p.fd, no*PageSize, rec[8:8+PageSize]); err != nil {
 			return err
 		}
 		off += 8 + PageSize
 	}
 	return p.fsc.Truncate(env, jfd)
-}
-
-func putU64(b []byte, off int, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[off+i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte, off int) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[off+i])
-	}
-	return v
 }

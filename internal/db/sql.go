@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -139,6 +140,19 @@ func (p *parser) value() (Value, error) {
 	return NullValue, fmt.Errorf("db: expected literal, got %q", t.text)
 }
 
+// table parses a table name and looks the table up.
+func (d *DB) table(p *parser) (*Table, error) {
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	t, ok := d.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("db: no table %q", name)
+	}
+	return t, nil
+}
+
 // Rows is a query result.
 type Rows struct {
 	Columns []string
@@ -227,13 +241,9 @@ func (d *DB) execInsert(env *mk.Env, p *parser) (*Rows, error) {
 	if err := p.expect("INTO"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	t, err := d.table(p)
 	if err != nil {
 		return nil, err
-	}
-	t, ok := d.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("db: no table %q", name)
 	}
 	if err := p.expect("VALUES"); err != nil {
 		return nil, err
@@ -285,34 +295,28 @@ func (p *parser) parseWhere() (*wherePred, error) {
 	return &wherePred{col: col, val: v}, nil
 }
 
-// matchRows returns the rowids matching the predicate, using a point
-// lookup when the predicate covers the integer primary key.
+// matchRows returns the rowids and rows matching the predicate (all
+// rows without one), using a point lookup when the predicate covers the
+// integer primary key and a table scan otherwise.
 func (t *Table) matchRows(env *mk.Env, pred *wherePred) ([]int64, [][]Value, error) {
-	if pred == nil {
-		var ids []int64
-		var rows [][]Value
-		err := t.Scan(env, func(rowid int64, vals []Value) bool {
-			ids = append(ids, rowid)
-			rows = append(rows, vals)
-			return true
-		})
-		return ids, rows, err
-	}
-	ci, ok := t.ColumnIndex(pred.col)
-	if !ok {
-		return nil, nil, fmt.Errorf("db: no column %q in %s", pred.col, t.Name)
-	}
-	if ci == 0 && t.PKFirst && pred.val.Kind == KindInt {
-		vals, ok, err := t.Get(env, pred.val.Int)
-		if err != nil || !ok {
-			return nil, nil, err
+	ci := 0
+	if pred != nil {
+		var ok bool
+		if ci, ok = t.ColumnIndex(pred.col); !ok {
+			return nil, nil, fmt.Errorf("db: no column %q in %s", pred.col, t.Name)
 		}
-		return []int64{pred.val.Int}, [][]Value{vals}, nil
+		if ci == 0 && t.PKFirst && pred.val.Kind == KindInt {
+			vals, ok, err := t.Get(env, pred.val.Int)
+			if err != nil || !ok {
+				return nil, nil, err
+			}
+			return []int64{pred.val.Int}, [][]Value{vals}, nil
+		}
 	}
 	var ids []int64
 	var rows [][]Value
-	err := t.Scan(env, func(rowid int64, vals []Value) bool {
-		if vals[ci].Equal(pred.val) {
+	err := t.ScanFrom(env, math.MinInt64, func(rowid int64, vals []Value) bool {
+		if pred == nil || vals[ci].Equal(pred.val) {
 			ids = append(ids, rowid)
 			rows = append(rows, vals)
 		}
@@ -341,13 +345,9 @@ func (d *DB) execSelect(env *mk.Env, p *parser) (*Rows, error) {
 	if err := p.expect("FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	t, err := d.table(p)
 	if err != nil {
 		return nil, err
-	}
-	t, ok := d.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("db: no table %q", name)
 	}
 	pred, err := p.parseWhere()
 	if err != nil {
@@ -369,7 +369,7 @@ func (d *DB) execSelect(env *mk.Env, p *parser) (*Rows, error) {
 	for _, c := range wantCols {
 		ci, ok := t.ColumnIndex(c)
 		if !ok {
-			return nil, fmt.Errorf("db: no column %q in %s", c, name)
+			return nil, fmt.Errorf("db: no column %q in %s", c, t.Name)
 		}
 		idx = append(idx, ci)
 		out.Columns = append(out.Columns, c)
@@ -385,13 +385,9 @@ func (d *DB) execSelect(env *mk.Env, p *parser) (*Rows, error) {
 }
 
 func (d *DB) execUpdate(env *mk.Env, p *parser) (*Rows, error) {
-	name, err := p.ident()
+	t, err := d.table(p)
 	if err != nil {
 		return nil, err
-	}
-	t, ok := d.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("db: no table %q", name)
 	}
 	if err := p.expect("SET"); err != nil {
 		return nil, err
@@ -408,7 +404,7 @@ func (d *DB) execUpdate(env *mk.Env, p *parser) (*Rows, error) {
 		}
 		ci, ok := t.ColumnIndex(col)
 		if !ok {
-			return nil, fmt.Errorf("db: no column %q in %s", col, name)
+			return nil, fmt.Errorf("db: no column %q in %s", col, t.Name)
 		}
 		if err := p.expect("="); err != nil {
 			return nil, err
@@ -446,13 +442,9 @@ func (d *DB) execDelete(env *mk.Env, p *parser) (*Rows, error) {
 	if err := p.expect("FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	t, err := d.table(p)
 	if err != nil {
 		return nil, err
-	}
-	t, ok := d.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("db: no table %q", name)
 	}
 	pred, err := p.parseWhere()
 	if err != nil {

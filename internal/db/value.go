@@ -104,7 +104,7 @@ func EncodeRecord(vals []Value) []byte {
 // DecodeRecord parses a serialized row.
 func DecodeRecord(b []byte) ([]Value, error) {
 	hlen, n := binary.Uvarint(b)
-	if n <= 0 || int(hlen)+n > len(b) {
+	if n <= 0 || hlen > uint64(len(b)-n) {
 		return nil, fmt.Errorf("db: corrupt record header")
 	}
 	hdr := b[n : n+int(hlen)]
@@ -125,7 +125,7 @@ func DecodeRecord(b []byte) ([]Value, error) {
 			hdr = hdr[1:]
 		case 2:
 			l, m := binary.Uvarint(hdr[1:])
-			if m <= 0 || int(l) > len(body) {
+			if m <= 0 || l > uint64(len(body)) {
 				return nil, fmt.Errorf("db: corrupt text column")
 			}
 			hdr = hdr[1+m:]

@@ -1,11 +1,14 @@
 package fs
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"skybridge/internal/blockdev"
 	"skybridge/internal/hw"
 	"skybridge/internal/mk"
+	"skybridge/internal/svc"
 )
 
 // nbuf is the buffer-cache capacity in blocks (total, across shards).
@@ -68,9 +71,11 @@ type bshard struct {
 // shard locks nest only inside the allocator lock, so the global order
 // is: inode stripes → alloclk → shard locks / loglk.
 type bcache struct {
-	dev     *blockdev.Client
-	batchIO bool // fold commit/recover device IO into batched crossings
-	shards  []*bshard
+	dev *blockdev.Client
+	// width is how many commit/recover device requests share one
+	// crossing: svc.PageBatch with Config.BatchIO, else 1.
+	width  int
+	shards []*bshard
 
 	// Log state: blocks dirtied by running transactions, in order.
 	logStart    int
@@ -91,7 +96,10 @@ type bcache struct {
 // fine mode. nslots is the total capacity (nbuf for a real mount; tests
 // shrink it to force exhaustion).
 func newBcache(dev *blockdev.Client, region hw.VA, logStart, nslots int, cfg Config, k *mk.Kernel) *bcache {
-	c := &bcache{dev: dev, logStart: logStart, batchIO: cfg.BatchIO}
+	c := &bcache{dev: dev, logStart: logStart, width: 1}
+	if cfg.BatchIO {
+		c.width = svc.PageBatch
+	}
 	shardCount := 1
 	if cfg.Lock == LockFine {
 		shardCount = nshards
@@ -128,6 +136,7 @@ func (c *bcache) get(env *mk.Env, bn int) (*buf, error) {
 	sh := c.shards[bn%len(c.shards)]
 	if sh.lk != nil {
 		sh.lk.Lock(env)
+		defer sh.lk.Unlock(env)
 	}
 	sh.clock++
 	if b, ok := sh.index[bn]; ok {
@@ -135,9 +144,6 @@ func (c *bcache) get(env *mk.Env, bn int) (*buf, error) {
 		b.lru = sh.clock
 		env.Compute(12) // tag lookup
 		b.ref++
-		if sh.lk != nil {
-			sh.lk.Unlock(env)
-		}
 		return b, nil
 	}
 	sh.misses++
@@ -157,9 +163,6 @@ func (c *bcache) get(env *mk.Env, bn int) (*buf, error) {
 		}
 	}
 	if victim == nil {
-		if sh.lk != nil {
-			sh.lk.Unlock(env)
-		}
 		return nil, ErrCacheExhausted
 	}
 	if victim.valid {
@@ -168,25 +171,12 @@ func (c *bcache) get(env *mk.Env, bn int) (*buf, error) {
 	}
 	data, err := c.dev.ReadBlock(env, bn)
 	if err != nil {
-		if sh.lk != nil {
-			sh.lk.Unlock(env)
-		}
 		return nil, err
 	}
-	victim.bn = bn
-	victim.data = data
-	victim.dirty = false
-	victim.pinned = false
-	victim.ref = 1
-	victim.valid = true
-	victim.lru = sh.clock
+	*victim = buf{bn: bn, data: data, slotVA: victim.slotVA, ref: 1, lru: sh.clock, valid: true}
 	sh.index[bn] = victim
 	// Filling the slot touches the whole block in the FS address space.
 	env.Write(victim.slotVA, nil, BlockSize)
-	copyInto(env, victim, data)
-	if sh.lk != nil {
-		sh.lk.Unlock(env)
-	}
 	return victim, nil
 }
 
@@ -197,10 +187,6 @@ func (c *bcache) put(b *buf) {
 		panic("fs: put of unreferenced buffer")
 	}
 	b.ref--
-}
-
-func copyInto(env *mk.Env, b *buf, data []byte) {
-	b.data = append(b.data[:0], data...)
 }
 
 // read returns n bytes at off within the block, charging the access.
@@ -215,39 +201,28 @@ func (b *buf) read(env *mk.Env, off, n int) []byte {
 // so rechecking dirty under loglk closes the only window in which two
 // writers could double-log one block.
 func (c *bcache) write(env *mk.Env, b *buf, off int, data []byte) {
-	if c.loglk == nil {
-		if !c.inTx {
-			panic("fs: block write outside transaction")
-		}
-		env.Write(b.slotVA+hw.VA(off), nil, len(data))
-		copy(b.data[off:], data)
-		if !b.dirty {
-			if len(c.logged) >= LogBlocks {
-				panic("fs: transaction exceeds log capacity")
-			}
-			b.dirty = true
-			b.pinned = true
-			c.logged = append(c.logged, b) // absorption: each block once
-			c.LogWrites++
-		}
-		return
+	if c.loglk == nil && !c.inTx {
+		panic("fs: block write outside transaction")
 	}
 	env.Write(b.slotVA+hw.VA(off), nil, len(data))
 	copy(b.data[off:], data)
 	if b.dirty {
 		return
 	}
-	c.loglk.Lock(env)
-	if !b.dirty {
-		if len(c.logged) >= LogBlocks {
-			panic("fs: transaction exceeds log capacity")
+	if c.loglk != nil {
+		c.loglk.Lock(env)
+		defer c.loglk.Unlock(env)
+		if b.dirty {
+			return // logged by another writer while this one waited
 		}
-		b.dirty = true
-		b.pinned = true
-		c.logged = append(c.logged, b)
-		c.LogWrites++
 	}
-	c.loglk.Unlock(env)
+	if len(c.logged) >= LogBlocks {
+		panic("fs: transaction exceeds log capacity")
+	}
+	b.dirty = true
+	b.pinned = true
+	c.logged = append(c.logged, b) // absorption: each block once
+	c.LogWrites++
 }
 
 // beginTx starts a transaction (xv6 begin_op; the big lock already
@@ -311,8 +286,8 @@ func (c *bcache) drain(env *mk.Env) error {
 
 // deviceCommit implements the xv6 commit protocol: copy dirty blocks to
 // the log area, write the log header (the commit point), flush, install
-// the blocks in their home locations, clear the header, flush. With
-// batchIO the same device-write sequence folds into batched crossings —
+// the blocks in their home locations, clear the header, flush. At a width
+// above one the same device-write sequence folds into batched crossings —
 // entries dispatch in submission order within a crossing, so the
 // header-last and clear-last ordering the protocol depends on survives.
 func (c *bcache) deviceCommit(env *mk.Env) error {
@@ -322,9 +297,9 @@ func (c *bcache) deviceCommit(env *mk.Env) error {
 	c.Commits++
 	// 1+2. Log data blocks, then the header that commits them.
 	hdr := make([]byte, BlockSize)
-	putU64(hdr, 0, uint64(len(c.logged)))
+	binary.LittleEndian.PutUint64(hdr, uint64(len(c.logged)))
 	for i, b := range c.logged {
-		putU64(hdr, 8+8*i, uint64(b.bn))
+		binary.LittleEndian.PutUint64(hdr[8+8*i:], uint64(b.bn))
 	}
 	bns := make([]int, 0, len(c.logged)+1)
 	datas := make([][]byte, 0, len(c.logged)+1)
@@ -334,7 +309,7 @@ func (c *bcache) deviceCommit(env *mk.Env) error {
 	}
 	bns = append(bns, c.logStart)
 	datas = append(datas, hdr)
-	if err := c.writeBlocks(env, bns, datas); err != nil {
+	if err := c.dev.WriteBlocks(env, c.width, bns, datas); err != nil {
 		return err
 	}
 	if err := c.dev.Flush(env); err != nil {
@@ -349,7 +324,7 @@ func (c *bcache) deviceCommit(env *mk.Env) error {
 	}
 	bns = append(bns, c.logStart)
 	datas = append(datas, make([]byte, BlockSize))
-	if err := c.writeBlocks(env, bns, datas); err != nil {
+	if err := c.dev.WriteBlocks(env, c.width, bns, datas); err != nil {
 		return err
 	}
 	for _, b := range c.logged {
@@ -363,50 +338,29 @@ func (c *bcache) deviceCommit(env *mk.Env) error {
 	return nil
 }
 
-// writeBlocks routes a commit's writes through the batched fast path when
-// configured, and block-at-a-time otherwise. Order is identical.
-func (c *bcache) writeBlocks(env *mk.Env, bns []int, datas [][]byte) error {
-	if c.batchIO {
-		return c.dev.WriteBlocks(env, bns, datas)
-	}
-	for i := range bns {
-		if err := c.dev.WriteBlock(env, bns[i], datas[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recover replays a committed-but-uninstalled log after a crash.
+// recover replays a committed-but-uninstalled log after a crash. A
+// header that counts more blocks than the log holds is an error.
 func (c *bcache) recover(env *mk.Env) error {
 	hdr, err := c.dev.ReadBlock(env, c.logStart)
 	if err != nil {
 		return err
 	}
-	n := int(getU64(hdr, 0))
+	n := binary.LittleEndian.Uint64(hdr)
+	if n > LogBlocks {
+		return fmt.Errorf("fs: log header counts %d blocks, the log holds %d", n, LogBlocks)
+	}
 	if n > 0 {
-		bns := make([]int, n)
-		for i := range bns {
-			bns[i] = c.logStart + 1 + i
-		}
-		var datas [][]byte
-		if c.batchIO {
-			if datas, err = c.dev.ReadBlocks(env, bns); err != nil {
-				return err
-			}
-		} else {
-			datas = make([][]byte, n)
-			for i, bn := range bns {
-				if datas[i], err = c.dev.ReadBlock(env, bn); err != nil {
-					return err
-				}
-			}
-		}
+		logged := make([]int, n)
 		homes := make([]int, n)
-		for i := 0; i < n; i++ {
-			homes[i] = int(getU64(hdr, 8+8*i))
+		for i := range logged {
+			logged[i] = c.logStart + 1 + i
+			homes[i] = int(binary.LittleEndian.Uint64(hdr[8+8*i:]))
 		}
-		if err := c.writeBlocks(env, homes, datas); err != nil {
+		datas, err := c.dev.ReadBlocks(env, c.width, logged)
+		if err != nil {
+			return err
+		}
+		if err := c.dev.WriteBlocks(env, c.width, homes, datas); err != nil {
 			return err
 		}
 	}
@@ -421,18 +375,4 @@ func (c *bcache) stats() (hits, misses uint64) {
 		misses += sh.misses
 	}
 	return hits, misses
-}
-
-func putU64(b []byte, off int, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[off+i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte, off int) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[off+i])
-	}
-	return v
 }

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"skybridge/internal/blockdev"
@@ -154,4 +155,20 @@ func TestCrashConsistency(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoverRejectsCorruptLogHeader: a log header that counts more
+// blocks than the log holds fails the mount with an error instead of
+// reading past the header.
+func TestRecoverRejectsCorruptLogHeader(t *testing.T) {
+	fsWorld(t, 2048, func(env *mk.Env, f *FS, c *Client) {
+		hdr := make([]byte, BlockSize)
+		binary.LittleEndian.PutUint64(hdr, 1000)
+		if err := f.dev.WriteBlock(env, int(f.sb.LogStart), hdr); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewFS(f.Proc, f.dev.Conn, Config{}).Mount(env); err == nil {
+			t.Error("mount over a 1000-block log header succeeded")
+		}
+	})
 }

@@ -65,13 +65,9 @@ type FS struct {
 	nextFD uint64
 }
 
-// New creates a big-lock FS server bound to a device connection — the
-// paper-faithful configuration. The cache region is allocated inside proc.
-func New(proc *mk.Process, dev svc.Conn) *FS {
-	return NewFS(proc, dev, Config{})
-}
-
-// NewFS creates an FS server with an explicit lock/IO configuration.
+// NewFS creates an FS server bound to a device connection, with the
+// cache region allocated inside proc. The zero Config is the paper's
+// big-lock xv6fs with one device call per block.
 func NewFS(proc *mk.Process, dev svc.Conn, cfg Config) *FS {
 	f := &FS{
 		Proc:   proc,
@@ -153,6 +149,17 @@ func (f *FS) end(env *mk.Env) error {
 	return f.bc.commitTx(env)
 }
 
+// tx runs op inside one transaction. The transaction ends whether or not
+// op fails, and op's error wins over the commit's.
+func (f *FS) tx(env *mk.Env, op func() error) error {
+	f.begin(env)
+	err := op()
+	if endErr := f.end(env); err == nil {
+		err = endErr
+	}
+	return err
+}
+
 // Mkfs formats the device and mounts the file system.
 func (f *FS) Mkfs(env *mk.Env, totalBlocks, ninodes int) error {
 	inodeBlocks := (ninodes + InodesPerBlock - 1) / InodesPerBlock
@@ -195,17 +202,12 @@ func (f *FS) Mkfs(env *mk.Env, totalBlocks, ninodes int) error {
 		return err
 	}
 	// Root directory: inode 1.
-	f.begin(env)
-	root := dinode{Type: TypeDir, Nlink: 1}
-	if err := f.writeInode(env, rootInum, root); err != nil {
-		return err
-	}
-	return f.end(env)
+	return f.tx(env, func() error { return f.writeInode(env, rootInum, dinode{Type: TypeDir, Nlink: 1}) })
 }
 
 // Mount reads the superblock and replays any committed log.
 func (f *FS) Mount(env *mk.Env) error {
-	blk, err := (&blockdev.Client{Conn: f.dev.Conn}).ReadBlock(env, 0)
+	blk, err := f.dev.ReadBlock(env, 0)
 	if err != nil {
 		return err
 	}
@@ -347,17 +349,13 @@ func (f *FS) Open(env *mk.Env, name string, create bool) (uint64, uint64, error)
 		if !create {
 			return 0, 0, fmt.Errorf("fs: open %q: not found", name)
 		}
-		f.begin(env)
-		inum, err = f.allocInode(env, TypeFile)
+		err = f.tx(env, func() error {
+			if inum, err = f.allocInode(env, TypeFile); err != nil {
+				return err
+			}
+			return f.dirLink(env, name, inum)
+		})
 		if err != nil {
-			f.end(env)
-			return 0, 0, err
-		}
-		if err := f.dirLink(env, name, inum); err != nil {
-			f.end(env)
-			return 0, 0, err
-		}
-		if err := f.end(env); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -388,12 +386,7 @@ func (f *FS) Write(env *mk.Env, fd uint64, off int, data []byte) (int, error) {
 		return 0, err
 	}
 	defer unlock()
-	f.begin(env)
-	if err := f.writei(env, inum, off, data); err != nil {
-		f.end(env)
-		return 0, err
-	}
-	if err := f.end(env); err != nil {
+	if err := f.tx(env, func() error { return f.writei(env, inum, off, data) }); err != nil {
 		return 0, err
 	}
 	return len(data), nil
@@ -431,12 +424,7 @@ func (f *FS) Truncate(env *mk.Env, fd uint64) error {
 		return err
 	}
 	defer unlock()
-	f.begin(env)
-	if err := f.itrunc(env, inum); err != nil {
-		f.end(env)
-		return err
-	}
-	return f.end(env)
+	return f.tx(env, func() error { return f.itrunc(env, inum) })
 }
 
 // Unlink removes a file name and frees its inode and blocks.
@@ -459,21 +447,16 @@ func (f *FS) Unlink(env *mk.Env, name string) error {
 			defer st.Unlock(env)
 		}
 	}
-	f.begin(env)
-	inum, err := f.dirUnlink(env, name)
-	if err != nil {
-		f.end(env)
-		return err
-	}
-	if err := f.itrunc(env, inum); err != nil {
-		f.end(env)
-		return err
-	}
-	if err := f.writeInode(env, inum, dinode{}); err != nil {
-		f.end(env)
-		return err
-	}
-	return f.end(env)
+	return f.tx(env, func() error {
+		inum, err := f.dirUnlink(env, name)
+		if err != nil {
+			return err
+		}
+		if err := f.itrunc(env, inum); err != nil {
+			return err
+		}
+		return f.writeInode(env, inum, dinode{})
+	})
 }
 
 // Fsync flushes the device (the log already commits per write). In fine
@@ -585,124 +568,70 @@ func (c *Client) Open(env *mk.Env, name string, create bool) (fd, size uint64, e
 	if create {
 		op = OpCreate
 	}
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: op, Data: []byte(name)})
-	if err != nil {
-		return 0, 0, err
-	}
-	if resp.Status != StatusOK {
-		return 0, 0, fmt.Errorf("fs: open %q failed", name)
-	}
-	return resp.Vals[0], resp.Vals[1], nil
+	resp, err := c.call(env, svc.Req{Op: op, Data: []byte(name)})
+	return resp.Vals[0], resp.Vals[1], err
 }
 
 // ReadAt reads n bytes at off.
 func (c *Client) ReadAt(env *mk.Env, fd uint64, off, n int) ([]byte, error) {
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: OpRead, Args: [3]uint64{fd, uint64(off), uint64(n)}})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("fs: read failed")
-	}
-	return resp.Data, nil
+	resp, err := c.call(env, svc.Req{Op: OpRead, Args: [3]uint64{fd, uint64(off), uint64(n)}})
+	return resp.Data, err
 }
 
 // WriteAt writes data at off.
 func (c *Client) WriteAt(env *mk.Env, fd uint64, off int, data []byte) error {
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: OpWrite, Args: [3]uint64{fd, uint64(off)}, Data: data})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("fs: write failed")
-	}
-	return nil
+	_, err := c.call(env, svc.Req{Op: OpWrite, Args: [3]uint64{fd, uint64(off)}, Data: data})
+	return err
 }
 
-// clientBatch is how many page-sized writes fit in one batched crossing:
-// the 4-page shared buffer holds the batch headers plus three ~4 KiB
-// slots (core.BatchLayout rounds each slot to a cache line).
-const clientBatch = 3
-
 // WriteAtBatch issues the writes (fd, offs[i], datas[i]) in submission
-// order, folding up to three per transport crossing when the connection
-// batches (svc.Batcher). Each payload must fit a third of the shared
-// buffer — page- and journal-record-sized writes do; larger writes should
-// go through WriteAt.
-func (c *Client) WriteAtBatch(env *mk.Env, fd uint64, offs []int, datas [][]byte) error {
-	if len(offs) != len(datas) {
-		return fmt.Errorf("fs: write batch: %d offsets, %d buffers", len(offs), len(datas))
-	}
-	for start := 0; start < len(offs); start += clientBatch {
-		end := start + clientBatch
-		if end > len(offs) {
-			end = len(offs)
-		}
-		reqs := make([]svc.Req, end-start)
-		for i := range reqs {
-			reqs[i] = svc.Req{
-				Op:   OpWrite,
-				Args: [3]uint64{fd, uint64(offs[start+i])},
-				Data: datas[start+i],
-			}
-		}
-		resps, err := svc.InvokeBatch(env, c.Conn, reqs)
-		if err != nil {
-			return err
-		}
-		for i, resp := range resps {
-			if resp.Status != StatusOK {
-				return fmt.Errorf("fs: batched write at %d failed", offs[start+i])
-			}
-		}
-	}
-	return nil
+// order, per to a transport crossing (svc.InvokeEach). At a width above
+// one each payload must fit one slot of a batched crossing — page- and
+// journal-record-sized writes do (svc.PageBatch); larger writes should go
+// through WriteAt.
+func (c *Client) WriteAtBatch(env *mk.Env, fd uint64, per int, offs []int, datas [][]byte) error {
+	return svc.InvokeEach(env, c.Conn, per, len(offs),
+		func(i int) svc.Req { return svc.Req{Op: OpWrite, Args: [3]uint64{fd, uint64(offs[i])}, Data: datas[i]} },
+		func(_ int, resp svc.Resp) error { return status(OpWrite, resp) })
 }
 
 // Stat returns the file size.
 func (c *Client) Stat(env *mk.Env, fd uint64) (uint64, error) {
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: OpStat, Args: [3]uint64{fd}})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Status != StatusOK {
-		return 0, fmt.Errorf("fs: stat failed")
-	}
-	return resp.Vals[0], nil
+	resp, err := c.call(env, svc.Req{Op: OpStat, Args: [3]uint64{fd}})
+	return resp.Vals[0], err
 }
 
 // Truncate empties the file.
 func (c *Client) Truncate(env *mk.Env, fd uint64) error {
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: OpTruncate, Args: [3]uint64{fd}})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("fs: truncate failed")
-	}
-	return nil
+	_, err := c.call(env, svc.Req{Op: OpTruncate, Args: [3]uint64{fd}})
+	return err
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(env *mk.Env, name string) error {
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: OpUnlink, Data: []byte(name)})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("fs: unlink %q failed", name)
-	}
-	return nil
+	_, err := c.call(env, svc.Req{Op: OpUnlink, Data: []byte(name)})
+	return err
 }
 
 // Fsync flushes the device.
 func (c *Client) Fsync(env *mk.Env) error {
-	resp, err := c.Conn.Invoke(env, svc.Req{Op: OpFsync})
+	_, err := c.call(env, svc.Req{Op: OpFsync})
+	return err
+}
+
+// call invokes req and turns a failed status into an error.
+func (c *Client) call(env *mk.Env, req svc.Req) (svc.Resp, error) {
+	resp, err := c.Conn.Invoke(env, req)
 	if err != nil {
-		return err
+		return svc.Resp{}, err
 	}
+	return resp, status(req.Op, resp)
+}
+
+// status reports a failed reply to op as an error.
+func status(op uint64, resp svc.Resp) error {
 	if resp.Status != StatusOK {
-		return fmt.Errorf("fs: fsync failed")
+		return fmt.Errorf("fs: op %d failed: status %d", op, resp.Status)
 	}
 	return nil
 }

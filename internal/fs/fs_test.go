@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -242,7 +243,7 @@ func TestCrashRecovery(t *testing.T) {
 	p := k.NewProcess("crash")
 	dev := blockdev.New(p, 512)
 	devConn := svc.NewLocal(dev.Handler())
-	f := New(p, devConn)
+	f := NewFS(p, devConn, Config{})
 	p.Spawn("main", k.Mach.Cores[0], func(env *mk.Env) {
 		if err := f.Mkfs(env, 512, 64); err != nil {
 			t.Error(err)
@@ -261,12 +262,12 @@ func TestCrashRecovery(t *testing.T) {
 		cli := &blockdev.Client{Conn: devConn}
 		cli.WriteBlock(env, int(f.sb.LogStart)+1, victim)
 		hdr := make([]byte, BlockSize)
-		putU64(hdr, 0, 1)
-		putU64(hdr, 8, uint64(dataBlock))
+		binary.LittleEndian.PutUint64(hdr, 1)
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(dataBlock))
 		cli.WriteBlock(env, int(f.sb.LogStart), hdr)
 
 		// "Reboot": a fresh FS instance mounts and recovers.
-		f2 := New(p, devConn)
+		f2 := NewFS(p, devConn, Config{})
 		if err := f2.Mount(env); err != nil {
 			t.Error(err)
 			return
@@ -303,7 +304,7 @@ func TestFSOverIPC(t *testing.T) {
 		svc.ServeIPC(env, devEP, dev.Handler())
 	})
 
-	f := New(fsProc, svc.NewIPC(fsProc, devEP))
+	f := NewFS(fsProc, svc.NewIPC(fsProc, devEP), Config{})
 	fsProc.Spawn("srv", k.Mach.Cores[0], func(env *mk.Env) {
 		if err := f.Mkfs(env, 512, 64); err != nil {
 			t.Errorf("mkfs: %v", err)

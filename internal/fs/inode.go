@@ -149,72 +149,63 @@ func (f *FS) bfree(env *mk.Env, bn int) error {
 // reference pins it across the balloc call — which parks on the
 // allocator lock in fine mode — so the slot write below cannot land in a
 // recycled buffer.
-func (f *FS) indirectLookup(env *mk.Env, addr *uint64, idx int, alloc bool) (uint64, bool, error) {
-	dirty := false
+func (f *FS) indirectLookup(env *mk.Env, addr *uint64, idx int, alloc bool) (uint64, error) {
 	if *addr == 0 {
 		if !alloc {
-			return 0, false, nil
+			return 0, nil
 		}
 		bn, err := f.balloc(env)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		*addr = uint64(bn)
-		dirty = true
 	}
 	b, err := f.bc.get(env, int(*addr))
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	slot := getU64(b.read(env, 8*idx, 8), 0)
+	defer f.bc.put(b)
+	slot := binary.LittleEndian.Uint64(b.read(env, 8*idx, 8))
 	if slot == 0 && alloc {
 		bn, err := f.balloc(env)
 		if err != nil {
-			f.bc.put(b)
-			return 0, false, err
+			return 0, err
 		}
 		slot = uint64(bn)
-		img := make([]byte, 8)
-		putU64(img, 0, slot)
-		f.bc.write(env, b, 8*idx, img)
+		f.bc.write(env, b, 8*idx, binary.LittleEndian.AppendUint64(nil, slot))
 	}
-	f.bc.put(b)
-	return slot, dirty, nil
+	return slot, nil
 }
 
 // bmap resolves file block fb of inode d to a device block, allocating as
 // needed. It reports whether the inode image changed.
 func (f *FS) bmap(env *mk.Env, d *dinode, fb int, alloc bool) (uint64, bool, error) {
-	changed := false
 	switch {
 	case fb < NDirect:
-		if d.Addrs[fb] == 0 && alloc {
-			bn, err := f.balloc(env)
-			if err != nil {
-				return 0, false, err
-			}
-			d.Addrs[fb] = uint64(bn)
-			changed = true
+		if d.Addrs[fb] != 0 || !alloc {
+			return d.Addrs[fb], false, nil
 		}
-		return d.Addrs[fb], changed, nil
+		bn, err := f.balloc(env)
+		if err != nil {
+			return 0, false, err
+		}
+		d.Addrs[fb] = uint64(bn)
+		return d.Addrs[fb], true, nil
 
 	case fb < NDirect+NIndirect:
 		prev := d.Addrs[NDirect]
-		bn, _, err := f.indirectLookup(env, &d.Addrs[NDirect], fb-NDirect, alloc)
+		bn, err := f.indirectLookup(env, &d.Addrs[NDirect], fb-NDirect, alloc)
 		return bn, d.Addrs[NDirect] != prev, err
 
 	case fb < MaxFileBlocks:
 		fb -= NDirect + NIndirect
 		prev := d.Addrs[NDirect+1]
-		l1, _, err := f.indirectLookup(env, &d.Addrs[NDirect+1], fb/NIndirect, alloc)
-		if err != nil {
-			return 0, false, err
+		l1, err := f.indirectLookup(env, &d.Addrs[NDirect+1], fb/NIndirect, alloc)
+		changed := d.Addrs[NDirect+1] != prev
+		if err != nil || l1 == 0 {
+			return 0, changed, err
 		}
-		changed = d.Addrs[NDirect+1] != prev
-		if l1 == 0 {
-			return 0, changed, nil
-		}
-		bn, _, err := f.indirectLookup(env, &l1, fb%NIndirect, alloc)
+		bn, err := f.indirectLookup(env, &l1, fb%NIndirect, alloc)
 		return bn, changed, err
 
 	default:
@@ -306,44 +297,41 @@ func (f *FS) itrunc(env *mk.Env, inum uint64) error {
 	if err != nil {
 		return err
 	}
-	freeIndirect := func(addr uint64, depth int) error {
-		var walk func(a uint64, depth int) error
-		walk = func(a uint64, depth int) error {
-			if a == 0 {
-				return nil
-			}
-			if depth > 0 {
-				b, err := f.bc.get(env, int(a))
-				if err != nil {
-					return err
-				}
-				for i := 0; i < NIndirect; i++ {
-					slot := getU64(b.read(env, 8*i, 8), 0)
-					if err := walk(slot, depth-1); err != nil {
-						f.bc.put(b)
-						return err
-					}
-				}
-				f.bc.put(b)
-			}
-			return f.bfree(env, int(a))
-		}
-		return walk(addr, depth)
-	}
 	for i := 0; i < NDirect; i++ {
-		if d.Addrs[i] != 0 {
-			if err := f.bfree(env, int(d.Addrs[i])); err != nil {
-				return err
-			}
+		if err := f.freeTree(env, d.Addrs[i], 0); err != nil {
+			return err
 		}
 	}
-	if err := freeIndirect(d.Addrs[NDirect], 1); err != nil {
+	if err := f.freeTree(env, d.Addrs[NDirect], 1); err != nil {
 		return err
 	}
-	if err := freeIndirect(d.Addrs[NDirect+1], 2); err != nil {
+	if err := f.freeTree(env, d.Addrs[NDirect+1], 2); err != nil {
 		return err
 	}
 	d.Addrs = [NDirect + 2]uint64{}
 	d.Size = 0
 	return f.writeInode(env, inum, d)
+}
+
+// freeTree frees block a (none if 0) and, for an indirect block of the
+// given depth, every block it maps first.
+func (f *FS) freeTree(env *mk.Env, a uint64, depth int) error {
+	if a == 0 {
+		return nil
+	}
+	if depth > 0 {
+		b, err := f.bc.get(env, int(a))
+		if err != nil {
+			return err
+		}
+		for i := 0; i < NIndirect; i++ {
+			slot := binary.LittleEndian.Uint64(b.read(env, 8*i, 8))
+			if err := f.freeTree(env, slot, depth-1); err != nil {
+				f.bc.put(b)
+				return err
+			}
+		}
+		f.bc.put(b)
+	}
+	return f.bfree(env, int(a))
 }

@@ -225,9 +225,6 @@ func (rk *Rootkernel) buildBaseEPT() error {
 	return nil
 }
 
-// ReservedRange returns the Rootkernel's private physical range.
-func (rk *Rootkernel) ReservedRange() (hw.HPA, hw.HPA) { return rk.resLo, rk.resHi }
-
 // IdentityGPA returns the fixed guest-physical address of the identity
 // page: the first page of the reserved region, which is guaranteed
 // unmapped in the base EPT, so per-EPT remapping fully controls it.

@@ -33,7 +33,7 @@ func TestBootDowngradesToNonRoot(t *testing.T) {
 
 func TestBaseEPTIdentityMapsGuestMemory(t *testing.T) {
 	_, _, rk := bootWorld(t, Config{})
-	lo, _ := rk.ReservedRange()
+	lo := rk.resLo
 	for _, gpa := range []hw.GPA{0, 0x1000, hw.GPA(uint64(lo)) - hw.PageSize, 1 << 30} {
 		hpa, v := rk.BaseEPT.Translate(gpa, hw.AccessWrite)
 		if v != nil {
@@ -47,7 +47,7 @@ func TestBaseEPTIdentityMapsGuestMemory(t *testing.T) {
 
 func TestReservedRegionNotGuestAccessible(t *testing.T) {
 	_, _, rk := bootWorld(t, Config{})
-	lo, hi := rk.ReservedRange()
+	lo, hi := rk.resLo, rk.resHi
 	for _, gpa := range []hw.GPA{hw.GPA(lo), hw.GPA(lo) + hw.PageSize, hw.GPA(hi) - hw.PageSize} {
 		if _, v := rk.BaseEPT.Translate(gpa, hw.AccessRead); v == nil {
 			t.Fatalf("rootkernel memory at %#x is guest-visible", uint64(gpa))

@@ -26,20 +26,13 @@ const (
 type PageTable struct {
 	mem  *PhysMem
 	Root GPA // CR3 value: guest-physical base of the PML4 page
-
-	// pages counts table pages allocated for this tree (excluding Root's
-	// shared mappings), for accounting in tests.
-	pages int
 }
 
 // NewPageTable allocates an empty four-level page table.
 func NewPageTable(mem *PhysMem) *PageTable {
 	root := mem.MustAllocFrame()
-	return &PageTable{mem: mem, Root: GPA(root), pages: 1}
+	return &PageTable{mem: mem, Root: GPA(root)}
 }
-
-// TablePages returns the number of table pages backing this tree.
-func (pt *PageTable) TablePages() int { return pt.pages }
 
 // Map establishes a 4 KiB translation va -> gpa with the given flags.
 // Intermediate table pages are created as needed with Present|Write|User so
@@ -54,7 +47,6 @@ func (pt *PageTable) Map(va VA, gpa GPA, flags PTFlags) error {
 		e := pt.mem.ReadU64(slot)
 		if PTFlags(e)&PTEPresent == 0 {
 			next := pt.mem.MustAllocFrame()
-			pt.pages++
 			e = uint64(next) | uint64(PTEPresent|PTEWrite|PTEUser)
 			pt.mem.WriteU64(slot, e)
 		}

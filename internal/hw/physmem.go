@@ -97,10 +97,6 @@ func (m *PhysMem) FreeFrame(h HPA) {
 	m.free = append(m.free, uint64(h)/PageSize)
 }
 
-// AllocatorFloor returns the lowest HPA the frame allocator has handed out.
-// Identity-mapped guest RAM must stay below this boundary.
-func (m *PhysMem) AllocatorFloor() HPA { return HPA(m.allocNext * PageSize) }
-
 // ReserveRegionAligned carves a contiguous region of at least bytes from
 // the top of unallocated memory (below anything already allocated) whose
 // base and top are align-aligned (align must be a power-of-two multiple of

@@ -62,8 +62,8 @@ func TestPhysMemAllocatesFromTop(t *testing.T) {
 	if uint64(f) != 1<<20-PageSize {
 		t.Fatalf("first frame %#x, want top frame", uint64(f))
 	}
-	if m.AllocatorFloor() != f {
-		t.Fatalf("floor %#x, want %#x", uint64(m.AllocatorFloor()), uint64(f))
+	if floor := HPA(m.allocNext * PageSize); floor != f {
+		t.Fatalf("floor %#x, want %#x", uint64(floor), uint64(f))
 	}
 }
 

@@ -109,16 +109,6 @@ type CallRecord struct {
 // E2E returns the record's end-to-end latency in cycles.
 func (r *CallRecord) E2E() uint64 { return r.End - r.Start }
 
-// PhaseSum returns the sum of the per-phase cycles (equal to E2E by
-// construction; tests assert it).
-func (r *CallRecord) PhaseSum() uint64 {
-	var s uint64
-	for _, v := range r.Phases {
-		s += v
-	}
-	return s
-}
-
 // Breakdown accumulates per-phase and end-to-end latency distributions
 // across calls. The zero value is ready to use; a nil *Breakdown discards
 // observations.

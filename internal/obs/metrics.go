@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // Registry is a flat, named metric space: counters (owned or bound by
@@ -139,16 +138,6 @@ func (r *Registry) ResetAll() {
 	for _, h := range r.hists {
 		h.Reset()
 	}
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot is a point-in-time copy of the registry, JSON-serializable with

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"testing"
 )
 
@@ -96,11 +97,15 @@ func TestRegistryWriteJSONDeterministic(t *testing.T) {
 	if snap.Counters["alpha"] != 5 || snap.Histograms["lat"].Count != 1 {
 		t.Errorf("round-trip snapshot = %+v", snap)
 	}
-	names := build().CounterNames()
+	var names []string
+	for n := range build().Snapshot().Counters {
+		names = append(names, n)
+	}
+	sort.Strings(names)
 	want := []string{"alpha", "mid", "zeta"}
 	for i, n := range want {
 		if names[i] != n {
-			t.Fatalf("CounterNames = %v, want %v", names, want)
+			t.Fatalf("counter names = %v, want %v", names, want)
 		}
 	}
 }

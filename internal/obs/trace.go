@@ -222,17 +222,6 @@ func (t *Tracer) Adopt(other *Tracer) {
 	other.procs = nil
 }
 
-// TotalEvents returns the number of recorded events across all tracks.
-func (t *Tracer) TotalEvents() int {
-	n := 0
-	for _, pt := range t.procs {
-		for _, ct := range pt.cores {
-			n += len(ct.events)
-		}
-	}
-	return n
-}
-
 // TotalDropped returns the number of dropped events across all tracks.
 func (t *Tracer) TotalDropped() uint64 {
 	var n uint64

@@ -42,8 +42,8 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	if pt.Core(1).Len() != 0 {
 		t.Errorf("core1 has %d events, want 0", pt.Core(1).Len())
 	}
-	if tr.TotalEvents() != 3 {
-		t.Errorf("TotalEvents = %d, want 3", tr.TotalEvents())
+	if n := pt.Core(0).Len() + pt.Core(1).Len(); n != 3 {
+		t.Errorf("%d events in the process, want 3", n)
 	}
 }
 

@@ -35,6 +35,49 @@ func InvokeBatch(env *mk.Env, c Conn, reqs []Req) ([]Resp, error) {
 	return resps, nil
 }
 
+// PageBatch is how many page-sized payloads one batched crossing carries:
+// a SkyBridge connection's 4-page shared buffer holds the batch headers
+// plus three ~4 KiB slots (core.BatchLayout rounds each slot to a cache
+// line).
+const PageBatch = 3
+
+// InvokeEach issues n requests through c in order, per at a time. Width
+// per > 1 sends each group of up to per requests through one InvokeBatch
+// call; width 1 calls Invoke once per request, so transports and wrappers
+// that tell batches from calls see plain calls. req builds request i and
+// done receives its response; the first error stops the run.
+func InvokeEach(env *mk.Env, c Conn, per, n int, req func(i int) Req, done func(i int, resp Resp) error) error {
+	if per <= 1 {
+		for i := 0; i < n; i++ {
+			resp, err := c.Invoke(env, req(i))
+			if err == nil {
+				err = done(i, resp)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	reqs := make([]Req, 0, per)
+	for start := 0; start < n; start += per {
+		reqs = reqs[:0]
+		for i := start; i < min(start+per, n); i++ {
+			reqs = append(reqs, req(i))
+		}
+		resps, err := InvokeBatch(env, c, reqs)
+		if err != nil {
+			return err
+		}
+		for j, resp := range resps {
+			if err := done(start+j, resp); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // InvokeBatch implements Batcher for SkyBridge connections: payloads are
 // written straight into each request's ring slot (one copy, client side)
 // and the whole batch crosses in one direct call round trip.
