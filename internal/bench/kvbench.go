@@ -123,7 +123,7 @@ func (s *Session) RunKV(tr Transport, size, ops int) *KVStats {
 		clientText = client.Alloc(24 << 10)
 	}
 	client.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
-		c := &kv.Client{Enc: encConn(env), KV: kvConn(env), Text: clientText, TextLen: 24 << 10}
+		c := &kv.Client{Enc: encConn(env), KV: svc.NewSharded([]svc.Conn{kvConn(env)}, kv.PickReq(1)), Text: clientText}
 		rng := rand.New(rand.NewSource(17))
 		key := func(i int) []byte {
 			b := make([]byte, size)

@@ -185,7 +185,7 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	// to its core, and holds one connection per store shard (binding is
 	// per-process, so the measurement thread reuses them).
 	procs := make([]*mk.Process, clients)
-	pipes := make([]*kv.ShardedClient, clients)
+	pipes := make([]*kv.Client, clients)
 	for ci := 0; ci < clients; ci++ {
 		ci := ci
 		procs[ci] = k.NewProcess(fmt.Sprintf("cli%d", ci))
@@ -203,10 +203,7 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 					return
 				}
 			}
-			pipes[ci] = &kv.ShardedClient{
-				Enc: enc, KV: svc.NewSharded(conns, kv.PickReq(shards)),
-				Text: text, TextLen: 24 << 10,
-			}
+			pipes[ci] = &kv.Client{Enc: enc, KV: svc.NewSharded(conns, kv.PickReq(shards)), Text: text}
 		})
 	}
 	if err := world.run(&errs); err != nil {

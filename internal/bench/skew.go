@@ -281,7 +281,7 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 	for f, fe := range fes {
 		f, fe := f, fe
 		server.Spawn("drain", k.Mach.Cores[f], func(env *mk.Env) {
-			if err := fe.FE.Serve(env); err != nil {
+			if err := fe.Serve(env); err != nil {
 				errs.set(fmt.Errorf("drain %d: %w", f, err))
 			}
 		})
@@ -299,7 +299,7 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			defer func() {
 				if remaining--; remaining == 0 {
 					for _, fe := range fes {
-						fe.FE.Close(env)
+						fe.Close(env)
 					}
 				}
 			}()

@@ -35,13 +35,6 @@ const tenantThink = 3_000_000
 // tenantKeys is each tenant's keyspace size (preloaded server-side).
 const tenantKeys = 4
 
-// tenantCredit is the per-tenant in-flight credit (ring depth);
-// tenantQuantum the DRR refill per sweep visit.
-const (
-	tenantCredit  = 8
-	tenantQuantum = 4
-)
-
 // TenantsConfig parameterizes the multi-tenant sweep (seL4 flavor).
 type TenantsConfig struct {
 	// TenantCounts are the tenant populations swept (default 64, 256,
@@ -230,11 +223,10 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 				}
 			}
 			guard := kv.TenantGuard(stores[f].Handler())
-			fe, err := svc.NewFrontend(world.SB, env, perFE+1, core.FrontendConfig{
-				Pol: pol, Credit: tenantCredit, Quantum: tenantQuantum,
-			}, func(env *mk.Env, tenant int, req svc.Req) svc.Resp {
-				return guard(env, localToGlobal[f][tenant], req)
-			})
+			fe, err := svc.NewFrontend(world.SB, env, perFE+1, core.FrontendConfig{Pol: pol},
+				func(env *mk.Env, tenant int, req svc.Req) svc.Resp {
+					return guard(env, localToGlobal[f][tenant], req)
+				})
 			if err != nil {
 				errs.set(fmt.Errorf("frontend %d: %w", f, err))
 				return
@@ -385,7 +377,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 
 	cell := &TenantsCell{
 		Tenants: tenants, ServerCores: serverCores, Dist: dist,
-		TotalOps: totalOps, Credit: tenantCredit, Quantum: tenantQuantum,
+		TotalOps: totalOps, Credit: core.TenantCredit, Quantum: core.TenantQuantum,
 		HotTenants:   hotTenants,
 		wakeCounters: readWake(world),
 		SpinCycles:   k.SpinCycles,
@@ -437,8 +429,8 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 			"tenants":      fmt.Sprintf("%d", tenants),
 			"server_cores": fmt.Sprintf("%d", serverCores),
 			"ops":          fmt.Sprintf("%d", totalOps),
-			"credit":       fmt.Sprintf("%d", tenantCredit),
-			"quantum":      fmt.Sprintf("%d", tenantQuantum),
+			"credit":       fmt.Sprintf("%d", core.TenantCredit),
+			"quantum":      fmt.Sprintf("%d", core.TenantQuantum),
 		},
 		CyclesPerOp: cell.CyclesPerOp,
 		Values:      values,

@@ -57,13 +57,12 @@ const (
 	hystTicks = 2
 )
 
-// DirectorConfig parameterizes adaptive placement. Zero values mean
-// defaults.
+// DirectorConfig parameterizes adaptive placement.
 type DirectorConfig struct {
 	// Shards is the number of placement units (required).
 	Shards int
 	// ControlPeriod is the simulated-cycle spacing of control
-	// evaluations (default 24_000).
+	// evaluations (required).
 	ControlPeriod uint64
 	// MigrateMin is the minimum hottest-drain load (ops/period) before
 	// migration triggers, filtering noise at idle (default 4).
@@ -84,16 +83,6 @@ type DirectorConfig struct {
 	// Obs, if set, receives the Director's counters and per-shard load
 	// gauges under the "place." prefix.
 	Obs *obs.Registry
-}
-
-func (c DirectorConfig) withDefaults() DirectorConfig {
-	if c.ControlPeriod == 0 {
-		c.ControlPeriod = 24_000
-	}
-	if c.MigrateMin == 0 {
-		c.MigrateMin = 4
-	}
-	return c
 }
 
 // Director owns shard placement across sibling frontends.
@@ -144,12 +133,17 @@ const RouteOwnerOff = hw.LineSize
 // the static block assignment owner = shard*len(fes)/Shards, published
 // in a one-page routing region clients map via MapRoute.
 func (sb *SkyBridge) NewDirector(env *mk.Env, cfg DirectorConfig, fes []*Frontend) (*Director, error) {
-	cfg = cfg.withDefaults()
 	if len(fes) == 0 {
 		return nil, fmt.Errorf("core: director needs at least one frontend")
 	}
 	if cfg.Shards < 1 || cfg.Shards > hw.PageSize-RouteOwnerOff {
 		return nil, fmt.Errorf("core: director shard count %d out of range", cfg.Shards)
+	}
+	if cfg.ControlPeriod == 0 {
+		return nil, fmt.Errorf("core: director needs a control period")
+	}
+	if cfg.MigrateMin == 0 {
+		cfg.MigrateMin = 4
 	}
 	if len(fes) > 256 {
 		return nil, fmt.Errorf("core: owner bytes cap frontends at 256, got %d", len(fes))
@@ -212,7 +206,7 @@ func (sb *SkyBridge) NewDirector(env *mk.Env, cfg DirectorConfig, fes []*Fronten
 		b[s] = byte(o)
 	}
 	env.Write(d.routeSrv+RouteOwnerOff, b, len(b))
-	writeDirU64(env, d.routeSrv, 0, d.epoch)
+	writeU64(env, d.routeSrv, 0, d.epoch)
 	return d, nil
 }
 
@@ -224,10 +218,6 @@ func (d *Director) MapRoute(env *mk.Env) hw.VA {
 
 // Shards returns the placement-unit count.
 func (d *Director) Shards() int { return d.cfg.Shards }
-
-// Epoch returns the current routing epoch (host view, for tests and
-// reporting).
-func (d *Director) Epoch() uint64 { return d.epoch }
 
 // Gates exposes the per-drain park gates for busy-cycle accounting.
 func (d *Director) Gates() []*mk.Gate { return d.gates }
@@ -306,7 +296,7 @@ func (d *Director) tick(env *mk.Env, fe *Frontend) (int, error) {
 			b[0] = byte(tgt)
 			env.Write(d.routeSrv+RouteOwnerOff+hw.VA(s), b[:], 1)
 			d.epoch++
-			writeDirU64(env, d.routeSrv, 0, d.epoch)
+			writeU64(env, d.routeSrv, 0, d.epoch)
 			d.Migrations++
 			d.acquire[tgt] = append(d.acquire[tgt], s)
 			d.kick(env, tgt)
@@ -326,38 +316,22 @@ func (d *Director) tick(env *mk.Env, fe *Frontend) (int, error) {
 	if !d.cfg.Static && d.active[slot] && env.Now() >= d.nextControl {
 		d.evaluate(env)
 	}
-	served := 0
-	if d.parkReq[slot] && !d.active[slot] && !d.ownsAny(slot) {
-		// Scale-down: drain every ring dry (all our shards are flipped
-		// away, so shard ops complete as wrong-epoch rejects and the
-		// clients re-route; nothing new arrives because routing no
-		// longer names this drain), then HLT on the gate until the
-		// controller scales back up.
-		for {
-			n := 0
-			for _, r := range fe.rings {
-				if r.claimed {
-					continue
-				}
-				r.claimed = true
-				m, _, err := r.serveDrainMax(env, r.QD)
-				r.claimed = false
-				if err != nil {
-					return served, err
-				}
-				n += m
-			}
-			served += n
-			if n == 0 {
-				break
-			}
-		}
-		d.parkReq[slot] = false
-		d.ScaleDowns++
-		g := d.gates[slot]
-		g.Shut()
-		g.Wait(env, gatePol, func() bool { return fe.closed })
+	if !d.parkReq[slot] || d.active[slot] || d.ownsAny(slot) {
+		return 0, nil
 	}
+	// Scale-down: drain every ring dry (all our shards are flipped away,
+	// so shard ops complete as wrong-epoch rejects and the clients
+	// re-route; nothing new arrives because routing no longer names this
+	// drain), then HLT on the gate until the controller scales back up.
+	served, err := fe.drainAll(env)
+	if err != nil {
+		return served, err
+	}
+	d.parkReq[slot] = false
+	d.ScaleDowns++
+	g := d.gates[slot]
+	g.Shut()
+	g.Wait(env, gatePol, func() bool { return fe.closed })
 	return served, nil
 }
 
@@ -370,14 +344,9 @@ func (d *Director) feLoads() []uint64 {
 		loads[o] += d.load[s].Scaled()
 	}
 	for i, fe := range d.fes {
-		if !d.active[i] {
-			continue
+		if d.active[i] {
+			loads[i] += uint64(fe.backlog()) << 6
 		}
-		var backlog uint32
-		for _, r := range fe.rings {
-			backlog += r.subSeq - r.srvSeq
-		}
-		loads[i] += uint64(backlog) << 6
 	}
 	return loads
 }
@@ -413,13 +382,7 @@ func (d *Director) evaluate(env *mk.Env) {
 		if lo < 0 || loads[i] < loads[lo] {
 			lo = i
 		}
-		backlog := 0
-		for _, r := range d.fes[i].rings {
-			backlog += int(r.subSeq - r.srvSeq)
-		}
-		if backlog > maxBacklog {
-			maxBacklog = backlog
-		}
+		maxBacklog = max(maxBacklog, d.fes[i].backlog())
 	}
 	// Help-wake: a drain sitting on real backlog should not wait for
 	// sleeping siblings to stumble onto it — IPI them awake to steal.
@@ -511,14 +474,8 @@ func (d *Director) stealable(env *mk.Env, self *Frontend) bool {
 	}
 	nf := len(d.fes)
 	for k := 1; k < nf; k++ {
-		v := d.fes[(self.slot+k)%nf]
-		if !d.active[v.slot] {
-			continue
-		}
-		for w := 0; w < v.nWords; w++ {
-			if readDirU64(env, v.dirSrv, dirOffBitmap+8*w) != 0 {
-				return true
-			}
+		if v := d.fes[(self.slot+k)%nf]; d.active[v.slot] && v.anyBit(env) {
+			return true
 		}
 	}
 	return false
@@ -541,29 +498,17 @@ func (d *Director) steal(env *mk.Env, self *Frontend) (int, error) {
 			continue
 		}
 		for w := 0; w < v.nWords; w++ {
-			word := readDirU64(env, v.dirSrv, dirOffBitmap+8*w)
+			word := readU64(env, v.dirSrv, dirOffBitmap+8*w)
 			for bitsLeft := word; bitsLeft != 0; {
 				tz := bits.TrailingZeros64(bitsLeft)
 				bitsLeft &^= 1 << tz
 				t := w*64 + tz
-				if t >= len(v.rings) {
+				if t >= len(v.rings) || v.rings[t].claimed {
 					continue
 				}
-				r := v.rings[t]
-				if r.claimed {
-					continue
-				}
-				r.claimed = true
-				v.deficit[t] += v.cfg.Quantum
-				n, more, err := r.serveDrainMax(env, v.deficit[t])
-				r.claimed = false
+				n, _, err := v.visit(env, t)
 				if err != nil {
 					return 0, err
-				}
-				v.deficit[t] -= n
-				if !more {
-					v.deficit[t] = 0
-					v.clearBit(env, t)
 				}
 				if n > 0 {
 					d.Steals++

@@ -50,9 +50,9 @@ func placedWorld(t *testing.T, eng *sim.Engine, k *mk.Kernel, sb *SkyBridge, nFE
 			if sleepCost > 0 {
 				env.Sleep(sleepCost)
 			}
-			*execs = append(*execs, placedExec{op: req.Regs[0], shard: shard, slot: slot, epoch: d.Epoch()})
+			*execs = append(*execs, placedExec{op: req.Regs[0], shard: shard, slot: slot, epoch: d.epoch})
 			d.NoteOp(shard)
-			return Response{Regs: [4]uint64{stPlacedOK, uint64(slot), d.Epoch(), req.Regs[0]}}
+			return Response{Regs: [4]uint64{stPlacedOK, uint64(slot), d.epoch, req.Regs[0]}}
 		}
 	}
 	server.Spawn("reg", k.Mach.Cores[0], func(env *mk.Env) {
@@ -437,5 +437,30 @@ func TestScaleDownParksAndScaleUpWakes(t *testing.T) {
 		if counts[id] != 1 {
 			t.Errorf("op %d executed %d times, want 1", op, counts[id])
 		}
+	}
+}
+
+// TestNewDirectorNeedsControlPeriod: the control period has no default;
+// a director without one is refused.
+func TestNewDirectorNeedsControlPeriod(t *testing.T) {
+	eng, k, _, sb := newWorld(t)
+	server := k.NewProcess("placed")
+	server.Spawn("reg", k.Mach.Cores[0], func(env *mk.Env) {
+		id, err := sb.RegisterServer(env, 4, 0x400100, func(env *mk.Env, req Request) Response { return Response{} })
+		if err != nil {
+			t.Errorf("register server: %v", err)
+			return
+		}
+		fe, err := sb.NewFrontend(id, FrontendConfig{}, func(env *mk.Env, tenant int, req Request) Response { return Response{} })
+		if err != nil {
+			t.Errorf("new frontend: %v", err)
+			return
+		}
+		if _, err := sb.NewDirector(env, DirectorConfig{Shards: 1}, []*Frontend{fe}); err == nil {
+			t.Error("director without a control period accepted")
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -159,13 +159,11 @@ type AsyncRing struct {
 	// for this ring (the frontend binds the authenticated tenant here).
 	handler Handler
 
-	// Directory binding (frontend rings only): the client's view of the
-	// frontend's ring-of-rings directory page. Flush sets this ring's
-	// active bit and reads the server-sleeping flag instead of the
-	// per-ring needDoorbell word (mpsc.go).
-	dirVA   hw.VA
-	dirWord int
-	dirMask uint64
+	// dirVA (frontend rings only) is the client's view of the frontend's
+	// ring-of-rings directory page. Flush sets the tenant's active bit and
+	// reads the server-sleeping flag instead of the per-ring needDoorbell
+	// word (mpsc.go).
+	dirVA hw.VA
 
 	// Client cursors (free-running): subSeq counts submissions, reapSeq
 	// reaped completions, lastCQ the last validated cqTail observation.
@@ -177,7 +175,7 @@ type AsyncRing struct {
 	srvSeq uint32
 
 	// claimed marks a drain (owner sweep, stealing sibling, final or
-	// pre-park drain) currently inside serveDrainMax on this ring.
+	// pre-park drain) currently inside drain on this ring.
 	// Host-side state flipped with no intervening checkpoint, so it is
 	// atomic in simulated time; it guarantees one drainer per ring at a
 	// time, which is what keeps per-tenant FIFO order across steals.
@@ -237,15 +235,14 @@ func (sb *SkyBridge) OpenRing(env *mk.Env, serverID, qd, payloadCap int, pol mk.
 	if err != nil {
 		return nil, err
 	}
-	var zero [8]byte
 	for _, off := range []int{ctlSQTail, ctlCQTail, ctlClientWait} {
-		env.Write(conn.ClientBuf+hw.VA(off), zero[:], 8)
+		writeU64(env, conn.ClientBuf, off, 0)
 	}
 	// A new ring starts with its doorbell armed: the poll thread may have
 	// parked before this ring existed (its arm pass could not flag it), so
 	// the first Flush must take the crossing unconditionally. The server's
 	// next disarm clears it.
-	writeCtl(env, conn.ClientBuf, ctlNeedDoorbell, 1)
+	writeU64(env, conn.ClientBuf, ctlNeedDoorbell, 1)
 	rs.rings = append(rs.rings, r)
 	return r, nil
 }
@@ -332,21 +329,19 @@ func (r *AsyncRing) observer() *obs.CallObserver {
 	return r.sb.Calls
 }
 
-// Tenant returns the ring's bound tenant ID (frontend rings; 0, false
-// for plain rings).
-func (r *AsyncRing) Tenant() (int, bool) { return int(r.tenant), r.tagged }
-
-// readCtl/writeCtl access one control word with a charged 8-byte memory
-// operation from the given side of the buffer.
-func readCtl(env *mk.Env, base hw.VA, off int) uint32 {
+// readU64/writeU64 access one shared word (a ring control word, a
+// directory word, the routing epoch) with a charged 8-byte memory
+// operation through the given mapping. Ring cursors are uint32 values
+// held zero-extended in the word's low half.
+func readU64(env *mk.Env, base hw.VA, off int) uint64 {
 	var b [8]byte
 	env.Read(base+hw.VA(off), b[:], 8)
-	return binary.LittleEndian.Uint32(b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
-func writeCtl(env *mk.Env, base hw.VA, off int, v uint32) {
+func writeU64(env *mk.Env, base hw.VA, off int, v uint64) {
 	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:], v)
+	binary.LittleEndian.PutUint64(b[:], v)
 	env.Write(base+hw.VA(off), b[:], 8)
 }
 
@@ -398,7 +393,7 @@ func (r *AsyncRing) Submit(env *mk.Env, req Request) error {
 	env.Write(r.conn.ClientBuf+hw.VA(r.sqeBase+idx*entryLen),
 		encodeEntry(&e, req.Regs, req.Len, r.subSeq, r.tenant), entryLen)
 	r.subSeq++
-	writeCtl(env, r.conn.ClientBuf, ctlSQTail, r.subSeq)
+	writeU64(env, r.conn.ClientBuf, ctlSQTail, uint64(r.subSeq))
 	r.Submitted++
 	if r.subT != nil {
 		// Until a Flush covers it, the publish time doubles as the
@@ -414,39 +409,51 @@ func (r *AsyncRing) Submit(env *mk.Env, req Request) error {
 }
 
 // Flush makes pending submissions visible to the server: if the server's
-// poll loop is awake (needDoorbell clear) the shared-memory tail write
-// already did the job and no crossing happens; if the server armed its
-// doorbell flag before sleeping, Flush performs the doorbell crossing.
-// The sqTail write in Submit precedes this flag read (Dekker order
-// against the server's arm -> re-check -> park sequence), so a sleeping
-// server is always either doorbelled or about to see the tail itself.
+// poll loop is awake the shared-memory writes already did the job and no
+// crossing happens; if it declared itself asleep, Flush performs the
+// doorbell crossing. A plain ring reads its own needDoorbell flag. A
+// frontend ring first sets its tenant's active bit, then reads the
+// drain loop's sleep flag (mpsc.go). The sqTail write in Submit, and the
+// bit write, precede the flag read (Dekker order against the server's
+// arm -> re-check -> park sequence), so a sleeping server is always
+// either doorbelled or about to see the work itself.
 func (r *AsyncRing) Flush(env *mk.Env) error {
+	flag, off := r.conn.ClientBuf, ctlNeedDoorbell
 	if r.dirVA != 0 {
-		// Frontend ring: publish through the directory (set the active
-		// bit, doorbell only if the drain loop declared itself asleep).
-		return r.flushDir(env)
+		setBit(env, r.dirVA, int(r.tenant), true)
+		flag, off = r.dirVA, dirOffSleep
 	}
-	if readCtl(env, r.conn.ClientBuf, ctlNeedDoorbell) == 0 {
-		r.DoorbellsSkipped++
-		r.sb.RingDoorbellsSkipped++
-		// The tail write already made these visible; their publish stamp
-		// stands as the visibility time.
-		r.flushSeq = r.subSeq
-		return nil
+	if readU64(env, flag, off) != 0 {
+		return r.Doorbell(env)
 	}
-	return r.doorbell(env)
+	r.DoorbellsSkipped++
+	r.sb.RingDoorbellsSkipped++
+	// A plain ring's tail write made these visible, so their publish
+	// stamp stands as the visibility time; a frontend ring's become
+	// visible to the drain with the bit, so the flush stamps its time.
+	r.flushed(env.T.Core.Clock, r.dirVA != 0)
+	return nil
 }
 
-// Doorbell forces the crossing regardless of the server's armed state
-// (tests and callers that want the trampoline on every flush).
-func (r *AsyncRing) Doorbell(env *mk.Env) error { return r.doorbell(env) }
+// flushed marks every pending submission visible: it advances flushSeq
+// and, when stamp is set, records now as their visibility time.
+func (r *AsyncRing) flushed(now uint64, stamp bool) {
+	if stamp && r.flushT != nil {
+		for s := r.flushSeq; s != r.subSeq; s++ {
+			r.flushT[s%uint32(r.QD)] = now
+		}
+	}
+	r.flushSeq = r.subSeq
+}
 
-// doorbell is the one remaining crossing of the asynchronous path: a
+// Doorbell is the one remaining crossing of the asynchronous path: a
 // trampoline+VMFUNC round trip into the server's EPT view that presents
 // the calling key, reads the submission tail from the server side of the
 // buffer, and kicks the parked poll thread (IPI if cross-core). The
 // crossing itself is a full DirectCall round trip minus the handler.
-func (r *AsyncRing) doorbell(env *mk.Env) error {
+// Flush takes it only when the server sleeps; calling it directly forces
+// the crossing regardless.
+func (r *AsyncRing) Doorbell(env *mk.Env) error {
 	x := crossing{sb: r.sb, conn: r.conn}
 	if err := x.enter(env, "skybridge.doorbell", "", 0, nil); err != nil {
 		return err
@@ -465,19 +472,14 @@ func (r *AsyncRing) doorbell(env *mk.Env) error {
 	}
 	// Hand over the ring tail (read back through the server's view) and
 	// kick the parked poll thread awake.
-	_ = readCtl(x.senv, r.conn.ServerBuf, ctlSQTail)
+	_ = readU64(x.senv, r.conn.ServerBuf, ctlSQTail)
 	r.sb.K.WakeParker(cpu, &r.sink.parker)
 	if err := x.leave(); err != nil {
 		return err
 	}
 	r.Doorbells++
 	r.sb.RingDoorbells++
-	if r.flushT != nil {
-		for s := r.flushSeq; s != r.subSeq; s++ {
-			r.flushT[s%uint32(r.QD)] = cpu.Clock
-		}
-	}
-	r.flushSeq = r.subSeq
+	r.flushed(cpu.Clock, true)
 	x.tr.End(x.span, cpu.Clock, obs.U("server", uint64(r.serverID)))
 	return nil
 }
@@ -488,7 +490,7 @@ func (r *AsyncRing) doorbell(env *mk.Env) error {
 // fabricated completions (completion-before-submission) and the ring is
 // declared corrupt.
 func (r *AsyncRing) availCompletions(env *mk.Env) (uint32, error) {
-	tail := readCtl(env, r.conn.ClientBuf, ctlCQTail)
+	tail := uint32(readU64(env, r.conn.ClientBuf, ctlCQTail))
 	if int32(tail-r.lastCQ) < 0 {
 		return 0, fmt.Errorf("%w: completion tail moved backwards (%d after %d)",
 			ErrRingCorrupt, tail, r.lastCQ)
@@ -532,9 +534,9 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 			avail, verr = r.availCompletions(env)
 			return verr != nil || int(avail) >= minN
 		}, func() {
-			writeCtl(env, r.conn.ClientBuf, ctlClientWait, 1)
+			writeU64(env, r.conn.ClientBuf, ctlClientWait, 1)
 		}, func() {
-			writeCtl(env, r.conn.ClientBuf, ctlClientWait, 0)
+			writeU64(env, r.conn.ClientBuf, ctlClientWait, 0)
 		})
 		totSpin += r.cliParker.Last.Spin
 		totDelivery += r.cliParker.Last.Delivery
@@ -651,7 +653,7 @@ func (rs *RingServer) Serve(env *mk.Env) error {
 		env.T.Checkpoint()
 		progressed := false
 		for _, r := range rs.rings {
-			n, err := r.serveDrain(env)
+			n, _, err := r.drain(env, r.QD)
 			if err != nil {
 				return err
 			}
@@ -670,20 +672,20 @@ func (rs *RingServer) Serve(env *mk.Env) error {
 				return true
 			}
 			for _, r := range rs.rings {
-				if readCtl(env, r.conn.ServerBuf, ctlSQTail) != r.srvSeq {
+				if uint32(readU64(env, r.conn.ServerBuf, ctlSQTail)) != r.srvSeq {
 					return true
 				}
 			}
 			return false
-		}, func() {
-			for _, r := range rs.rings {
-				writeCtl(env, r.conn.ServerBuf, ctlNeedDoorbell, 1)
-			}
-		}, func() {
-			for _, r := range rs.rings {
-				writeCtl(env, r.conn.ServerBuf, ctlNeedDoorbell, 0)
-			}
-		})
+		}, func() { rs.arm(env, 1) }, func() { rs.arm(env, 0) })
+	}
+}
+
+// arm writes every ring's needDoorbell flag: 1 before the poll thread
+// parks, 0 once it is awake again.
+func (rs *RingServer) arm(env *mk.Env, v uint64) {
+	for _, r := range rs.rings {
+		writeU64(env, r.conn.ServerBuf, ctlNeedDoorbell, v)
 	}
 }
 
@@ -695,14 +697,7 @@ func (rs *RingServer) Close(env *mk.Env) {
 	env.K.CloseParker(env.T.Core, &rs.parker)
 }
 
-// serveDrain dispatches every pending submission of one ring (the flat
-// RingServer loop has no per-ring quantum).
-func (r *AsyncRing) serveDrain(env *mk.Env) (int, error) {
-	n, _, err := r.serveDrainMax(env, r.QD)
-	return n, err
-}
-
-// serveDrainMax dispatches up to max pending submissions of one ring:
+// drain dispatches up to max pending submissions of one ring:
 // charged entry read, per-entry bounds validation (a client rewriting
 // entries after submission must still confine its payload to its slot),
 // tenant-tag validation on tagged rings, handler dispatch, completion
@@ -711,10 +706,10 @@ func (r *AsyncRing) serveDrain(env *mk.Env) (int, error) {
 // read — the Dekker pairing of Reap's arm sequence). It returns the
 // count served and whether submissions remain past the quantum (the
 // deficit-round-robin drain leaves the tenant's directory bit set then).
-func (r *AsyncRing) serveDrainMax(env *mk.Env, max int) (int, bool, error) {
+func (r *AsyncRing) drain(env *mk.Env, max int) (int, bool, error) {
 	cpu := env.T.Core
 	srv := r.sink.srv
-	tail := readCtl(env, r.conn.ServerBuf, ctlSQTail)
+	tail := uint32(readU64(env, r.conn.ServerBuf, ctlSQTail))
 	if d := tail - r.srvSeq; d > uint32(r.QD) {
 		// A malicious client advanced the tail beyond its own ring; clamp
 		// to the window instead of chasing a fabricated cursor.
@@ -781,16 +776,16 @@ func (r *AsyncRing) serveDrainMax(env *mk.Env, max int) (int, bool, error) {
 		n++
 	}
 	if n > 0 {
-		writeCtl(env, r.conn.ServerBuf, ctlCQTail, r.srvSeq)
+		writeU64(env, r.conn.ServerBuf, ctlCQTail, uint64(r.srvSeq))
 		// The poll loop is demonstrably awake: clear a doorbell flag left
 		// over from OpenRing (or a spurious arm) so flushes go back to the
 		// crossing-free path.
-		if r.dirVA == 0 && readCtl(env, r.conn.ServerBuf, ctlNeedDoorbell) != 0 {
-			writeCtl(env, r.conn.ServerBuf, ctlNeedDoorbell, 0)
+		if r.dirVA == 0 && readU64(env, r.conn.ServerBuf, ctlNeedDoorbell) != 0 {
+			writeU64(env, r.conn.ServerBuf, ctlNeedDoorbell, 0)
 		}
 		r.sb.RingOps += uint64(n)
-		if readCtl(env, r.conn.ServerBuf, ctlClientWait) != 0 {
-			writeCtl(env, r.conn.ServerBuf, ctlClientWait, 0)
+		if readU64(env, r.conn.ServerBuf, ctlClientWait) != 0 {
+			writeU64(env, r.conn.ServerBuf, ctlClientWait, 0)
 			env.K.WakeParker(cpu, &r.cliParker)
 		}
 	}

@@ -250,7 +250,7 @@ func TestAsyncRingCompletionBeforeSubmission(t *testing.T) {
 
 	server.Spawn("evil", k.Mach.Cores[1], func(env *mk.Env) {
 		// Claim 5 completions; the client submitted nothing.
-		writeCtl(env, conn.ServerBuf, ctlCQTail, 5)
+		writeU64(env, conn.ServerBuf, ctlCQTail, 5)
 	})
 	client.Spawn("cli2", k.Mach.Cores[0], func(env *mk.Env) {
 		if _, err := ring.Reap(env, 0); !errors.Is(err, ErrRingCorrupt) {
@@ -275,7 +275,7 @@ func TestAsyncRingCompletionBeforeSubmission(t *testing.T) {
 	}
 	server.Spawn("evil2", k.Mach.Cores[1], func(env *mk.Env) {
 		env.Write(conn.ServerBuf+hw.VA(ring.cqeBase), entryBytes([4]uint64{2}, 0, 0, 0), entryLen)
-		writeCtl(env, conn.ServerBuf, ctlCQTail, 1)
+		writeU64(env, conn.ServerBuf, ctlCQTail, 1)
 	})
 	client.Spawn("cli4", k.Mach.Cores[0], func(env *mk.Env) {
 		if cs, err := ring.Reap(env, 1); err != nil || len(cs) != 1 {
@@ -286,7 +286,7 @@ func TestAsyncRingCompletionBeforeSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	server.Spawn("evil3", k.Mach.Cores[1], func(env *mk.Env) {
-		writeCtl(env, conn.ServerBuf, ctlCQTail, 0)
+		writeU64(env, conn.ServerBuf, ctlCQTail, 0)
 	})
 	client.Spawn("cli5", k.Mach.Cores[0], func(env *mk.Env) {
 		if _, err := ring.Reap(env, 0); !errors.Is(err, ErrRingCorrupt) {
@@ -311,13 +311,13 @@ func TestAsyncRingMaliciousCompletionEntries(t *testing.T) {
 			// Completion 0 claims to be completion 7: accepting it would
 			// make the client read slot 7 % QD instead of its own.
 			env.Write(conn.ServerBuf+hw.VA(r.cqeBase), entryBytes([4]uint64{1}, 4, 7, 0), entryLen)
-			writeCtl(env, conn.ServerBuf, ctlCQTail, 1)
+			writeU64(env, conn.ServerBuf, ctlCQTail, 1)
 		}},
 		{"bad-len", func(env *mk.Env, conn *Connection, r *AsyncRing) {
 			// Length far beyond the slot: accepting it would read past the
 			// slot (and, for big values, past the shared buffer).
 			env.Write(conn.ServerBuf+hw.VA(r.cqeBase), entryBytes([4]uint64{1}, r.SlotLen+1, 0, 0), entryLen)
-			writeCtl(env, conn.ServerBuf, ctlCQTail, 1)
+			writeU64(env, conn.ServerBuf, ctlCQTail, 1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -70,29 +69,23 @@ const (
 type FrontendConfig struct {
 	// Pol is the drain loop's (and the tenants' reap) wake policy.
 	Pol mk.WakePolicy
-	// Credit is the default per-tenant in-flight credit: the ring depth
-	// OpenTenantRing uses when the caller passes qd 0 (default 8, max
-	// MaxQD).
-	Credit int
 	// Quantum is the deficit-round-robin refill per sweep visit: how many
 	// requests a tenant's deficit grows by each time the sweep reaches
-	// its set bit (default 4).
+	// its set bit (default TenantQuantum).
 	Quantum int
 }
 
-// fullSweepEvery is how many busy sweeps pass between full tail rescans
-// repairing the bitmap.
-const fullSweepEvery = 64
-
-func (c FrontendConfig) withDefaults() FrontendConfig {
-	if c.Credit == 0 {
-		c.Credit = 8
-	}
-	if c.Quantum == 0 {
-		c.Quantum = 4
-	}
-	return c
-}
+const (
+	// TenantCredit is a tenant's in-flight credit: the deepest ring
+	// OpenTenantRing opens, and the depth it uses when the caller passes
+	// qd 0.
+	TenantCredit = 8
+	// TenantQuantum is the default deficit-round-robin quantum.
+	TenantQuantum = 4
+	// fullSweepEvery is how many busy sweeps pass between full tail
+	// rescans repairing the bitmap.
+	fullSweepEvery = 64
+)
 
 // TenantHandler is a frontend's request handler: like Handler, plus the
 // ring-authenticated tenant ID the request arrived on. The tenant is
@@ -149,14 +142,10 @@ func (sb *SkyBridge) NewFrontend(serverID int, cfg FrontendConfig, h TenantHandl
 	if h == nil {
 		return nil, fmt.Errorf("core: frontend for server %d needs a tenant handler", serverID)
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Credit > MaxQD {
-		return nil, fmt.Errorf("core: frontend credit %d exceeds ring depth limit %d", cfg.Credit, MaxQD)
+	if cfg.Quantum == 0 {
+		cfg.Quantum = TenantQuantum
 	}
-	words := (srv.MaxConns + 63) / 64
-	if words < 1 {
-		words = 1
-	}
+	words := max(1, (srv.MaxConns+63)/64)
 	dirBytes := dirOffBitmap + 8*words
 	pages := (dirBytes + hw.PageSize - 1) / hw.PageSize
 	frames := make([]hw.GPA, pages)
@@ -176,21 +165,8 @@ func (sb *SkyBridge) NewFrontend(serverID int, cfg FrontendConfig, h TenantHandl
 	return fe, nil
 }
 
-// Server returns the registered server this frontend drains for.
-func (fe *Frontend) Server() *Server { return fe.sink.srv }
-
-// Served returns completions written; Bad submissions rejected (bounds
-// or tenant-tag checks).
-func (fe *Frontend) Served() uint64 { return fe.sink.Served }
-
-// Bad returns rejected submissions.
-func (fe *Frontend) Bad() uint64 { return fe.sink.Bad }
-
-// Rings returns the tenant rings in tenant-ID order.
-func (fe *Frontend) Rings() []*AsyncRing { return fe.rings }
-
 // OpenTenantRing opens the calling client's per-tenant ring: depth qd (0
-// means the frontend's credit), payload slots of at least payloadCap
+// means TenantCredit), payload slots of at least payloadCap
 // bytes, tagged with the next tenant ID and wired into the directory.
 // The client must have registered to the frontend's server first
 // (RegisterClient issued its calling key and EPTP binding). Returns the
@@ -206,10 +182,10 @@ func (fe *Frontend) OpenTenantRing(env *mk.Env, qd, payloadCap int) (*AsyncRing,
 		return nil, 0, fmt.Errorf("core: frontend directory full (%d tenants)", tenant)
 	}
 	if qd == 0 {
-		qd = fe.cfg.Credit
+		qd = TenantCredit
 	}
-	if qd > fe.cfg.Credit {
-		return nil, 0, fmt.Errorf("core: ring depth %d exceeds tenant credit %d", qd, fe.cfg.Credit)
+	if qd > TenantCredit {
+		return nil, 0, fmt.Errorf("core: ring depth %d exceeds tenant credit %d", qd, TenantCredit)
 	}
 	r, err := sb.newRing(conn, &fe.sink, srv.ID, qd, payloadCap, fe.cfg.Pol)
 	if err != nil {
@@ -224,104 +200,114 @@ func (fe *Frontend) OpenTenantRing(env *mk.Env, qd, payloadCap int) (*AsyncRing,
 	// the bitmap is a hint, so this grants no authority — see the package
 	// comment on malicious clears).
 	r.dirVA = env.P.MapFrames(fe.dirFrames, hw.PTEUser|hw.PTEWrite)
-	r.dirWord = tenant / 64
-	r.dirMask = 1 << (tenant % 64)
-	var zero [8]byte
 	for _, off := range []int{ctlSQTail, ctlCQTail, ctlNeedDoorbell, ctlClientWait} {
-		env.Write(conn.ClientBuf+hw.VA(off), zero[:], 8)
+		writeU64(env, conn.ClientBuf, off, 0)
 	}
 	fe.rings = append(fe.rings, r)
 	fe.deficit = append(fe.deficit, 0)
 	return r, tenant, nil
 }
 
-// readDirU64/writeDirU64 access one directory word with a charged 8-byte
-// memory operation through the given mapping.
-func readDirU64(env *mk.Env, base hw.VA, off int) uint64 {
-	var b [8]byte
-	env.Read(base+hw.VA(off), b[:], 8)
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func writeDirU64(env *mk.Env, base hw.VA, off int, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	env.Write(base+hw.VA(off), b[:], 8)
-}
-
-// flushDir is the directory form of Flush (asyncring.go): set the
-// tenant's active bit, then doorbell only if the drain loop declared
-// itself asleep. The sqTail write in Submit and the bit write here both
-// precede the sleep-flag read, pairing with the drain loop's
-// arm -> full-rescan -> park sequence: a parking server either sees the
-// tail in its pre-park rescan or is doorbelled.
-func (r *AsyncRing) flushDir(env *mk.Env) error {
-	w := readDirU64(env, r.dirVA, dirOffBitmap+8*r.dirWord)
-	if w&r.dirMask == 0 {
-		writeDirU64(env, r.dirVA, dirOffBitmap+8*r.dirWord, w|r.dirMask)
+// setBit sets (on) or clears tenant t's directory bit through the
+// mapping at base: one charged read of its word, and a charged write only
+// when the bit changes. Tenants set their own bits; the drain repairs and
+// retires them. Neither side checkpoints inside, so the read and the
+// write never interleave with another update.
+func setBit(env *mk.Env, base hw.VA, t int, on bool) {
+	off := dirOffBitmap + 8*(t/64)
+	m := uint64(1) << (t % 64)
+	if w := readU64(env, base, off); (w&m != 0) != on {
+		writeU64(env, base, off, w^m)
 	}
-	if readDirU64(env, r.dirVA, dirOffSleep) == 0 {
-		r.DoorbellsSkipped++
-		r.sb.RingDoorbellsSkipped++
-		if r.flushT != nil {
-			for s := r.flushSeq; s != r.subSeq; s++ {
-				r.flushT[s%uint32(r.QD)] = env.T.Core.Clock
+}
+
+// anyBit is the bitmap probe: charged reads of the directory words up to
+// the first one with a bit set.
+func (fe *Frontend) anyBit(env *mk.Env) bool {
+	for w := 0; w < fe.nWords; w++ {
+		if readU64(env, fe.dirSrv, dirOffBitmap+8*w) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// rescan reads every ring's submission tail directly, in tenant order,
+// and sets the bit of each tenant with undrained work. It reports
+// whether it found any, and stops at the first when first is set.
+func (fe *Frontend) rescan(env *mk.Env, first bool) bool {
+	found := false
+	for t, r := range fe.rings {
+		if uint32(readU64(env, r.conn.ServerBuf, ctlSQTail)) != r.srvSeq {
+			setBit(env, fe.dirSrv, t, true)
+			found = true
+			if first {
+				break
 			}
 		}
-		r.flushSeq = r.subSeq
-		return nil
 	}
-	return r.doorbell(env)
+	return found
 }
 
-// setBit/clearBit repair or retire a tenant's directory bit from the
-// server side (one charged read-modify-write; sweeps never interleave
-// with tenant flushes mid-RMW because neither side checkpoints inside).
-func (fe *Frontend) setBit(env *mk.Env, t int) {
-	off := dirOffBitmap + 8*(t/64)
-	w := readDirU64(env, fe.dirSrv, off)
-	if m := uint64(1) << (t % 64); w&m == 0 {
-		writeDirU64(env, fe.dirSrv, off, w|m)
+// backlog counts submissions published to the frontend's rings and not
+// yet drained (host view).
+func (fe *Frontend) backlog() int {
+	n := 0
+	for _, r := range fe.rings {
+		n += int(r.subSeq - r.srvSeq)
 	}
+	return n
 }
 
-func (fe *Frontend) clearBit(env *mk.Env, t int) {
-	off := dirOffBitmap + 8*(t/64)
-	w := readDirU64(env, fe.dirSrv, off)
-	if m := uint64(1) << (t % 64); w&m != 0 {
-		writeDirU64(env, fe.dirSrv, off, w&^m)
+// visit is one tenant's deficit-round-robin turn, taken by the owner's
+// sweep or by a stealing sibling (adaptive.go): the deficit grows by the
+// quantum, the ring is claimed and drained of at most the deficit, and
+// the deficit keeps what was left unused. A ring drained empty resets
+// the deficit and clears the tenant's bit. visit returns the entries
+// served and the cycles of the drain alone, without the bit update.
+func (fe *Frontend) visit(env *mk.Env, t int) (int, uint64, error) {
+	r, cpu := fe.rings[t], env.T.Core
+	fe.deficit[t] += fe.cfg.Quantum
+	s0 := cpu.Clock
+	r.claimed = true
+	n, more, err := r.drain(env, fe.deficit[t])
+	r.claimed = false
+	cycles := cpu.Clock - s0
+	if err != nil {
+		return n, cycles, err
 	}
+	fe.deficit[t] -= n
+	if !more {
+		fe.deficit[t] = 0
+		setBit(env, fe.dirSrv, t, false)
+	}
+	return n, cycles, nil
 }
 
 // sweep is one epoch of the drain: stamp the epoch word, optionally
 // rescan every tail to repair the bitmap, then visit exactly the set
-// bits in tenant-ID order, draining each visited tenant by at most its
-// deficit (deficit round robin). A tenant drained empty has its bit
-// cleared and deficit reset; one left with pending work keeps its bit
-// and earns another quantum next sweep.
+// bits in tenant-ID order. A tenant drained empty has its bit cleared;
+// one left with pending work keeps its bit and earns another quantum
+// next sweep.
 func (fe *Frontend) sweep(env *mk.Env) (int, error) {
 	cpu := env.T.Core
 	t0 := cpu.Clock
 	fe.Sweeps++
 	fe.epoch++
-	writeDirU64(env, fe.dirSrv, dirOffEpoch, fe.epoch)
+	writeU64(env, fe.dirSrv, dirOffEpoch, fe.epoch)
 
 	fe.sweepsSinceFull++
 	if fe.sweepsSinceFull >= fullSweepEvery {
 		fe.sweepsSinceFull = 0
 		fe.FullSweeps++
-		for t, r := range fe.rings {
-			fe.TailPolls++
-			if readCtl(env, r.conn.ServerBuf, ctlSQTail) != r.srvSeq {
-				fe.setBit(env, t)
-			}
-		}
+		fe.TailPolls += uint64(len(fe.rings))
+		fe.rescan(env, false)
 	}
 
 	served, visited := 0, 0
 	var service uint64
 	for w := 0; w < fe.nWords; w++ {
-		word := readDirU64(env, fe.dirSrv, dirOffBitmap+8*w)
+		word := readU64(env, fe.dirSrv, dirOffBitmap+8*w)
 		for bitsLeft := word; bitsLeft != 0; {
 			tz := bits.TrailingZeros64(bitsLeft)
 			bitsLeft &^= 1 << tz
@@ -329,31 +315,21 @@ func (fe *Frontend) sweep(env *mk.Env) (int, error) {
 			if t >= len(fe.rings) {
 				// A bit beyond any issued ring: only a malicious or
 				// buggy tenant sets one; retire it.
-				fe.clearBit(env, t)
+				setBit(env, fe.dirSrv, t, false)
 				continue
 			}
-			r := fe.rings[t]
-			if r.claimed {
+			if fe.rings[t].claimed {
 				// A stealing sibling is mid-drain (adaptive.go); the
 				// bit stays set and the next sweep revisits.
 				continue
 			}
 			visited++
-			fe.deficit[t] += fe.cfg.Quantum
-			s0 := cpu.Clock
-			r.claimed = true
-			n, more, err := r.serveDrainMax(env, fe.deficit[t])
-			r.claimed = false
-			service += cpu.Clock - s0
+			n, cycles, err := fe.visit(env, t)
+			service += cycles
 			if err != nil {
 				return served, err
 			}
-			fe.deficit[t] -= n
 			served += n
-			if !more {
-				fe.deficit[t] = 0
-				fe.clearBit(env, t)
-			}
 		}
 	}
 	fe.TenantsVisited += uint64(visited)
@@ -393,7 +369,8 @@ func (fe *Frontend) Serve(env *mk.Env) error {
 			continue
 		}
 		if fe.closed {
-			return fe.finalDrain(env)
+			_, err := fe.drainAll(env)
+			return err
 		}
 		if fe.dir != nil {
 			m, err := fe.dir.steal(env, fe)
@@ -412,40 +389,29 @@ func (fe *Frontend) Serve(env *mk.Env) error {
 			if !armed {
 				// Spin probe: bitmap words only (plus sibling bitmaps
 				// when stealing is on).
-				for w := 0; w < fe.nWords; w++ {
-					if readDirU64(env, fe.dirSrv, dirOffBitmap+8*w) != 0 {
-						return true
-					}
-				}
-				if fe.dir != nil && fe.dir.stealable(env, fe) {
-					return true
-				}
-				return false
+				return fe.anyBit(env) || (fe.dir != nil && fe.dir.stealable(env, fe))
 			}
 			// Post-arm re-check: every tail, directly. A tenant whose bit
 			// was cleared out from under it is found here — repair the bit
 			// so the next sweep drains it instead of spinning back here.
-			for t, r := range fe.rings {
-				if readCtl(env, r.conn.ServerBuf, ctlSQTail) != r.srvSeq {
-					fe.setBit(env, t)
-					return true
-				}
-			}
-			return false
+			return fe.rescan(env, true)
 		}, func() {
 			armed = true
-			writeDirU64(env, fe.dirSrv, dirOffSleep, 1)
+			writeU64(env, fe.dirSrv, dirOffSleep, 1)
 		}, func() {
 			armed = false
-			writeDirU64(env, fe.dirSrv, dirOffSleep, 0)
+			writeU64(env, fe.dirSrv, dirOffSleep, 0)
 		})
 		fe.IdleParkedCycles += fe.sink.parker.Last.Parked
 	}
 }
 
-// finalDrain empties every ring after Close, ignoring the bitmap (a
-// shutdown must not trust a hint).
-func (fe *Frontend) finalDrain(env *mk.Env) error {
+// drainAll empties every unclaimed ring, ignoring the bitmap, until a
+// pass serves nothing: the final drain after Close (a shutdown must not
+// trust a hint) and a scaled-down drain's last pass before it parks
+// (adaptive.go). It returns the entries served.
+func (fe *Frontend) drainAll(env *mk.Env) (int, error) {
+	served := 0
 	for {
 		n := 0
 		for _, r := range fe.rings {
@@ -453,15 +419,16 @@ func (fe *Frontend) finalDrain(env *mk.Env) error {
 				continue
 			}
 			r.claimed = true
-			m, err := r.serveDrain(env)
+			m, _, err := r.drain(env, r.QD)
 			r.claimed = false
 			if err != nil {
-				return err
+				return served, err
 			}
 			n += m
 		}
+		served += n
 		if n == 0 {
-			return nil
+			return served, nil
 		}
 	}
 }

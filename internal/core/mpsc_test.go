@@ -176,8 +176,8 @@ func TestFrontendMultiTenantEcho(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fe.Served() != nTen*nOps || fe.Bad() != 0 {
-		t.Errorf("Served/Bad = %d/%d, want %d/0", fe.Served(), fe.Bad(), nTen*nOps)
+	if fe.sink.Served != nTen*nOps || fe.sink.Bad != 0 {
+		t.Errorf("Served/Bad = %d/%d, want %d/0", fe.sink.Served, fe.sink.Bad, nTen*nOps)
 	}
 	if fe.Sweeps == 0 {
 		t.Error("no sweeps recorded")
@@ -235,8 +235,8 @@ func TestFrontendForgedTenantRejected(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fe.Bad() != 1 {
-		t.Errorf("Bad = %d, want 1", fe.Bad())
+	if fe.sink.Bad != 1 {
+		t.Errorf("Bad = %d, want 1", fe.sink.Bad)
 	}
 	if fe.sink.srv.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", fe.sink.srv.Rejected)
@@ -244,7 +244,7 @@ func TestFrontendForgedTenantRejected(t *testing.T) {
 	// The victim's ring never advanced and its staged slot is intact.
 	server.Spawn("check", k.Mach.Cores[0], func(env *mk.Env) {
 		rv := rings[victim]
-		if got := readCtl(env, rv.conn.ServerBuf, ctlCQTail); got != 0 {
+		if got := readU64(env, rv.conn.ServerBuf, ctlCQTail); got != 0 {
 			t.Errorf("victim cqTail = %d, want 0", got)
 		}
 		buf := make([]byte, len(sentinel))
@@ -326,7 +326,7 @@ func TestFrontendMaliciousTailClamped(t *testing.T) {
 		defer done(env)
 		r := rings[0]
 		// No real submission: just a forged tail, out-of-range by far.
-		writeCtl(env, r.conn.ClientBuf, ctlSQTail, forged)
+		writeU64(env, r.conn.ClientBuf, ctlSQTail, forged)
 		if err := r.Doorbell(env); err != nil {
 			t.Errorf("doorbell: %v", err)
 		}
@@ -364,7 +364,7 @@ func TestFrontendMaliciousTailClamped(t *testing.T) {
 	if rings[0].srvSeq != forged {
 		t.Errorf("attacker drain cursor = %d, want %d (clamped progress)", rings[0].srvSeq, forged)
 	}
-	if fe.Bad() == 0 {
+	if fe.sink.Bad == 0 {
 		t.Error("no rejected submissions recorded for the forged window")
 	}
 }
@@ -418,8 +418,8 @@ func TestFrontendMaliciousBitClear(t *testing.T) {
 	}
 	procs[1].Spawn("atk", k.Mach.Cores[3], func(env *mk.Env) {
 		r := rings[1]
-		w := readDirU64(env, r.dirVA, dirOffBitmap)
-		writeDirU64(env, r.dirVA, dirOffBitmap, w&^uint64(1)) // clear tenant 0's bit
+		w := readU64(env, r.dirVA, dirOffBitmap)
+		writeU64(env, r.dirVA, dirOffBitmap, w&^uint64(1)) // clear tenant 0's bit
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -443,8 +443,8 @@ func TestFrontendMaliciousBitClear(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fe.Served() != 1 {
-		t.Errorf("Served = %d, want 1", fe.Served())
+	if fe.sink.Served != 1 {
+		t.Errorf("Served = %d, want 1", fe.sink.Served)
 	}
 }
 
@@ -453,7 +453,7 @@ func TestFrontendMaliciousBitClear(t *testing.T) {
 func TestFrontendOpenErrors(t *testing.T) {
 	eng, k, _, sb := newWorld(t)
 	server := k.NewProcess("server")
-	fe := startFrontend(t, eng, k, sb, server, k.Mach.Cores[0], FrontendConfig{Credit: 8})
+	fe := startFrontend(t, eng, k, sb, server, k.Mach.Cores[0], FrontendConfig{})
 	stranger := k.NewProcess("stranger")
 	stranger.Spawn("open", k.Mach.Cores[2], func(env *mk.Env) {
 		defer fe.Close(env)

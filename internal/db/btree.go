@@ -3,7 +3,6 @@ package db
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -386,13 +385,39 @@ func (t *Btree) scan(env *mk.Env, no int, start int64, fn func(int64, []byte) (b
 	return true, nil
 }
 
-// MaxKey returns the largest key in the tree (0, false if empty). Every
-// separator is below math.MaxInt64, so descending toward it takes the
-// rightmost child at every level.
+// MaxKey returns the largest key in the tree (0, false if empty).
 func (t *Btree) MaxKey(env *mk.Env) (int64, bool, error) {
-	_, bp, err := t.descend(env, math.MaxInt64)
-	if err != nil || len(bp.cells) == 0 {
+	return t.maxKey(env, t.Root)
+}
+
+// maxKey is MaxKey over the subtree at page no. It takes the rightmost
+// child at every level, so a tree whose rightmost leaf holds cells reads
+// one page per level. Delete leaves emptied leaves in place, so when a
+// subtree holds no key it backs up and tries the children to its left,
+// right to left.
+func (t *Btree) maxKey(env *mk.Env, no int) (int64, bool, error) {
+	pg, err := t.pager.Get(env, no)
+	if err != nil {
 		return 0, false, err
 	}
-	return bp.cells[len(bp.cells)-1].key, true, nil
+	bp, err := parsePage(env, pg)
+	if err != nil {
+		return 0, false, err
+	}
+	if bp.typ == pageLeaf {
+		if n := len(bp.cells); n > 0 {
+			return bp.cells[n-1].key, true, nil
+		}
+		return 0, false, nil
+	}
+	for i := len(bp.cells); i >= 0; i-- {
+		child := bp.rightChild
+		if i < len(bp.cells) {
+			child = bp.cells[i].child
+		}
+		if key, ok, err := t.maxKey(env, child); err != nil || ok {
+			return key, ok, err
+		}
+	}
+	return 0, false, nil
 }

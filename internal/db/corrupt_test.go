@@ -46,6 +46,53 @@ func TestCorruptRowFailsScan(t *testing.T) {
 	})
 }
 
+// TestUpdateChecksValueCount: Update, like Insert, refuses a row with
+// the wrong number of values, and leaves the stored row alone.
+func TestUpdateChecksValueCount(t *testing.T) {
+	dbWorld(t, func(env *mk.Env, d *DB) {
+		mustExec(t, env, d, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+		mustExec(t, env, d, "INSERT INTO t VALUES (1, 'a')")
+		tab, _ := d.TableByName("t")
+		if _, err := tab.Update(env, 1, []Value{IntValue(1)}); err == nil {
+			t.Error("update with 1 value for 2 columns succeeded")
+		}
+		if r := mustExec(t, env, d, "SELECT * FROM t WHERE v = 'a'"); len(r.Rows) != 1 {
+			t.Errorf("row after the refused update: %v", r.Rows)
+		}
+	})
+}
+
+// TestCorruptShortRowFailsMatch: a stored row with fewer values than the
+// table has columns is a corrupt-row error naming the row for SELECT,
+// UPDATE and DELETE, through a scan and through a primary-key lookup,
+// not an index-out-of-range panic.
+func TestCorruptShortRowFailsMatch(t *testing.T) {
+	dbWorld(t, func(env *mk.Env, d *DB) {
+		mustExec(t, env, d, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+		mustExec(t, env, d, "INSERT INTO t VALUES (1, 'a')")
+		tab, _ := d.TableByName("t")
+		if err := d.Begin(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.tree.Insert(env, 1, EncodeRecord([]Value{IntValue(1)})); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Commit(env); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{
+			"SELECT * FROM t WHERE v = 'a'",
+			"SELECT v FROM t WHERE id = 1",
+			"UPDATE t SET v = 'b' WHERE id = 1",
+			"DELETE FROM t WHERE v = 'a'",
+		} {
+			if r, err := d.Exec(env, sql); err == nil || !strings.Contains(err.Error(), "row 1") {
+				t.Errorf("%s over the short row: %v, %v; want an error naming row 1", sql, r, err)
+			}
+		}
+	})
+}
+
 // TestDecodeRecordHugeLengths: header and text lengths of 2^63 or more are
 // corrupt records, not slice bounds that wrap negative.
 func TestDecodeRecordHugeLengths(t *testing.T) {

@@ -265,6 +265,9 @@ func (t *Table) Get(env *mk.Env, rowid int64) ([]Value, bool, error) {
 
 // Update replaces the row with the given rowid.
 func (t *Table) Update(env *mk.Env, rowid int64, vals []Value) (bool, error) {
+	if len(vals) != len(t.Columns) {
+		return false, fmt.Errorf("db: %s: %d values for %d columns", t.Name, len(vals), len(t.Columns))
+	}
 	_, ok, err := t.tree.Search(env, rowid)
 	if err != nil || !ok {
 		return ok, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"skybridge/internal/blockdev"
@@ -315,6 +316,39 @@ func TestAutoRowid(t *testing.T) {
 		id2, _ := tab.Insert(env, []Value{TextValue("b")})
 		if id2 != id1+1 {
 			t.Errorf("rowids %d, %d", id1, id2)
+		}
+	})
+}
+
+// TestAutoRowidAfterDeletesEmptyRightmostLeaf: deleting the last rows
+// empties the rightmost leaf, which Delete leaves in place. The next
+// rowid must still be one past the largest remaining key, not 1, which
+// would silently replace row 1.
+func TestAutoRowidAfterDeletesEmptyRightmostLeaf(t *testing.T) {
+	dbWorld(t, func(env *mk.Env, d *DB) {
+		mustExec(t, env, d, "CREATE TABLE log (msg TEXT)")
+		tab, _ := d.TableByName("log")
+		text := func(i int) string { return strings.Repeat(string(rune('a'+i)), 1500) }
+		for i := 1; i <= 10; i++ {
+			if _, err := tab.Insert(env, []Value{TextValue(text(i))}); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+		for _, id := range []int64{10, 9} {
+			if ok, err := tab.Delete(env, id); err != nil || !ok {
+				t.Fatalf("delete %d: %v, %v", id, ok, err)
+			}
+		}
+		id, err := tab.Insert(env, []Value{TextValue("new")})
+		if err != nil || id != 9 {
+			t.Errorf("insert after deletes got rowid %d (%v), want 9", id, err)
+		}
+		if vals, ok, err := tab.Get(env, 1); err != nil || !ok || vals[0].Text != text(1) {
+			t.Errorf("row 1 after the insert = %v, %v, %v; want the original row", vals, ok, err)
+		}
+		rows := 0
+		if err := tab.ScanFrom(env, math.MinInt64, func(int64, []Value) bool { rows++; return true }); err != nil || rows != 9 {
+			t.Errorf("scan saw %d rows (%v), want 9", rows, err)
 		}
 	})
 }

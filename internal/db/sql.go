@@ -297,7 +297,9 @@ func (p *parser) parseWhere() (*wherePred, error) {
 
 // matchRows returns the rowids and rows matching the predicate (all
 // rows without one), using a point lookup when the predicate covers the
-// integer primary key and a table scan otherwise.
+// integer primary key and a table scan otherwise. A stored row with
+// fewer values than the table has columns is corrupt: it ends the match
+// with an error naming it.
 func (t *Table) matchRows(env *mk.Env, pred *wherePred) ([]int64, [][]Value, error) {
 	ci := 0
 	if pred != nil {
@@ -307,6 +309,9 @@ func (t *Table) matchRows(env *mk.Env, pred *wherePred) ([]int64, [][]Value, err
 		}
 		if ci == 0 && t.PKFirst && pred.val.Kind == KindInt {
 			vals, ok, err := t.Get(env, pred.val.Int)
+			if err == nil && ok {
+				err = t.shortRow(pred.val.Int, vals)
+			}
 			if err != nil || !ok {
 				return nil, nil, err
 			}
@@ -315,14 +320,29 @@ func (t *Table) matchRows(env *mk.Env, pred *wherePred) ([]int64, [][]Value, err
 	}
 	var ids []int64
 	var rows [][]Value
+	var short error
 	err := t.ScanFrom(env, math.MinInt64, func(rowid int64, vals []Value) bool {
+		if short = t.shortRow(rowid, vals); short != nil {
+			return false
+		}
 		if pred == nil || vals[ci].Equal(pred.val) {
 			ids = append(ids, rowid)
 			rows = append(rows, vals)
 		}
 		return true
 	})
+	if err == nil {
+		err = short
+	}
 	return ids, rows, err
+}
+
+// shortRow reports a row with fewer values than the table has columns.
+func (t *Table) shortRow(rowid int64, vals []Value) error {
+	if len(vals) < len(t.Columns) {
+		return fmt.Errorf("db: %s: row %d: corrupt: %d values for %d columns", t.Name, rowid, len(vals), len(t.Columns))
+	}
+	return nil
 }
 
 func (d *DB) execSelect(env *mk.Env, p *parser) (*Rows, error) {

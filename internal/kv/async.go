@@ -98,16 +98,6 @@ func (a *AsyncKV) Drain(env *mk.Env) ([]svc.Resp, error) {
 	return out, nil
 }
 
-// Inflight totals un-reaped submissions across all rings (excluding
-// stashed responses, which are already complete).
-func (a *AsyncKV) Inflight() int {
-	n := 0
-	for _, c := range a.Rings {
-		n += c.Inflight()
-	}
-	return n
-}
-
 // CheckResp validates a store response: puts return StatusOK, gets
 // StatusOK or StatusNotFound; anything else is an upstream failure.
 func CheckResp(r svc.Resp) error {

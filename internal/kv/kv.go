@@ -266,53 +266,125 @@ func (c *Crypto) Handler() svc.Handler {
 	}
 }
 
-// Client drives the two-server pipeline.
+// Client drives the encrypt+put / get+decrypt pipeline. Values cross to
+// the encryption service as one batch, and store operations batch per
+// destination shard (svc.Sharded groups them); a single store is a
+// one-shard Sharded. Insert and Query are one-key batches, and a batch
+// of one is one plain call on every transport.
 type Client struct {
 	Enc svc.Conn
-	KV  svc.Conn
+	KV  *svc.Sharded
 	// Text, when non-zero, is the client's code footprint (request
 	// marshalling, its own runtime copy).
 	Text    hw.VA
-	TextLen int
 	textSeq uint64
 }
 
-func (c *Client) touch(env *mk.Env) {
-	if c.Text != 0 {
+// touch executes the client's per-operation code footprint once per
+// operation (marshalling work does not amortize over a batch).
+func (c *Client) touch(env *mk.Env, n int) {
+	if c.Text == 0 {
+		return
+	}
+	for i := 0; i < n; i++ {
 		textTouch(env, c.Text, &c.textSeq)
 	}
 }
 
 // Insert encrypts the value and stores it under key.
 func (c *Client) Insert(env *mk.Env, key, val []byte) error {
-	c.touch(env)
-	enc, err := c.Enc.Invoke(env, svc.Req{Op: OpEncrypt, Data: val})
+	return c.InsertBatch(env, [][]byte{key}, [][]byte{val})
+}
+
+// Query fetches and decrypts the value under key; a missing key is an
+// error.
+func (c *Client) Query(env *mk.Env, key []byte) ([]byte, error) {
+	vals, err := c.QueryBatch(env, [][]byte{key})
+	if err != nil {
+		return nil, err
+	}
+	if vals[0] == nil {
+		return nil, fmt.Errorf("kv: get failed: status %d", StatusNotFound)
+	}
+	return vals[0], nil
+}
+
+// InsertBatch encrypts vals (one batched crossing to the encryption
+// service) and stores them under keys (one batched crossing per store
+// shard).
+func (c *Client) InsertBatch(env *mk.Env, keys, vals [][]byte) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("kv: %d keys, %d vals", len(keys), len(vals))
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	c.touch(env, len(keys))
+	encReqs := make([]svc.Req, len(vals))
+	for i, v := range vals {
+		encReqs[i] = svc.Req{Op: OpEncrypt, Data: v}
+	}
+	encResps, err := svc.InvokeBatch(env, c.Enc, encReqs)
 	if err != nil {
 		return err
 	}
-	resp, err := c.KV.Invoke(env, svc.Req{Op: OpPut, Data: PutFrame(key, enc.Data)})
+	putReqs := make([]svc.Req, len(keys))
+	for i, key := range keys {
+		putReqs[i] = svc.Req{Op: OpPut, Data: PutFrame(key, encResps[i].Data)}
+	}
+	putResps, err := c.KV.InvokeBatch(env, putReqs)
 	if err != nil {
 		return err
 	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("kv: put failed: status %d", resp.Status)
+	for i, resp := range putResps {
+		if resp.Status != StatusOK {
+			return fmt.Errorf("kv: put %d failed: status %d", i, resp.Status)
+		}
 	}
 	return nil
 }
 
-// Query fetches and decrypts the value under key.
-func (c *Client) Query(env *mk.Env, key []byte) ([]byte, error) {
-	c.touch(env)
-	resp, err := c.KV.Invoke(env, svc.Req{Op: OpGet, Data: key})
+// QueryBatch fetches keys (one batched crossing per store shard) and
+// decrypts the found values (one batched crossing to the encryption
+// service). A missing key yields a nil entry; a found empty value a
+// non-nil empty one.
+func (c *Client) QueryBatch(env *mk.Env, keys [][]byte) ([][]byte, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	c.touch(env, len(keys))
+	getReqs := make([]svc.Req, len(keys))
+	for i, key := range keys {
+		getReqs[i] = svc.Req{Op: OpGet, Data: key}
+	}
+	getResps, err := c.KV.InvokeBatch(env, getReqs)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("kv: get failed: status %d", resp.Status)
+	var decReqs []svc.Req
+	var found []int
+	for i, resp := range getResps {
+		switch resp.Status {
+		case StatusOK:
+			decReqs = append(decReqs, svc.Req{Op: OpDecrypt, Data: resp.Data})
+			found = append(found, i)
+		case StatusNotFound:
+		default:
+			return nil, fmt.Errorf("kv: get %d failed: status %d", i, resp.Status)
+		}
 	}
-	dec, err := c.Enc.Invoke(env, svc.Req{Op: OpDecrypt, Data: resp.Data})
+	out := make([][]byte, len(keys))
+	if len(decReqs) == 0 {
+		return out, nil
+	}
+	decResps, err := svc.InvokeBatch(env, c.Enc, decReqs)
 	if err != nil {
 		return nil, err
 	}
-	return dec.Data, nil
+	for j, i := range found {
+		if out[i] = decResps[j].Data; out[i] == nil {
+			out[i] = []byte{} // found, but empty
+		}
+	}
+	return out, nil
 }

@@ -13,6 +13,10 @@ import (
 	"skybridge/internal/svc"
 )
 
+// oneStore is a single store connection as the client's one-shard
+// Sharded.
+func oneStore(c svc.Conn) *svc.Sharded { return svc.NewSharded([]svc.Conn{c}, PickReq(1)) }
+
 func pipelineCheck(t *testing.T, env *mk.Env, c *Client) {
 	t.Helper()
 	for i := 0; i < 16; i++ {
@@ -48,7 +52,7 @@ func TestPipelineBaseline(t *testing.T) {
 	store := NewStore(p, 1024, 2176)
 	crypto := NewCrypto(p)
 	p.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
-		c := &Client{Enc: svc.NewLocal(crypto.Handler()), KV: svc.NewLocal(store.Handler())}
+		c := &Client{Enc: svc.NewLocal(crypto.Handler()), KV: oneStore(svc.NewLocal(store.Handler()))}
 		pipelineCheck(t, env, c)
 	})
 	if err := eng.Run(); err != nil {
@@ -74,7 +78,7 @@ func TestPipelineIPC(t *testing.T) {
 	kvP.Spawn("srv", k.Mach.Cores[0], func(env *mk.Env) { svc.ServeIPC(env, kvEP, store.Handler()) })
 
 	cliP.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
-		c := &Client{Enc: svc.NewIPC(cliP, encEP), KV: svc.NewIPC(cliP, kvEP)}
+		c := &Client{Enc: svc.NewIPC(cliP, encEP), KV: oneStore(svc.NewIPC(cliP, kvEP))}
 		pipelineCheck(t, env, c)
 		encEP.Close()
 		kvEP.Close()
@@ -84,6 +88,45 @@ func TestPipelineIPC(t *testing.T) {
 	}
 	if k.IPCCalls == 0 {
 		t.Fatal("no IPC recorded")
+	}
+}
+
+// TestQueryEmptyValueIsNotMissing: over kernel IPC an empty reply
+// carries no data, so a stored empty value must still read back as
+// found (empty, no error) while a missing key fails.
+func TestQueryEmptyValueIsNotMissing(t *testing.T) {
+	eng := sim.NewEngine(hw.NewMachine(hw.MachineConfig{Cores: 2, MemBytes: 1 << 30}))
+	k := mk.New(mk.Config{Flavor: mk.SeL4}, eng)
+	cliP := k.NewProcess("client")
+	encP := k.NewProcess("enc")
+	kvP := k.NewProcess("kv")
+	store := NewStore(kvP, 64, 256)
+	crypto := NewCrypto(encP)
+	encEP := k.NewEndpoint("enc")
+	kvEP := k.NewEndpoint("kv")
+	encP.Spawn("srv", k.Mach.Cores[1], func(env *mk.Env) { svc.ServeIPC(env, encEP, crypto.Handler()) })
+	kvP.Spawn("srv", k.Mach.Cores[1], func(env *mk.Env) { svc.ServeIPC(env, kvEP, store.Handler()) })
+	cliP.Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
+		defer encEP.Close()
+		defer kvEP.Close()
+		c := &Client{Enc: svc.NewIPC(cliP, encEP), KV: oneStore(svc.NewIPC(cliP, kvEP))}
+		if err := c.Insert(env, []byte("empty"), nil); err != nil {
+			t.Errorf("insert: %v", err)
+			return
+		}
+		if got, err := c.Query(env, []byte("empty")); err != nil || got == nil || len(got) != 0 {
+			t.Errorf("query of an empty value = %q (nil %v), %v; want empty, found", got, got == nil, err)
+		}
+		if _, err := c.Query(env, []byte("absent")); err == nil {
+			t.Error("missing key did not fail")
+		}
+		got, err := c.QueryBatch(env, [][]byte{[]byte("empty"), []byte("absent")})
+		if err != nil || got[0] == nil || got[1] != nil {
+			t.Errorf("batch = %q (nil %v, %v), %v; want found-empty then missing", got, got[0] == nil, got[1] == nil, err)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -130,11 +173,14 @@ func TestPipelineSkyBridge(t *testing.T) {
 			t.Errorf("bind kv: %v", err)
 			return
 		}
-		c := &Client{Enc: enc, KV: kvc}
+		c := &Client{Enc: enc, KV: oneStore(kvc)}
 		pipelineCheck(t, env, c)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if sb.BatchCalls != 0 {
+		t.Errorf("BatchCalls = %d, want 0: a one-key batch is one plain call", sb.BatchCalls)
 	}
 	if sb.DirectCalls == 0 {
 		t.Fatal("no direct calls recorded")

@@ -3,7 +3,6 @@ package kv
 import (
 	"fmt"
 
-	"skybridge/internal/hw"
 	"skybridge/internal/mk"
 	"skybridge/internal/svc"
 )
@@ -12,8 +11,8 @@ import (
 // per-core shards, each shard its own process (and, under SkyBridge, its
 // own registered server). Keys route to store shards by FNV-1a hash;
 // crypto shards are stateless, so each client uses the shard local to its
-// core. Combined with batched IPC (svc.InvokeBatch), a client submits a
-// whole batch of operations per trampoline crossing per shard.
+// core. Combined with batched IPC (svc.InvokeBatch), a client (Client)
+// submits a whole batch of operations per trampoline crossing per shard.
 
 // ShardOf returns the store shard owning key among n shards.
 func ShardOf(key []byte, n int) int {
@@ -77,104 +76,4 @@ func (s *Store) Preload(env *mk.Env, key, val []byte) error {
 		return fmt.Errorf("kv: preload status %d", status)
 	}
 	return nil
-}
-
-// ShardedClient drives the encrypt+put / get+decrypt pipeline over the
-// sharded stack with batched IPC: values cross to the client's local
-// crypto shard as one batch, and store operations batch per destination
-// shard (svc.Sharded groups them).
-type ShardedClient struct {
-	Enc svc.Conn
-	KV  *svc.Sharded
-	// Text/TextLen model the client's code footprint (see Client).
-	Text    hw.VA
-	TextLen int
-	textSeq uint64
-}
-
-// touchAll executes the client's per-operation code footprint once per
-// operation in the batch (marshalling work does not amortize).
-func (c *ShardedClient) touchAll(env *mk.Env, n int) {
-	if c.Text == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		textTouch(env, c.Text, &c.textSeq)
-	}
-}
-
-// InsertBatch encrypts vals (one batched crossing to the crypto shard)
-// and stores them under keys (one batched crossing per store shard).
-func (c *ShardedClient) InsertBatch(env *mk.Env, keys, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("kv: %d keys, %d vals", len(keys), len(vals))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	c.touchAll(env, len(keys))
-	encReqs := make([]svc.Req, len(vals))
-	for i, v := range vals {
-		encReqs[i] = svc.Req{Op: OpEncrypt, Data: v}
-	}
-	encResps, err := svc.InvokeBatch(env, c.Enc, encReqs)
-	if err != nil {
-		return err
-	}
-	putReqs := make([]svc.Req, len(keys))
-	for i, key := range keys {
-		putReqs[i] = svc.Req{Op: OpPut, Data: PutFrame(key, encResps[i].Data)}
-	}
-	putResps, err := c.KV.InvokeBatch(env, putReqs)
-	if err != nil {
-		return err
-	}
-	for i, resp := range putResps {
-		if resp.Status != StatusOK {
-			return fmt.Errorf("kv: batched put %d failed: status %d", i, resp.Status)
-		}
-	}
-	return nil
-}
-
-// QueryBatch fetches keys (one batched crossing per store shard) and
-// decrypts the found values (one batched crossing to the crypto shard).
-// Missing keys yield nil entries.
-func (c *ShardedClient) QueryBatch(env *mk.Env, keys [][]byte) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	c.touchAll(env, len(keys))
-	getReqs := make([]svc.Req, len(keys))
-	for i, key := range keys {
-		getReqs[i] = svc.Req{Op: OpGet, Data: key}
-	}
-	getResps, err := c.KV.InvokeBatch(env, getReqs)
-	if err != nil {
-		return nil, err
-	}
-	var decReqs []svc.Req
-	var found []int
-	for i, resp := range getResps {
-		switch resp.Status {
-		case StatusOK:
-			decReqs = append(decReqs, svc.Req{Op: OpDecrypt, Data: resp.Data})
-			found = append(found, i)
-		case StatusNotFound:
-		default:
-			return nil, fmt.Errorf("kv: batched get %d failed: status %d", i, resp.Status)
-		}
-	}
-	out := make([][]byte, len(keys))
-	if len(decReqs) == 0 {
-		return out, nil
-	}
-	decResps, err := svc.InvokeBatch(env, c.Enc, decReqs)
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range found {
-		out[i] = decResps[j].Data
-	}
-	return out, nil
 }

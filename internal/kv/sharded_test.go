@@ -126,7 +126,7 @@ func TestShardedClientPipeline(t *testing.T) {
 				return
 			}
 		}
-		c := &ShardedClient{Enc: enc, KV: svc.NewSharded(conns, PickReq(shards))}
+		c := &Client{Enc: enc, KV: svc.NewSharded(conns, PickReq(shards))}
 		const n = 12
 		keys := make([][]byte, n)
 		vals := make([][]byte, n)
@@ -220,7 +220,7 @@ func TestShardedPreloadVisibleToPipeline(t *testing.T) {
 			t.Errorf("bind store: %v", err)
 			return
 		}
-		c := &ShardedClient{Enc: enc, KV: svc.NewSharded([]svc.Conn{kvc}, PickReq(1))}
+		c := &Client{Enc: enc, KV: oneStore(kvc)}
 		got, err := c.QueryBatch(env, [][]byte{[]byte("warm"), []byte("cold")})
 		if err != nil {
 			t.Errorf("query: %v", err)

@@ -11,36 +11,26 @@ type Gate struct {
 	parker Parker
 	open   bool
 
-	Parks        uint64 // scale-down parks entered
-	Unparks      uint64 // controller wakes delivered
 	ParkedCycles uint64 // cycles spent shut, measured on the sleeper's clock
 }
 
 // NewGate returns an open gate (core in service).
 func NewGate() *Gate { return &Gate{open: true} }
 
-// Open reports whether the core is in service.
-func (g *Gate) Open() bool { return g.open }
-
 // Shut marks the core out of service; the owning thread must call Wait
 // next. Host-side state only — the engine runs one simulated thread at a
 // time, so no atomics are needed.
-func (g *Gate) Shut() {
-	if g.open {
-		g.open = false
-		g.Parks++
-	}
-}
+func (g *Gate) Shut() { g.open = false }
 
-// Wait blocks the calling thread until the gate reopens (or done turns
-// true, e.g. frontend shutdown). On return the thread re-establishes
+// Wait blocks the calling thread until the gate reopens or done turns
+// true (e.g. frontend shutdown). On return the thread re-establishes
 // its address space on the core via Kernel.EnsureOn — the core may have
 // run nothing, or anything, while the gate was shut.
 func (g *Gate) Wait(e *Env, pol WakePolicy, done func() bool) {
 	t0 := e.T.Core.Clock
-	for !g.open && (done == nil || !done()) {
+	for !g.open && !done() {
 		e.AdaptiveWait(&g.parker, pol, func() bool {
-			return g.open || (done != nil && done())
+			return g.open || done()
 		}, nil, nil)
 	}
 	g.ParkedCycles += e.T.Core.Clock - t0
@@ -54,7 +44,6 @@ func (g *Gate) Unpark(e *Env) {
 		return
 	}
 	g.open = true
-	g.Unparks++
 	e.K.WakeParker(e.T.Core, &g.parker)
 }
 

@@ -18,16 +18,24 @@ type AsyncConn struct {
 // opens a ring of depth qd with payload slots of at least payloadCap
 // bytes. The server must have a core.RingServer poll loop attached.
 func OpenAsync(sb *core.SkyBridge, env *mk.Env, serverID, qd, payloadCap int, pol mk.WakePolicy) (*AsyncConn, error) {
-	if _, ok := sb.ConnectionOf(env.P, serverID); !ok {
-		if _, err := sb.RegisterClient(env, serverID); err != nil {
-			return nil, err
-		}
+	if err := bind(sb, env, serverID); err != nil {
+		return nil, err
 	}
 	r, err := sb.OpenRing(env, serverID, qd, payloadCap, pol)
 	if err != nil {
 		return nil, err
 	}
 	return &AsyncConn{Ring: r}, nil
+}
+
+// bind registers the calling client to serverID unless it already holds
+// a connection there (rings are laid over that connection's buffer).
+func bind(sb *core.SkyBridge, env *mk.Env, serverID int) error {
+	if _, ok := sb.ConnectionOf(env.P, serverID); ok {
+		return nil
+	}
+	_, err := sb.RegisterClient(env, serverID)
+	return err
 }
 
 // Submit enqueues one request. Payloads are staged straight into the

@@ -60,13 +60,11 @@ type TenantConn struct {
 }
 
 // OpenTenant registers the calling client to the frontend's server (if
-// not already) and opens its tenant ring: depth qd (0 = the frontend's
-// credit), payload slots of at least payloadCap bytes.
+// not already) and opens its tenant ring: depth qd (0 =
+// core.TenantCredit), payload slots of at least payloadCap bytes.
 func (f *Frontend) OpenTenant(env *mk.Env, qd, payloadCap int) (*TenantConn, error) {
-	if _, ok := f.SB.ConnectionOf(env.P, f.ServerID); !ok {
-		if _, err := f.SB.RegisterClient(env, f.ServerID); err != nil {
-			return nil, err
-		}
+	if err := bind(f.SB, env, f.ServerID); err != nil {
+		return nil, err
 	}
 	r, tenant, err := f.FE.OpenTenantRing(env, qd, payloadCap)
 	if err != nil {

@@ -52,9 +52,9 @@ func (rt *Router) refresh(env *mk.Env) {
 	rt.Refreshes++
 }
 
-// OwnerOf returns the drain slot currently owning shard, re-reading
+// ownerOf returns the drain slot currently owning shard, re-reading
 // the owner table if the routing epoch moved since the last look.
-func (rt *Router) OwnerOf(env *mk.Env, shard int) int {
+func (rt *Router) ownerOf(env *mk.Env, shard int) int {
 	var b [8]byte
 	env.Read(rt.routeVA, b[:], 8)
 	if e := binary.LittleEndian.Uint64(b[:]); e != rt.epoch {
@@ -72,18 +72,9 @@ func (rt *Router) OwnerOf(env *mk.Env, shard int) int {
 // entry placement are atomic against migrations.
 func (rt *Router) Submit(env *mk.Env, shard int, req Req) (int, error) {
 	req.Args[0] = uint64(shard)
-	slot := rt.OwnerOf(env, shard)
+	slot := rt.ownerOf(env, shard)
 	return slot, rt.Conns[slot].Submit(env, req)
 }
 
 // NoteRetry counts a wrong-epoch resubmit.
 func (rt *Router) NoteRetry() { rt.Retries++ }
-
-// Inflight sums un-reaped submissions across all connections.
-func (rt *Router) Inflight() int {
-	n := 0
-	for _, c := range rt.Conns {
-		n += c.Inflight()
-	}
-	return n
-}
