@@ -4,42 +4,110 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
+	"strings"
 	"testing"
+
+	"skybridge/internal/obs"
 )
 
-// TestPaperMicroUnitsGolden pins the bytes of the fast paper units
-// (Table 2, Figure 7, Table 1, Figures 2 and 8, and the ablations) at
-// skybench's default options: the SHA-256 of their stdout, -metrics and
-// -report outputs. A change that moves any simulated number of these
-// units, or any record, histogram or report entry they emit, fails here.
-func TestPaperMicroUnitsGolden(t *testing.T) {
+// TestCatalogUnitsGolden pins the bytes of catalog units that no BENCH
+// file covers whole: the SHA-256 of their stdout, -metrics and -report
+// outputs, and for the multi-threaded units also of their Chrome trace.
+// A change that moves any simulated number of these units, or any record,
+// histogram, report entry or trace event they emit, fails here.
+//
+// The micro case runs the fast paper units (Table 2, Figure 7, Table 1,
+// Figures 2 and 8, and the ablations) at skybench's default options. The
+// multi-threaded case runs Table 4, Figures 9-11, Table 5 and the five
+// sweeps at small knobs; the BENCH files pin only the sweeps' cells.
+func TestCatalogUnitsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six paper units at default options")
+		t.Skip("runs sixteen catalog units")
 	}
-	sel := map[string]bool{"table2": true, "fig7": true, "table1": true, "fig2": true, "fig8": true, "ablations": true}
-	s := NewSession(nil)
-	var out, metrics, report bytes.Buffer
-	if err := RunAll(sel, DefaultOptions, 1, s, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteMetrics(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BuildReport().WriteJSON(&report); err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []struct {
-		name string
-		got  []byte
-		want string
+	for _, tc := range []struct {
+		name  string
+		units string
+		opts  Options
+		trace bool
+		slow  bool // skipped under the race detector
+		want  [4]string
 	}{
-		{"stdout", out.Bytes(), "3196978374bb97f7c4015e8af3aa6a2b5e5c260c81972f597db689a8de8901c1"},
-		{"-metrics", metrics.Bytes(), "10b1479aa8beef6f76b3342eb24183d8c7ce2d99872f91d98ceb2249ac769d37"},
-		{"-report", report.Bytes(), "d21dc54571f22aa084355e48b6a9c33cb7ff6e32e9eae4efc5daeab3087e3422"},
+		{
+			name: "micro", units: "table2,fig7,table1,fig2,fig8,ablations", opts: DefaultOptions,
+			want: [4]string{
+				"3196978374bb97f7c4015e8af3aa6a2b5e5c260c81972f597db689a8de8901c1",
+				"10b1479aa8beef6f76b3342eb24183d8c7ce2d99872f91d98ceb2249ac769d37",
+				"d21dc54571f22aa084355e48b6a9c33cb7ff6e32e9eae4efc5daeab3087e3422",
+			},
+		},
+		{
+			name:  "multi-threaded",
+			units: "table4,fig9,fig10,fig11,table5,scaling,async,dbscale,tenants,skew",
+			opts: Options{
+				Records: 100, Ops: 10, KVOps: 64,
+				Clients: 2, OpsPerKind: 8, Preload: 50,
+				Scale: DefaultOptions.Scale, Tenants: 64,
+			},
+			trace: true, slow: true,
+			want: [4]string{
+				"aa99b818901b6eafea628c09aec0d1617d3b3aa9db176a3b470a44676770b9da",
+				"b99ad7d91b78026d492eafdd600a1795c2a6d00990dedd38ab02cf978a318624",
+				"19361f17e7f94177be6ac1e171600c883a7ae0ec8429db82fdbd40d401c18925",
+				"2bd728f4f11bf0021bc3731f118c9870436932d743816d18f9700dff58785403",
+			},
+		},
 	} {
-		sum := sha256.Sum256(g.got)
-		if got := hex.EncodeToString(sum[:]); got != g.want {
-			t.Errorf("%s of the paper micro units moved: sha256 %s, want %s", g.name, got, g.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && raceEnabled {
+				t.Skip("too slow under the race detector; CI runs it without -race")
+			}
+			jobs := runtime.GOMAXPROCS(0)
+			prev := SetJobs(jobs)
+			t.Cleanup(func() { SetJobs(prev) })
+			sel := map[string]bool{}
+			for _, u := range strings.Split(tc.units, ",") {
+				sel[u] = true
+			}
+			var tracer *obs.Tracer
+			if tc.trace {
+				tracer = obs.NewTracer()
+			}
+			s := NewSession(tracer)
+			var out, metrics, report bytes.Buffer
+			if err := RunAll(sel, tc.opts, jobs, s, &out); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteMetrics(&metrics); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.BuildReport().WriteJSON(&report); err != nil {
+				t.Fatal(err)
+			}
+			sums := [4][]byte{sum(out.Bytes()), sum(metrics.Bytes()), sum(report.Bytes())}
+			if tracer != nil {
+				if d := tracer.TotalDropped(); d != 0 {
+					t.Fatalf("trace dropped %d events", d)
+				}
+				h := sha256.New()
+				if err := tracer.WriteChromeTrace(h); err != nil {
+					t.Fatal(err)
+				}
+				sums[3] = h.Sum(nil)
+			}
+			for i, name := range []string{"stdout", "-metrics", "-report", "-trace"} {
+				if sums[i] == nil {
+					continue
+				}
+				if got := hex.EncodeToString(sums[i]); got != tc.want[i] {
+					t.Errorf("%s of the %s units moved: sha256 %s, want %s", name, tc.name, got, tc.want[i])
+				}
+			}
+		})
 	}
+}
+
+func sum(b []byte) []byte {
+	s := sha256.Sum256(b)
+	return s[:]
 }
