@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"skybridge/internal/core"
+	"skybridge/internal/hw"
 	"skybridge/internal/kv"
 	"skybridge/internal/mk"
 	"skybridge/internal/obs"
@@ -147,50 +148,24 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	if qd > 0 {
 		mode = fmt.Sprintf("qd%d", qd)
 	}
-	label := fmt.Sprintf("async/%s/%dc/%s", w.Name, cores, mode)
-	world := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
-	h := s.hist(label)
-	k := world.K
+	c := s.newCell(fmt.Sprintf("async/%s/%dc/%s", w.Name, cores, mode), WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
+	k := c.K
 	pl := k.Placement()
 	clients, shards := asyncTopology(cores)
+	shardCore := func(i int) *hw.CPU { return pl.Core(clients + i) }
 
 	// Register phase: one store shard per shard core, preloaded with the
 	// records it owns (plain values — no crypto stage; this experiment
 	// isolates the transport).
-	slotSize := 4 + 32 + 2*w.FieldLength
-	nslots := 2*cfg.Records/shards + 128
-	stores := kv.NewStoreShards(k, "kv", shards, nslots, slotSize)
-	kvIDs := make([]int, shards)
-	var errs firstErr
-	for i := range stores {
-		i := i
-		stores[i].Proc.Spawn("shard", pl.Core(clients+i), func(env *mk.Env) {
-			for r := int64(0); r < int64(cfg.Records); r++ {
-				key := scalingKey(r)
-				if kv.ShardOf(key, shards) != i {
-					continue
-				}
-				if err := stores[i].Preload(env, key, []byte(ycsb.RecordValue(w, r))); err != nil {
-					errs.set(fmt.Errorf("shard %d preload: %w", i, err))
-					return
-				}
-			}
-			id, err := svc.RegisterSkyBridgeServer(world.SB, env, 2*clients, stores[i].Handler())
-			if err != nil {
-				errs.set(fmt.Errorf("shard %d register: %w", i, err))
-				return
-			}
-			kvIDs[i] = id
-		})
-	}
-	if err := world.run(&errs); err != nil {
+	stores, kvIDs, _, err := c.kvShards(w, cfg.Records, shards, clients, false, shardCore)
+	if err != nil {
 		return nil, err
 	}
 	pol := mk.WakePolicy{}
 	ringServers := make([]*core.RingServer, 0, shards)
 	if qd > 0 {
 		for _, id := range kvIDs {
-			rs, err := world.SB.NewRingServer(id, pol)
+			rs, err := c.SB.NewRingServer(id, pol)
 			if err != nil {
 				return nil, err
 			}
@@ -201,38 +176,27 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	// Bind phase: client ci on core ci, one connection (sync) or ring
 	// (async) per shard.
 	procs := make([]*mk.Process, clients)
+	for ci := range procs {
+		procs[ci] = k.NewProcess(fmt.Sprintf("cli%d", ci))
+	}
 	syncKVs := make([]*svc.Sharded, clients)
 	asyncKVs := make([]*kv.AsyncKV, clients)
-	for ci := 0; ci < clients; ci++ {
-		ci := ci
-		procs[ci] = k.NewProcess(fmt.Sprintf("cli%d", ci))
-		procs[ci].Spawn("bind", pl.Core(ci), func(env *mk.Env) {
-			if qd == 0 {
-				conns := make([]svc.Conn, shards)
-				for i, id := range kvIDs {
-					c, err := svc.NewSkyBridge(world.SB, env, id)
-					if err != nil {
-						errs.set(fmt.Errorf("client %d bind shard %d: %w", ci, i, err))
-						return
-					}
-					conns[i] = c
-				}
-				syncKVs[ci] = svc.NewSharded(conns, kv.PickReq(shards))
-				return
+	if err := c.phase(procs, "bind", pl.Core, func(ci int, env *mk.Env) error {
+		if qd == 0 {
+			var err error
+			syncKVs[ci], err = c.bindShards(env, kvIDs)
+			return err
+		}
+		rings := make([]*svc.AsyncConn, shards)
+		for i, id := range kvIDs {
+			var err error
+			if rings[i], err = svc.OpenAsync(c.SB, env, id, qd, kvSlot(w)+64, pol); err != nil {
+				return fmt.Errorf("client %d ring to shard %d: %w", ci, i, err)
 			}
-			rings := make([]*svc.AsyncConn, shards)
-			for i, id := range kvIDs {
-				c, err := svc.OpenAsync(world.SB, env, id, qd, slotSize+64, pol)
-				if err != nil {
-					errs.set(fmt.Errorf("client %d ring to shard %d: %w", ci, i, err))
-					return
-				}
-				rings[i] = c
-			}
-			asyncKVs[ci] = kv.NewAsyncKV(rings)
-		})
-	}
-	if err := world.run(&errs); err != nil {
+		}
+		asyncKVs[ci] = kv.NewAsyncKV(rings)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -242,114 +206,73 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 	// wait), reset machine-wide counters, then run the poll threads
 	// (async) and the closed-loop clients together. The last client to
 	// drain closes the poll loops so the engine can retire them.
-	k.Mach.AlignClocks()
-	k.Mach.ResetStats()
-	s.callSite(label).Obs.Reset() // breakdown covers the window, not binding
-
+	c.open(true, c.label) // the breakdown covers the window, not binding
 	for i, rs := range ringServers {
-		i, rs := i, rs
-		stores[i].Proc.Spawn("poll", pl.Core(clients+i), func(env *mk.Env) {
-			if err := rs.Serve(env); err != nil {
-				errs.set(fmt.Errorf("shard %d poll: %w", i, err))
-			}
-		})
+		c.serve(stores[i].Proc, "poll", shardCore(i), rs)
 	}
-	durations := make([]uint64, clients)
-	remaining := clients
-	for ci := 0; ci < clients; ci++ {
-		ci := ci
-		ops := cfg.TotalOps / clients
-		if ci < cfg.TotalOps%clients {
-			ops++
-		}
-		procs[ci].Spawn("drive", pl.Core(ci), func(env *mk.Env) {
-			defer func() {
-				if remaining--; remaining == 0 {
-					for _, rs := range ringServers {
-						rs.Close(env)
-					}
-				}
-			}()
-			g := ycsb.NewGenerator(w, 1000+int64(ci))
-			start := env.Now()
-			completed := 0
+	durations, err := c.drive(procs, pl.Core, nil, func(ci int, env *mk.Env) error {
+		// issue runs one op to completion (sync) or submits it and reaps
+		// whatever has completed (async).
+		issue := func(op ycsb.Op) ([]svc.Resp, error) {
 			if qd == 0 {
-				c := syncKVs[ci]
-				for done := 0; done < ops; done++ {
-					op := g.Next()
-					t := env.Now()
-					resp, err := c.Invoke(env, asyncReq(op))
-					if err != nil {
-						errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
-						return
-					}
-					if err := kv.CheckResp(resp); err != nil {
-						errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
-						return
-					}
-					completed++
-					h.Observe(env.Now() - t)
-				}
+				resp, err := syncKVs[ci].Invoke(env, asyncReq(op))
+				return []svc.Resp{resp}, err
+			}
+			a := asyncKVs[ci]
+			var err error
+			if op.Kind == ycsb.OpUpdate {
+				err = a.SubmitPut(env, scalingKey(op.Key), []byte(op.Value))
 			} else {
-				a := asyncKVs[ci]
-				for done := 0; done < ops; done++ {
-					op := g.Next()
-					t := env.Now()
-					var err error
-					if op.Kind == ycsb.OpUpdate {
-						err = a.SubmitPut(env, scalingKey(op.Key), []byte(op.Value))
-					} else {
-						err = a.SubmitGet(env, scalingKey(op.Key))
-					}
-					if err == nil {
-						err = a.FlushAll(env)
-					}
-					var resps []svc.Resp
-					if err == nil {
-						resps, err = a.Reap(env)
-					}
-					if err != nil {
-						errs.set(fmt.Errorf("client %d op %d: %w", ci, done, err))
-						return
-					}
-					for _, r := range resps {
-						if err := kv.CheckResp(r); err != nil {
-							errs.set(fmt.Errorf("client %d: %w", ci, err))
-							return
-						}
-						completed++
-					}
-					h.Observe(env.Now() - t)
-				}
-				resps, err := a.Drain(env)
-				if err != nil {
-					errs.set(fmt.Errorf("client %d drain: %w", ci, err))
-					return
-				}
-				for _, r := range resps {
-					if err := kv.CheckResp(r); err != nil {
-						errs.set(fmt.Errorf("client %d: %w", ci, err))
-						return
-					}
-					completed++
-				}
+				err = a.SubmitGet(env, scalingKey(op.Key))
 			}
-			if completed != ops {
-				errs.set(fmt.Errorf("client %d completed %d of %d ops", ci, completed, ops))
-				return
+			if err == nil {
+				err = a.FlushAll(env)
 			}
-			durations[ci] = env.Now() - start
-		})
-	}
-	if err := world.run(&errs); err != nil {
+			if err != nil {
+				return nil, err
+			}
+			return a.Reap(env)
+		}
+		ops, completed := opShare(cfg.TotalOps, clients, ci), 0
+		check := func(resps []svc.Resp, err error) error {
+			if err != nil {
+				return err
+			}
+			for _, r := range resps {
+				if err := kv.CheckResp(r); err != nil {
+					return err
+				}
+				completed++
+			}
+			return nil
+		}
+		g := ycsb.NewGenerator(w, 1000+int64(ci))
+		for done := 0; done < ops; done++ {
+			t := env.Now()
+			if err := check(issue(g.Next())); err != nil {
+				return fmt.Errorf("client %d op %d: %w", ci, done, err)
+			}
+			c.h.Observe(env.Now() - t)
+		}
+		if qd > 0 {
+			if err := check(asyncKVs[ci].Drain(env)); err != nil {
+				return fmt.Errorf("client %d drain: %w", ci, err)
+			}
+		}
+		if completed != ops {
+			return fmt.Errorf("client %d completed %d of %d ops", ci, completed, ops)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	cell := &AsyncCell{
 		Workload: w.Name, Cores: cores, Mode: mode, QD: qd,
 		ClientCycles: durations,
-		DirectCalls:  world.SB.DirectCalls,
-		wakeCounters: readWake(world),
+		DirectCalls:  c.SB.DirectCalls,
+		wakeCounters: readWake(c.World),
 	}
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	if qd > 0 {
@@ -357,10 +280,10 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 		// session registry (label + "/depth") so the sweep's occupancy
 		// distribution lands in the metrics document, and digest it into
 		// the cell for BENCH_async.json.
-		depth := s.hist(label + "/depth")
+		depth := s.hist(c.label + "/depth")
 		for _, a := range asyncKVs {
-			for _, c := range a.Rings {
-				depth.Merge(c.Ring.Depth())
+			for _, ring := range a.Rings {
+				depth.Merge(ring.Ring.Depth())
 			}
 		}
 		if depth.Count() > 0 {
@@ -370,7 +293,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 			cell.Depth = &ds
 		}
 	}
-	cell.Breakdown = s.breakdownOf(label)
+	cell.Breakdown = s.breakdownOf(c.label)
 
 	reg := k.Mach.Obs
 	values := map[string]float64{
@@ -401,7 +324,7 @@ func (s *Session) runAsyncCell(cfg AsyncConfig, w ycsb.Workload, cores, qd int) 
 		},
 		CyclesPerOp: cell.CyclesPerOp,
 		Values:      values,
-		Latency:     s.latencyOf(label),
+		Latency:     s.latencyOf(c.label),
 		Breakdown:   cell.Breakdown,
 	})
 	return cell, nil
@@ -417,12 +340,7 @@ func asyncReq(op ycsb.Op) svc.Req {
 
 // cell looks up (workload, cores, mode).
 func (r *AsyncResult) cell(workload string, cores int, mode string) *AsyncCell {
-	for _, c := range r.Cells {
-		if c.Workload == workload && c.Cores == cores && c.Mode == mode {
-			return c
-		}
-	}
-	return nil
+	return find(r.Cells, func(c *AsyncCell) bool { return c.Workload == workload && c.Cores == cores && c.Mode == mode })
 }
 
 // Render formats the sweep: throughput per queue depth against the sync

@@ -170,24 +170,21 @@ func dbOps(cfg DBScaleConfig, w ycsb.Workload) int {
 
 // runDBScaleCell measures one (workload, cores, lock, io) configuration.
 func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, lock, ioMode string) (*DBScaleCell, error) {
-	label := fmt.Sprintf("dbscale/%s/%dc/%s+%s", w.Name, cores, lock, ioMode)
-	world := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
-	h := s.hist(label)
-	k := world.K
-	pl := k.Placement()
+	c := s.newCell(fmt.Sprintf("dbscale/%s/%dc/%s+%s", w.Name, cores, lock, ioMode), WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
+	pl := c.K.Placement()
 
 	fcfg := fs.Config{BatchIO: ioMode != "sync"}
 	if lock == "finelock" {
 		fcfg.Lock = fs.LockFine
 	}
 	async := ioMode == "async"
-	st, err := BuildDBStackCfg(world, ModeSB, fcfg, async)
+	st, err := BuildDBStackCfg(c.World, ModeSB, fcfg, async)
 	if err != nil {
 		return nil, err
 	}
 	var ringSrv *core.RingServer
 	if async {
-		ringSrv, err = world.SB.NewRingServer(st.fsAsyncID, mk.WakePolicy{})
+		ringSrv, err = c.SB.NewRingServer(st.fsAsyncID, mk.WakePolicy{})
 		if err != nil {
 			return nil, err
 		}
@@ -199,73 +196,51 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 	// here but stay idle until the pagers switch onto them below.
 	clients := make([]*sqlClient, cores)
 	procs := make([]*mk.Process, cores)
-	var errs firstErr
-	for ci := range clients {
-		ci := ci
-		procs[ci] = k.NewProcess(fmt.Sprintf("sql%d", ci))
-		procs[ci].Spawn("load", pl.Core(ci), func(env *mk.Env) {
-			c, err := st.loadClient(env, procs[ci], fmt.Sprintf("d%d", ci), db.PagerIO{Batch: ioMode != "sync"}, w, cfg.Records, 64)
-			if err != nil {
-				errs.set(fmt.Errorf("client %d: %w", ci, err))
-				return
-			}
-			clients[ci] = c
-		})
+	for ci := range procs {
+		procs[ci] = c.K.NewProcess(fmt.Sprintf("sql%d", ci))
 	}
-	if err := world.run(&errs); err != nil {
+	if err := c.phase(procs, "load", pl.Core, func(ci int, env *mk.Env) error {
+		var err error
+		if clients[ci], err = st.loadClient(env, procs[ci], fmt.Sprintf("d%d", ci), db.PagerIO{Batch: ioMode != "sync"}, w, cfg.Records, 64); err != nil {
+			return fmt.Errorf("client %d: %w", ci, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	// Async cells route commit writeback (and scan prefetch) through the
 	// rings from here on; the poll thread spawns inside the measurement
 	// window so its cycles are part of the cost being measured.
 	if async {
-		for _, c := range clients {
-			c.db.Pager().SetIO(db.PagerIO{Batch: true, Async: c.ring})
+		for _, cl := range clients {
+			cl.db.Pager().SetIO(db.PagerIO{Batch: true, Async: cl.ring})
 		}
 	}
 
-	k.Mach.AlignClocks()
-	k.Mach.ResetStats()
-	s.callSite(label).Obs.Reset()
+	c.open(true, c.label)
 	acq0, cont0, wait0, ipi0 := st.FS.LockStats()
 	hits0, miss0, commits0 := st.FS.Cache()
 	var reads0, writes0 uint64
-	for _, c := range clients {
-		reads0 += c.db.Pager().FsReads
-		writes0 += c.db.Pager().FsWrites
+	for _, cl := range clients {
+		reads0 += cl.db.Pager().FsReads
+		writes0 += cl.db.Pager().FsWrites
 	}
 
 	if async {
-		st.FS.Proc.Spawn("poll", pl.Core(cores-1), func(env *mk.Env) {
-			if err := ringSrv.Serve(env); err != nil {
-				errs.set(fmt.Errorf("fs poll: %w", err))
-			}
-		})
+		c.serve(st.FS.Proc, "poll", pl.Core(cores-1), ringSrv)
 	}
 	ops := dbOps(cfg, w)
-	durations := make([]uint64, cores)
-	remaining := cores
-	for ci, c := range clients {
-		ci, c := ci, c
-		procs[ci].Spawn("drive", pl.Core(ci), func(env *mk.Env) {
-			defer func() {
-				if remaining--; remaining == 0 && ringSrv != nil {
-					ringSrv.Close(env)
-				}
-			}()
-			// Every client drives the identical op sequence against its own
-			// database: per-client work is then constant across core counts,
-			// so the cell ratios measure contention and IPC-path cost, not
-			// seed luck in the read/write draw.
-			start := env.Now()
-			if err := c.run(env, ycsb.NewGenerator(w, 1000), ops, h); err != nil {
-				errs.set(fmt.Errorf("client %d: %w", ci, err))
-				return
-			}
-			durations[ci] = env.Now() - start
-		})
-	}
-	if err := world.run(&errs); err != nil {
+	// Every client drives the identical op sequence against its own
+	// database: per-client work is then constant across core counts, so
+	// the cell ratios measure contention and IPC-path cost, not seed luck
+	// in the read/write draw.
+	durations, err := c.drive(procs, pl.Core, nil, func(ci int, env *mk.Env) error {
+		if err := clients[ci].run(env, ycsb.NewGenerator(w, 1000), ops, c.h); err != nil {
+			return fmt.Errorf("client %d: %w", ci, err)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -275,10 +250,10 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 		Workload: w.Name, Cores: cores, Lock: lock, IO: ioMode,
 		TotalOps:       ops * cores,
 		ClientCycles:   durations,
-		DirectCalls:    world.SB.DirectCalls,
-		BatchCalls:     world.SB.BatchCalls,
-		RingOps:        world.SB.RingOps,
-		Doorbells:      world.SB.RingDoorbells,
+		DirectCalls:    c.SB.DirectCalls,
+		BatchCalls:     c.SB.BatchCalls,
+		RingOps:        c.SB.RingOps,
+		Doorbells:      c.SB.RingDoorbells,
 		LockAcq:        acq1 - acq0,
 		LockContended:  cont1 - cont0,
 		LockWaitCycles: wait1 - wait0,
@@ -287,15 +262,15 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 		CacheMisses:    miss1 - miss0,
 		Commits:        commits1 - commits0,
 	}
-	for _, c := range clients {
-		cell.PagerReads += c.db.Pager().FsReads
-		cell.PagerWrites += c.db.Pager().FsWrites
-		cell.PagerPrefetches += c.db.Pager().Prefetches
+	for _, cl := range clients {
+		cell.PagerReads += cl.db.Pager().FsReads
+		cell.PagerWrites += cl.db.Pager().FsWrites
+		cell.PagerPrefetches += cl.db.Pager().Prefetches
 	}
 	cell.PagerReads -= reads0
 	cell.PagerWrites -= writes0
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cell.TotalOps)
-	cell.Breakdown = s.breakdownOf(label)
+	cell.Breakdown = s.breakdownOf(c.label)
 
 	s.record(Record{
 		Experiment: "dbscale",
@@ -328,7 +303,7 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 			"pager_writes":      float64(cell.PagerWrites),
 			"pager_prefetches":  float64(cell.PagerPrefetches),
 		},
-		Latency:   s.latencyOf(label),
+		Latency:   s.latencyOf(c.label),
 		Breakdown: cell.Breakdown,
 	})
 	return cell, nil
@@ -336,12 +311,9 @@ func (s *Session) runDBScaleCell(cfg DBScaleConfig, w ycsb.Workload, cores int, 
 
 // cell looks up (workload, cores, lock, io).
 func (r *DBScaleResult) cell(workload string, cores int, lock, io string) *DBScaleCell {
-	for _, c := range r.Cells {
-		if c.Workload == workload && c.Cores == cores && c.Lock == lock && c.IO == io {
-			return c
-		}
-	}
-	return nil
+	return find(r.Cells, func(c *DBScaleCell) bool {
+		return c.Workload == workload && c.Cores == cores && c.Lock == lock && c.IO == io
+	})
 }
 
 // Render formats the sweep: one row per (workload, lock, io) with

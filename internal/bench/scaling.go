@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"skybridge/internal/hw"
 	"skybridge/internal/kv"
 	"skybridge/internal/mk"
 	"skybridge/internal/svc"
@@ -129,55 +130,17 @@ func scalingKey(i int64) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 
 // runScalingCell measures one (workload, cores, batch) configuration.
 func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batch int) (*ScalingCell, error) {
-	label := fmt.Sprintf("scaling/%s/%dc/b%d", w.Name, cores, batch)
-	world := s.world(label, WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
-	h := s.hist(label)
-	k := world.K
+	c := s.newCell(fmt.Sprintf("scaling/%s/%dc/b%d", w.Name, cores, batch), WorldConfig{Flavor: mk.SeL4, Cores: cores, SkyBridge: true})
+	k := c.K
 	pl := k.Placement()
 	shards := cores
 	clients := cores
 
-	// One store shard and one crypto shard per core; each shard preloads
-	// the records it owns (ciphertext precomputed — the cipher is a pure
-	// stream) and registers as its own SkyBridge server from its core.
-	slotSize := 4 + 32 + 2*w.FieldLength
-	nslots := 2*cfg.Records/shards + 128
-	stores := kv.NewStoreShards(k, "kv", shards, nslots, slotSize)
-	cryptos := kv.NewCryptoShards(k, "enc", shards)
-	kvIDs := make([]int, shards)
-	encIDs := make([]int, shards)
-	var errs firstErr
-	for i := range stores {
-		i := i
-		stores[i].Proc.Spawn("shard", pl.Core(i), func(env *mk.Env) {
-			for r := int64(0); r < int64(cfg.Records); r++ {
-				key := scalingKey(r)
-				if kv.ShardOf(key, shards) != i {
-					continue
-				}
-				val := kv.CipherStream([]byte(ycsb.RecordValue(w, r)))
-				if err := stores[i].Preload(env, key, val); err != nil {
-					errs.set(fmt.Errorf("shard %d preload: %w", i, err))
-					return
-				}
-			}
-			id, err := svc.RegisterSkyBridgeServer(world.SB, env, 2*clients, stores[i].Handler())
-			if err != nil {
-				errs.set(fmt.Errorf("shard %d register: %w", i, err))
-				return
-			}
-			kvIDs[i] = id
-		})
-		cryptos[i].Proc.Spawn("shard", pl.Core(i), func(env *mk.Env) {
-			id, err := svc.RegisterSkyBridgeServer(world.SB, env, 2*clients, cryptos[i].Handler())
-			if err != nil {
-				errs.set(fmt.Errorf("crypto shard %d register: %w", i, err))
-				return
-			}
-			encIDs[i] = id
-		})
-	}
-	if err := world.run(&errs); err != nil {
+	// One store shard and one crypto shard per core; each store shard
+	// preloads the records it owns (ciphertext precomputed — the cipher is
+	// a pure stream), and both register as SkyBridge servers from its core.
+	_, kvIDs, encIDs, err := c.kvShards(w, cfg.Records, shards, clients, true, pl.Core)
+	if err != nil {
 		return nil, err
 	}
 
@@ -185,105 +148,84 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	// to its core, and holds one connection per store shard (binding is
 	// per-process, so the measurement thread reuses them).
 	procs := make([]*mk.Process, clients)
-	pipes := make([]*kv.Client, clients)
-	for ci := 0; ci < clients; ci++ {
-		ci := ci
+	texts := make([]hw.VA, clients)
+	for ci := range procs {
 		procs[ci] = k.NewProcess(fmt.Sprintf("cli%d", ci))
-		text := procs[ci].Alloc(24 << 10)
-		procs[ci].Spawn("bind", pl.Core(ci), func(env *mk.Env) {
-			enc, err := svc.NewSkyBridge(world.SB, env, encIDs[ci%shards])
-			if err != nil {
-				errs.set(fmt.Errorf("client %d bind crypto: %w", ci, err))
-				return
-			}
-			conns := make([]svc.Conn, shards)
-			for i, id := range kvIDs {
-				if conns[i], err = svc.NewSkyBridge(world.SB, env, id); err != nil {
-					errs.set(fmt.Errorf("client %d bind shard %d: %w", ci, i, err))
-					return
-				}
-			}
-			pipes[ci] = &kv.Client{Enc: enc, KV: svc.NewSharded(conns, kv.PickReq(shards)), Text: text}
-		})
+		texts[ci] = procs[ci].Alloc(24 << 10)
 	}
-	if err := world.run(&errs); err != nil {
+	pipes := make([]*kv.Client, clients)
+	if err := c.phase(procs, "bind", pl.Core, func(ci int, env *mk.Env) error {
+		enc, err := svc.NewSkyBridge(c.SB, env, encIDs[ci%shards])
+		if err != nil {
+			return fmt.Errorf("client %d bind crypto: %w", ci, err)
+		}
+		sharded, err := c.bindShards(env, kvIDs)
+		pipes[ci] = &kv.Client{Enc: enc, KV: sharded, Text: texts[ci]}
+		return err
+	}); err != nil {
 		return nil, err
 	}
 
 	// Measurement: reset machine-wide counters, then drive the closed
 	// loop — each client consumes its own deterministic YCSB stream in
 	// rounds of up to B operations, reads and updates each submitted as
-	// one batch (one crossing per touched shard).
-	k.Mach.ResetStats()
-	s.callSite(label).Obs.Reset() // breakdown covers the window, not binding
+	// one batch (one crossing per touched shard). Unlike the ring sweeps,
+	// this window has never aligned the core clocks; aligning them moves
+	// every committed scaling cell. The breakdown covers the window, not
+	// binding.
+	c.open(false, c.label)
 	baseCalls := make([]uint64, shards)
 	for i, id := range kvIDs {
-		if srv, ok := world.SB.Server(id); ok {
+		if srv, ok := c.SB.Server(id); ok {
 			baseCalls[i] = srv.Calls
 		}
 	}
-
-	durations := make([]uint64, clients)
-	for ci := 0; ci < clients; ci++ {
-		ci := ci
-		ops := cfg.TotalOps / clients
-		if ci < cfg.TotalOps%clients {
-			ops++
-		}
-		procs[ci].Spawn("drive", pl.Core(ci), func(env *mk.Env) {
-			g := ycsb.NewGenerator(w, 1000+int64(ci))
-			c := pipes[ci]
-			start := env.Now()
-			for done := 0; done < ops; {
-				n := batch
-				if left := ops - done; n > left {
-					n = left
+	durations, err := c.drive(procs, pl.Core, nil, func(ci int, env *mk.Env) error {
+		g := ycsb.NewGenerator(w, 1000+int64(ci))
+		for done, ops := 0, opShare(cfg.TotalOps, clients, ci); done < ops; {
+			n := min(batch, ops-done)
+			var rKeys, uKeys, uVals [][]byte
+			for j := 0; j < n; j++ {
+				op := g.Next()
+				switch op.Kind {
+				case ycsb.OpRead:
+					rKeys = append(rKeys, scalingKey(op.Key))
+				case ycsb.OpUpdate:
+					uKeys = append(uKeys, scalingKey(op.Key))
+					uVals = append(uVals, []byte(op.Value))
 				}
-				var rKeys, uKeys, uVals [][]byte
-				for j := 0; j < n; j++ {
-					op := g.Next()
-					switch op.Kind {
-					case ycsb.OpRead:
-						rKeys = append(rKeys, scalingKey(op.Key))
-					case ycsb.OpUpdate:
-						uKeys = append(uKeys, scalingKey(op.Key))
-						uVals = append(uVals, []byte(op.Value))
-					}
-				}
-				t := env.Now()
-				if len(uKeys) > 0 {
-					if err := c.InsertBatch(env, uKeys, uVals); err != nil {
-						errs.set(fmt.Errorf("client %d update: %w", ci, err))
-						return
-					}
-				}
-				if len(rKeys) > 0 {
-					if _, err := c.QueryBatch(env, rKeys); err != nil {
-						errs.set(fmt.Errorf("client %d read: %w", ci, err))
-						return
-					}
-				}
-				h.Observe(env.Now() - t)
-				done += n
 			}
-			durations[ci] = env.Now() - start
-		})
-	}
-	if err := world.run(&errs); err != nil {
+			t := env.Now()
+			if len(uKeys) > 0 {
+				if err := pipes[ci].InsertBatch(env, uKeys, uVals); err != nil {
+					return fmt.Errorf("client %d update: %w", ci, err)
+				}
+			}
+			if len(rKeys) > 0 {
+				if _, err := pipes[ci].QueryBatch(env, rKeys); err != nil {
+					return fmt.Errorf("client %d read: %w", ci, err)
+				}
+			}
+			c.h.Observe(env.Now() - t)
+			done += n
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	cell := &ScalingCell{
 		Workload: w.Name, Cores: cores, Batch: batch,
 		ClientCycles:   durations,
-		BatchCrossings: world.SB.BatchCalls,
-		DirectCalls:    world.SB.DirectCalls,
-		SlotLoads:      world.RK.SlotLoads(),
-		SlotEvictions:  world.RK.SlotEvictions(),
+		BatchCrossings: c.SB.BatchCalls,
+		DirectCalls:    c.SB.DirectCalls,
+		SlotLoads:      c.RK.SlotLoads(),
+		SlotEvictions:  c.RK.SlotEvictions(),
 	}
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	for i, id := range kvIDs {
-		if srv, ok := world.SB.Server(id); ok {
+		if srv, ok := c.SB.Server(id); ok {
 			cell.ShardCalls = append(cell.ShardCalls, srv.Calls-baseCalls[i])
 		}
 	}
@@ -307,8 +249,8 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 	for i, d := range durations {
 		values[fmt.Sprintf("client%d_cycles", i)] = float64(d)
 	}
-	for i, c := range cell.ShardCalls {
-		values[fmt.Sprintf("shard%d_calls", i)] = float64(c)
+	for i, n := range cell.ShardCalls {
+		values[fmt.Sprintf("shard%d_calls", i)] = float64(n)
 	}
 	s.record(Record{
 		Experiment: "scaling",
@@ -321,20 +263,15 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 		},
 		CyclesPerOp: cell.CyclesPerOp,
 		Values:      values,
-		Latency:     s.latencyOf(label),
-		Breakdown:   s.breakdownOf(label),
+		Latency:     s.latencyOf(c.label),
+		Breakdown:   s.breakdownOf(c.label),
 	})
 	return cell, nil
 }
 
 // cell looks up the sweep cell for (workload, cores).
 func (r *ScalingResult) cell(workload string, cores int) *ScalingCell {
-	for _, c := range r.Cells {
-		if c.Workload == workload && c.Cores == cores && c.Batch == r.Batch {
-			return c
-		}
-	}
-	return nil
+	return find(r.Cells, func(c *ScalingCell) bool { return c.Workload == workload && c.Cores == cores && c.Batch == r.Batch })
 }
 
 // Render formats the scaling table and the batching ablation.

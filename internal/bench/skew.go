@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"skybridge/internal/core"
+	"skybridge/internal/hw"
 	"skybridge/internal/kv"
 	"skybridge/internal/mk"
 	"skybridge/internal/obs"
@@ -177,12 +178,11 @@ func skewClientOps(dist string, clients, total int) []int {
 func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int) (*SkewCell, error) {
 	const clientCores = 4
 	shards := 2 * serverCores
-	label := fmt.Sprintf("skew/%s/%s/%dc", dist, mode, serverCores)
-	world := s.world(label, WorldConfig{
+	c := s.newCell(fmt.Sprintf("skew/%s/%s/%dc", dist, mode, serverCores), WorldConfig{
 		Flavor: mk.SeL4, Cores: serverCores + clientCores, SkyBridge: true,
 	})
-	k := world.K
-	h := s.hist(label)
+	k := c.K
+	clientCore := func(i int) *hw.CPU { return k.Mach.Cores[serverCores+i%clientCores] }
 
 	opsOf := skewClientOps(dist, skewClients, cfg.TotalOps)
 	totalOps := 0
@@ -202,18 +202,15 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 	fes := make([]*svc.Frontend, serverCores)
 	coreFEs := make([]*core.Frontend, serverCores)
 	var d *core.Director
-	var errs firstErr
-	server.Spawn("reg", k.Mach.Cores[0], func(env *mk.Env) {
+	c.spawn(server, "reg", k.Mach.Cores[0], func(env *mk.Env) error {
 		for j := int64(0); j < skewRecords; j++ {
 			key := fmt.Sprintf("user%06d", j)
 			val := fmt.Sprintf("value-%06d-%016d", j, 0)
 			if err := stores[shardOf(j)].Preload(env, []byte(key), []byte(val)); err != nil {
-				errs.set(fmt.Errorf("preload %d: %w", j, err))
-				return
+				return fmt.Errorf("preload %d: %w", j, err)
 			}
 		}
 		for f := 0; f < serverCores; f++ {
-			f := f
 			ph := kv.PlacedHandler(stores, func(shard int) (bool, uint64) {
 				ok, ep := d.Owns(f, shard)
 				if !ok {
@@ -221,19 +218,18 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 				}
 				return ok, ep
 			}, func(shard int) { d.NoteOp(shard) })
-			fe, err := svc.NewFrontend(world.SB, env, skewClients+1, core.FrontendConfig{},
+			fe, err := svc.NewFrontend(c.SB, env, skewClients+1, core.FrontendConfig{},
 				func(env *mk.Env, tenant int, req svc.Req) svc.Resp {
 					return ph(env, req)
 				})
 			if err != nil {
-				errs.set(fmt.Errorf("frontend %d: %w", f, err))
-				return
+				return fmt.Errorf("frontend %d: %w", f, err)
 			}
 			fes[f] = fe
 			coreFEs[f] = fe.FE
 		}
 		var err error
-		d, err = world.SB.NewDirector(env, core.DirectorConfig{
+		d, err = c.SB.NewDirector(env, core.DirectorConfig{
 			Shards:        shards,
 			Static:        mode == "static",
 			ControlPeriod: 20_000,
@@ -245,193 +241,167 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			Obs: k.Mach.Obs,
 		}, coreFEs)
 		if err != nil {
-			errs.set(fmt.Errorf("director: %w", err))
+			return fmt.Errorf("director: %w", err)
 		}
+		return nil
 	})
-	if err := world.run(&errs); err != nil {
+	if err := c.settle(); err != nil {
 		return nil, err
 	}
 
 	// Bind phase: each client opens a Router (one ring per drain plus the
 	// read-only routing region).
 	procs := make([]*mk.Process, skewClients)
+	for i := range procs {
+		procs[i] = k.NewProcess(fmt.Sprintf("cl%02d", i))
+	}
 	routers := make([]*svc.Router, skewClients)
-	for c := 0; c < skewClients; c++ {
-		procs[c] = k.NewProcess(fmt.Sprintf("cl%02d", c))
-	}
-	for c := 0; c < skewClients; c++ {
-		c := c
-		procs[c].Spawn("bind", k.Mach.Cores[serverCores+c%clientCores], func(env *mk.Env) {
-			rt, err := svc.OpenRouter(env, d, fes, skewWindow, 2+16+48)
-			if err != nil {
-				errs.set(fmt.Errorf("client %d bind: %w", c, err))
-				return
-			}
-			routers[c] = rt
-		})
-	}
-	if err := world.run(&errs); err != nil {
+	if err := c.phase(procs, "bind", clientCore, func(i int, env *mk.Env) error {
+		var err error
+		if routers[i], err = svc.OpenRouter(env, d, fes, skewWindow, 2+16+48); err != nil {
+			return fmt.Errorf("client %d bind: %w", i, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 
 	// Measurement window.
-	k.Mach.AlignClocks()
-	k.Mach.ResetStats()
-
+	c.open(true)
 	for f, fe := range fes {
-		f, fe := f, fe
-		server.Spawn("drain", k.Mach.Cores[f], func(env *mk.Env) {
-			if err := fe.Serve(env); err != nil {
-				errs.set(fmt.Errorf("drain %d: %w", f, err))
-			}
-		})
+		c.serve(server, "drain", k.Mach.Cores[f], fe)
 	}
-	durations := make([]uint64, skewClients)
-	// phaseEnds[c][p] is when client c completed quarter p (the shifting
+	// phaseEnds[i][p] is when client i completed quarter p (the shifting
 	// dist jumps its hot window once per quarter).
 	phaseEnds := make([][4]uint64, skewClients)
 	starts := make([]uint64, skewClients)
-	remaining := skewClients
-	for c := 0; c < skewClients; c++ {
-		c := c
-		myOps := opsOf[c]
-		procs[c].Spawn("drive", k.Mach.Cores[serverCores+c%clientCores], func(env *mk.Env) {
-			defer func() {
-				if remaining--; remaining == 0 {
-					for _, fe := range fes {
-						fe.Close(env)
+	// Each client starts after a deterministic stagger, so client
+	// first-ops do not stampede.
+	stagger := func(i int) uint64 { return uint64(i) * 2654435761 % 4096 * skewThink / 4096 }
+	durations, err := c.drive(procs, clientCore, stagger, func(i int, env *mk.Env) error {
+		starts[i] = env.Now()
+		myOps := opsOf[i]
+		rt := routers[i]
+		w := ycsb.Workload{
+			Name: "skew", RecordCount: skewRecords, FieldLength: 16,
+			ReadProp: 0.75, UpdateProp: 0.25,
+			RequestDist: dist, HotDataFrac: 0.25, HotOpFrac: 0.9,
+			HotShiftEvery: (myOps + 3) / 4,
+		}
+		if dist == "trough" {
+			w.RequestDist = ycsb.DistUniform
+		}
+		gen := ycsb.NewGenerator(w, int64(1000*serverCores+i)*2654435761%1e9)
+
+		type pendingOp struct {
+			key int64
+			put bool
+			seq int
+			t0  uint64
+		}
+		fifos := make([][]pendingOp, serverCores)
+		var retryQ []pendingOp
+		inflight, submitted, completed := 0, 0, 0
+
+		submitOne := func(po pendingOp) error {
+			key := fmt.Sprintf("user%06d", po.key)
+			var req svc.Req
+			if po.put {
+				val := fmt.Sprintf("value-%06d-%016d", po.key, po.seq)
+				req = svc.Req{Op: kv.OpPut, Data: kv.PutFrame([]byte(key), []byte(val))}
+			} else {
+				req = svc.Req{Op: kv.OpGet, Data: []byte(key)}
+			}
+			slot, err := rt.Submit(env, shardOf(po.key), req)
+			if err != nil {
+				return err
+			}
+			fifos[slot] = append(fifos[slot], po)
+			inflight++
+			return rt.Conns[slot].Flush(env)
+		}
+		reapSlot := func(slot int) error {
+			cs, err := rt.Conns[slot].Ring.Reap(env, 1)
+			if err != nil {
+				return fmt.Errorf("client %d reap: %w", i, err)
+			}
+			for _, comp := range cs {
+				po := fifos[slot][0]
+				fifos[slot] = fifos[slot][1:]
+				inflight--
+				switch comp.Regs[0] {
+				case kv.StatusOK, kv.StatusNotFound:
+					lat := env.Now() - po.t0
+					c.h.Observe(lat)
+					completed++
+					for p := 0; p < 4; p++ {
+						if completed == (p+1)*myOps/4 {
+							phaseEnds[i][p] = env.Now()
+						}
 					}
+				case kv.StatusWrongEpoch:
+					rt.NoteRetry()
+					retryQ = append(retryQ, po)
+				default:
+					return fmt.Errorf("client %d op %d status %d", i, po.seq, comp.Regs[0])
 				}
-			}()
-			rt := routers[c]
-			w := ycsb.Workload{
-				Name: "skew", RecordCount: skewRecords, FieldLength: 16,
-				ReadProp: 0.75, UpdateProp: 0.25,
-				RequestDist: dist, HotDataFrac: 0.25, HotOpFrac: 0.9,
-				HotShiftEvery: (myOps + 3) / 4,
 			}
-			if dist == "trough" {
-				w.RequestDist = ycsb.DistUniform
-			}
-			gen := ycsb.NewGenerator(w, int64(1000*serverCores+c)*2654435761%1e9)
-
-			type pendingOp struct {
-				key int64
-				put bool
-				seq int
-				t0  uint64
-			}
-			fifos := make([][]pendingOp, serverCores)
-			var retryQ []pendingOp
-			inflight, submitted, completed := 0, 0, 0
-
-			// Deterministic stagger so client first-ops do not stampede.
-			env.Sleep(uint64(c) * 2654435761 % 4096 * skewThink / 4096)
-			starts[c] = env.Now()
-
-			submitOne := func(po pendingOp) error {
-				key := fmt.Sprintf("user%06d", po.key)
-				var req svc.Req
-				if po.put {
-					val := fmt.Sprintf("value-%06d-%016d", po.key, po.seq)
-					req = svc.Req{Op: kv.OpPut, Data: kv.PutFrame([]byte(key), []byte(val))}
-				} else {
-					req = svc.Req{Op: kv.OpGet, Data: []byte(key)}
+			return nil
+		}
+		// reapOne blocks on the lowest drain slot holding one of this
+		// client's in-flight ops.
+		reapOne := func() error {
+			for slot := range fifos {
+				if len(fifos[slot]) > 0 {
+					return reapSlot(slot)
 				}
-				slot, err := rt.Submit(env, shardOf(po.key), req)
-				if err != nil {
+			}
+			return nil
+		}
+		submitRetrying := func(po pendingOp) error {
+			for {
+				err := submitOne(po)
+				if err == nil {
+					return nil
+				}
+				if !errors.Is(err, core.ErrRingFull) {
 					return err
 				}
-				fifos[slot] = append(fifos[slot], po)
-				inflight++
-				return rt.Conns[slot].Flush(env)
-			}
-			reapSlot := func(slot int) error {
-				cs, err := rt.Conns[slot].Ring.Reap(env, 1)
-				if err != nil {
-					return fmt.Errorf("client %d reap: %w", c, err)
-				}
-				for _, comp := range cs {
-					po := fifos[slot][0]
-					fifos[slot] = fifos[slot][1:]
-					inflight--
-					switch comp.Regs[0] {
-					case kv.StatusOK, kv.StatusNotFound:
-						lat := env.Now() - po.t0
-						h.Observe(lat)
-						completed++
-						for p := 0; p < 4; p++ {
-							if completed == (p+1)*myOps/4 {
-								phaseEnds[c][p] = env.Now()
-							}
-						}
-					case kv.StatusWrongEpoch:
-						rt.NoteRetry()
-						retryQ = append(retryQ, po)
-					default:
-						return fmt.Errorf("client %d op %d status %d", c, po.seq, comp.Regs[0])
-					}
-				}
-				return nil
-			}
-			// reapOne blocks on the lowest drain slot holding one of this
-			// client's in-flight ops.
-			reapOne := func() error {
-				for slot := range fifos {
-					if len(fifos[slot]) > 0 {
-						return reapSlot(slot)
-					}
-				}
-				return nil
-			}
-			submitRetrying := func(po pendingOp) error {
-				for {
-					err := submitOne(po)
-					if err == nil {
-						return nil
-					}
-					if !errors.Is(err, core.ErrRingFull) {
-						return err
-					}
-					if err := reapOne(); err != nil {
-						return err
-					}
+				if err := reapOne(); err != nil {
+					return err
 				}
 			}
-			for completed < myOps {
-				switch {
-				case len(retryQ) > 0:
-					po := retryQ[0]
-					retryQ = retryQ[1:]
-					if err := submitRetrying(po); err != nil {
-						errs.set(err)
-						return
-					}
-				case submitted < myOps && inflight < skewWindow:
-					// The trough dist paces its middle segment open-loop:
-					// the offered load collapses, the controller parks
-					// cores, and the closed-loop tail brings them back.
-					if dist == "trough" && submitted >= 2*myOps/5 && submitted < 3*myOps/5 {
-						env.Sleep(skewThink)
-					}
-					op := gen.Next()
-					po := pendingOp{key: op.Key, put: op.Kind == ycsb.OpUpdate, seq: submitted, t0: env.Now()}
-					submitted++
-					if err := submitRetrying(po); err != nil {
-						errs.set(err)
-						return
-					}
-				default:
-					if err := reapOne(); err != nil {
-						errs.set(err)
-						return
-					}
+		}
+		for completed < myOps {
+			switch {
+			case len(retryQ) > 0:
+				po := retryQ[0]
+				retryQ = retryQ[1:]
+				if err := submitRetrying(po); err != nil {
+					return err
+				}
+			case submitted < myOps && inflight < skewWindow:
+				// The trough dist paces its middle segment open-loop:
+				// the offered load collapses, the controller parks
+				// cores, and the closed-loop tail brings them back.
+				if dist == "trough" && submitted >= 2*myOps/5 && submitted < 3*myOps/5 {
+					env.Sleep(skewThink)
+				}
+				op := gen.Next()
+				po := pendingOp{key: op.Key, put: op.Kind == ycsb.OpUpdate, seq: submitted, t0: env.Now()}
+				submitted++
+				if err := submitRetrying(po); err != nil {
+					return err
+				}
+			default:
+				if err := reapOne(); err != nil {
+					return err
 				}
 			}
-			durations[c] = env.Now() - starts[c]
-		})
-	}
-	if err := world.run(&errs); err != nil {
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -473,18 +443,18 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 	for p := 0; p < 4; p++ {
 		var begin, end uint64 = ^uint64(0), 0
 		ops := 0
-		for c := range phaseEnds {
-			b := starts[c]
+		for i := range phaseEnds {
+			b := starts[i]
 			if p > 0 {
-				b = phaseEnds[c][p-1]
+				b = phaseEnds[i][p-1]
 			}
 			if b < begin {
 				begin = b
 			}
-			if phaseEnds[c][p] > end {
-				end = phaseEnds[c][p]
+			if phaseEnds[i][p] > end {
+				end = phaseEnds[i][p]
 			}
-			ops += (p+1)*opsOf[c]/4 - p*opsOf[c]/4
+			ops += (p+1)*opsOf[i]/4 - p*opsOf[i]/4
 		}
 		if end > begin {
 			cell.PhaseOpsPerMcyc[p] = float64(ops) * 1e6 / float64(end-begin)
@@ -493,7 +463,7 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 			cell.MinPhaseTput = cell.PhaseOpsPerMcyc[p]
 		}
 	}
-	cell.Latency = s.latencyOf(label)
+	cell.Latency = s.latencyOf(c.label)
 
 	values := map[string]float64{
 		"ops_per_megacycle":      cell.OpsPerMcyc,
@@ -537,12 +507,7 @@ func (s *Session) runSkewCell(cfg SkewConfig, dist, mode string, serverCores int
 
 // cell looks up (dist, mode, serverCores).
 func (r *SkewResult) cell(dist, mode string, scores int) *SkewCell {
-	for _, c := range r.Cells {
-		if c.Dist == dist && c.Mode == mode && c.ServerCores == scores {
-			return c
-		}
-	}
-	return nil
+	return find(r.Cells, func(c *SkewCell) bool { return c.Dist == dist && c.Mode == mode && c.ServerCores == scores })
 }
 
 // Render formats the sweep: static and adaptive throughput side by side

@@ -170,6 +170,18 @@ func (st *DBStack) Close() {
 	}
 }
 
+// dbCell builds an unobserved cell over cfg with the paper-faithful stack
+// in mode; its last driver closes the stack's IPC servers.
+func dbCell(cfg WorldConfig, mode ServerMode) (*cell, *DBStack, error) {
+	c := &cell{World: MustWorld(cfg)}
+	st, err := BuildDBStack(c.World, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.closers = append(c.closers, func(*mk.Env) { st.Close() })
+	return c, st, nil
+}
+
 // FSConn builds a client connection to the FS service for a client process.
 func (st *DBStack) FSConn(env *mk.Env, client *mk.Process) (svc.Conn, error) {
 	switch st.mode {
@@ -429,60 +441,50 @@ func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
 }
 
 func runTable4Mode(cfg Table4Config, mode ServerMode) (*Table4Row, error) {
-	w := MustWorld(WorldConfig{Flavor: cfg.Flavor, Cores: 4, SkyBridge: mode == ModeSB})
-	st, err := BuildDBStack(w, mode)
+	c, st, err := dbCell(WorldConfig{Flavor: cfg.Flavor, Cores: 4, SkyBridge: mode == ModeSB}, mode)
 	if err != nil {
 		return nil, err
 	}
-	k := w.K
 	wl := ycsb.WorkloadA(cfg.Preload)
 	val := strings.Repeat("x", wl.FieldLength)
 
 	// times[ci][phase] is client ci's insert, update, query and delete time.
 	times := make([][4]uint64, cfg.Clients)
-	done := 0
-	var errs firstErr
-	for ci := 0; ci < cfg.Clients; ci++ {
-		ci := ci
-		client := k.NewProcess(fmt.Sprintf("client%d", ci))
-		core := k.Mach.Cores[ci%len(k.Mach.Cores)]
-		client.Spawn("app", core, func(env *mk.Env) {
-			c, err := st.loadClient(env, client, fmt.Sprintf("db%d", ci), db.PagerIO{}, wl, cfg.Preload, 1)
-			if err != nil {
-				errs.set(fmt.Errorf("client %d: %w", ci, err))
-				return
-			}
-			// Scatter measured keys across the whole preloaded keyspace so
-			// each phase exercises the pager realistically (sequential keys
-			// would all land in one or two cached B+tree leaves), with a
-			// different stride per phase so the query phase does not simply
-			// re-touch the pages the update phase just cached.
-			key := func(i int, stride uint64) int64 {
-				return int64((uint64(i)*stride + uint64(ci)) % uint64(cfg.Preload))
-			}
-			phases := [4]func(i int) error{
-				func(i int) error { return c.insert(env, int64(cfg.Preload+i), val) },
-				func(i int) error { return c.update(env, key(i, 2654435761), val) },
-				func(i int) error { return c.get(env, key(i, 1779033703)) },
-				func(i int) error { _, err := c.tab.Delete(env, int64(i)); return err },
-			}
-			for ph, op := range phases {
-				start := env.Now()
-				for i := 0; i < cfg.OpsPerKind; i++ {
-					if err := op(i); err != nil {
-						errs.set(fmt.Errorf("client %d: %w", ci, err))
-						return
-					}
-				}
-				times[ci][ph] = env.Now() - start
-			}
-			done++
-			if done == cfg.Clients {
-				st.Close()
-			}
-		})
+	procs := make([]*mk.Process, cfg.Clients)
+	for ci := range procs {
+		procs[ci] = c.K.NewProcess(fmt.Sprintf("client%d", ci))
 	}
-	if err := w.run(&errs); err != nil {
+	_, err = c.drive(procs, c.K.Placement().Core, nil, func(ci int, env *mk.Env) error {
+		cl, err := st.loadClient(env, procs[ci], fmt.Sprintf("db%d", ci), db.PagerIO{}, wl, cfg.Preload, 1)
+		if err != nil {
+			return fmt.Errorf("client %d: %w", ci, err)
+		}
+		// Scatter measured keys across the whole preloaded keyspace so
+		// each phase exercises the pager realistically (sequential keys
+		// would all land in one or two cached B+tree leaves), with a
+		// different stride per phase so the query phase does not simply
+		// re-touch the pages the update phase just cached.
+		key := func(i int, stride uint64) int64 {
+			return int64((uint64(i)*stride + uint64(ci)) % uint64(cfg.Preload))
+		}
+		phases := [4]func(i int) error{
+			func(i int) error { return cl.insert(env, int64(cfg.Preload+i), val) },
+			func(i int) error { return cl.update(env, key(i, 2654435761), val) },
+			func(i int) error { return cl.get(env, key(i, 1779033703)) },
+			func(i int) error { _, err := cl.tab.Delete(env, int64(i)); return err },
+		}
+		for ph, op := range phases {
+			start := env.Now()
+			for i := 0; i < cfg.OpsPerKind; i++ {
+				if err := op(i); err != nil {
+					return fmt.Errorf("client %d: %w", ci, err)
+				}
+			}
+			times[ci][ph] = env.Now() - start
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -566,60 +568,53 @@ func (s *Session) paperCell(c ycsbCell) (ycsbRun, error) {
 // database, the clients meet at a barrier, and the measured window runs
 // from the first client's start to the last client's end; client i draws
 // its ops from seed 1000+i.
-func runYCSBCell(c ycsbCell) (ycsbRun, error) {
-	cores := min(max(c.Threads, 2), 8)
-	w := MustWorld(WorldConfig{
-		Flavor: c.Flavor, Cores: cores,
-		SkyBridge: c.Mode == ModeSB, Virtualized: c.Virtualized,
-	})
-	st, err := BuildDBStack(w, c.Mode)
+func runYCSBCell(pc ycsbCell) (ycsbRun, error) {
+	c, st, err := dbCell(WorldConfig{
+		Flavor: pc.Flavor, Cores: min(max(pc.Threads, 2), 8),
+		SkyBridge: pc.Mode == ModeSB, Virtualized: pc.Virtualized,
+	}, pc.Mode)
 	if err != nil {
 		return ycsbRun{}, err
 	}
-	k := w.K
-	wl := ycsb.WorkloadA(c.Records)
-	starts := make([]uint64, c.Threads)
-	ends := make([]uint64, c.Threads)
-	loaded, done := 0, 0
+	k := c.K
+	wl := ycsb.WorkloadA(pc.Records)
+	starts := make([]uint64, pc.Threads)
+	ends := make([]uint64, pc.Threads)
+	loaded := 0
 	var barrier sim.WaitQueue
-	var errs firstErr
-	for i := 0; i < c.Threads; i++ {
-		i := i
-		p := k.NewProcess(fmt.Sprintf("sql%d", i))
-		p.Spawn("app", k.Mach.Cores[i%cores], func(env *mk.Env) {
-			cl, err := st.loadClient(env, p, fmt.Sprintf("d%d", i), db.PagerIO{}, wl, c.Records, 1)
-			if err != nil {
-				errs.set(fmt.Errorf("client %d: %w", i, err))
-				return
-			}
-			// Barrier between the load phase and the measured phase, so the
-			// measurement window covers only steady-state operations.
-			env.T.Checkpoint()
-			if loaded++; loaded < c.Threads {
-				barrier.Wait(env.T)
-				env.Enter()
-			} else {
-				k.Mach.ResetVMExitCounts()
-				for barrier.Len() > 0 {
-					barrier.WakeOne(w.Eng, env.Now(), nil)
-				}
-			}
-			starts[i] = env.Now()
-			if err := cl.run(env, ycsb.NewGenerator(wl, int64(1000+i)), c.Ops, nil); err != nil {
-				errs.set(fmt.Errorf("client %d: %w", i, err))
-				return
-			}
-			ends[i] = env.Now()
-			if done++; done == c.Threads {
-				st.Close()
-			}
-		})
+	procs := make([]*mk.Process, pc.Threads)
+	for i := range procs {
+		procs[i] = k.NewProcess(fmt.Sprintf("sql%d", i))
 	}
-	if err := w.run(&errs); err != nil {
+	_, err = c.drive(procs, k.Placement().Core, nil, func(i int, env *mk.Env) error {
+		cl, err := st.loadClient(env, procs[i], fmt.Sprintf("d%d", i), db.PagerIO{}, wl, pc.Records, 1)
+		if err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+		// Barrier between the load phase and the measured phase, so the
+		// measurement window covers only steady-state operations.
+		env.T.Checkpoint()
+		if loaded++; loaded < pc.Threads {
+			barrier.Wait(env.T)
+			env.Enter()
+		} else {
+			k.Mach.ResetVMExitCounts()
+			for barrier.Len() > 0 {
+				barrier.WakeOne(c.Eng, env.Now(), nil)
+			}
+		}
+		starts[i] = env.Now()
+		if err := cl.run(env, ycsb.NewGenerator(wl, int64(1000+i)), pc.Ops, nil); err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+		ends[i] = env.Now()
+		return nil
+	})
+	if err != nil {
 		return ycsbRun{}, err
 	}
 	window := slices.Max(ends) - slices.Min(starts)
-	return ycsbRun{Tput: OpsPerSec(c.Ops*c.Threads, window), Exits: k.Mach.TotalVMExits()}, nil
+	return ycsbRun{Tput: OpsPerSec(pc.Ops*pc.Threads, window), Exits: k.Mach.TotalVMExits()}, nil
 }
 
 // YCSBConfig sizes the experiment. Threads defaults to 1, 2, 4 and 8;

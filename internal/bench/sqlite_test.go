@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"testing"
 
 	"skybridge/internal/db"
 	"skybridge/internal/mk"
-	"skybridge/internal/sim"
 	"skybridge/internal/ycsb"
 )
 
@@ -57,25 +55,21 @@ func TestSQLClientChecksReplies(t *testing.T) {
 		}, "skipped"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := MustWorld(WorldConfig{Flavor: mk.SeL4, Cores: 2})
-			st, err := BuildDBStack(w, ModeMT)
+			c, st, err := dbCell(WorldConfig{Flavor: mk.SeL4, Cores: 2}, ModeMT)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := w.K.NewProcess("sql0")
-			var errs firstErr
-			p.Spawn("app", w.K.Mach.Cores[0], func(env *mk.Env) {
-				defer st.Close()
-				c, err := st.loadClient(env, p, "d0", db.PagerIO{}, wl, records, 8)
+			p := c.K.NewProcess("sql0")
+			_, err = c.drive([]*mk.Process{p}, c.K.Placement().Core, nil, func(_ int, env *mk.Env) error {
+				cl, err := st.loadClient(env, p, "d0", db.PagerIO{}, wl, records, 8)
 				if err == nil {
-					err = c.run(env, ycsb.NewGenerator(wl, 1), 60, nil)
+					err = cl.run(env, ycsb.NewGenerator(wl, 1), 60, nil)
 				}
 				if err == nil {
-					err = tc.tamper(env, c)
+					err = tc.tamper(env, cl)
 				}
-				errs.set(err)
+				return err
 			})
-			err = w.run(&errs)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("untampered client failed: %v", err)
@@ -83,26 +77,6 @@ func TestSQLClientChecksReplies(t *testing.T) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestWorldRunReportsThreadError: a thread that records an error and exits
-// leaves a sibling parked forever; run must report the thread's error, not
-// only the deadlock it caused.
-func TestWorldRunReportsThreadError(t *testing.T) {
-	w := MustWorld(WorldConfig{Flavor: mk.SeL4, Cores: 2})
-	p := w.K.NewProcess("p")
-	boom := errors.New("boom")
-	var errs firstErr
-	var never sim.WaitQueue
-	p.Spawn("fail", w.K.Mach.Cores[0], func(*mk.Env) { errs.set(boom) })
-	p.Spawn("wait", w.K.Mach.Cores[1], func(env *mk.Env) { never.Wait(env.T) })
-	err := w.run(&errs)
-	if !errors.Is(err, boom) {
-		t.Fatalf("run = %v, want it to contain the thread's error", err)
-	}
-	if !strings.Contains(err.Error(), "deadlock") {
-		t.Errorf("run = %v, want the engine's deadlock too", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"skybridge/internal/core"
+	"skybridge/internal/hw"
 	"skybridge/internal/kv"
 	"skybridge/internal/mk"
 	"skybridge/internal/obs"
@@ -168,14 +169,13 @@ func tenantOps(dist string, tenants, perTenant int) []int {
 // runTenantsCell measures one (tenants, serverCores, dist) configuration.
 func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, dist string) (*TenantsCell, error) {
 	const clientCores = 4
-	label := fmt.Sprintf("tenants/%s/%dt/%dc", dist, tenants, serverCores)
-	world := s.world(label, WorldConfig{
+	c := s.newCell(fmt.Sprintf("tenants/%s/%dt/%dc", dist, tenants, serverCores), WorldConfig{
 		Flavor: mk.SeL4, Cores: serverCores + clientCores, SkyBridge: true,
 	})
-	k := world.K
-	h := s.hist(label)
-	hotSite, coldSite := s.callSite(label+"/hot"), s.callSite(label+"/cold")
-	hotHist, coldHist := s.hist(label+"/hot"), s.hist(label+"/cold")
+	k := c.K
+	hotSite, coldSite := s.callSite(c.label+"/hot"), s.callSite(c.label+"/cold")
+	hotHist, coldHist := s.hist(c.label+"/hot"), s.hist(c.label+"/cold")
+	tenantCore := func(t int) *hw.CPU { return k.Mach.Cores[serverCores+t%clientCores] }
 
 	opsOf := tenantOps(dist, tenants, cfg.OpsPerTenant)
 	totalOps := 0
@@ -185,13 +185,14 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	// Hot class: more than twice the uniform share — those run greedy
 	// closed-loop at full credit; the cold class paces one op per think
 	// gap sized so every cold tenant spans the same window.
-	window := uint64(cfg.OpsPerTenant) * tenantThink
+	hot := func(t int) bool { return opsOf[t] > 2*cfg.OpsPerTenant }
 	hotTenants := 0
-	for _, o := range opsOf {
-		if o > 2*cfg.OpsPerTenant {
+	for t := range opsOf {
+		if hot(t) {
 			hotTenants++
 		}
 	}
+	think := func(t int) uint64 { return uint64(cfg.OpsPerTenant) * tenantThink / uint64(opsOf[t]) }
 
 	// Register phase: one frontend + tenant-guarded store per server
 	// core; tenant t belongs to frontend t % serverCores, its keyspace
@@ -207,34 +208,31 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	// carry the global tenant number. localToGlobal translates between the
 	// two for the guard — filled once the bind phase fixes the open order.
 	localToGlobal := make([][]int, serverCores)
-	var errs firstErr
-	for f := 0; f < serverCores; f++ {
-		f := f
+	for f := range stores {
 		localToGlobal[f] = make([]int, perFE+1)
-		stores[f].Proc.Spawn("reg", k.Mach.Cores[f], func(env *mk.Env) {
+		c.spawn(stores[f].Proc, "reg", k.Mach.Cores[f], func(env *mk.Env) error {
 			for t := f; t < tenants; t += serverCores {
 				for j := 0; j < tenantKeys; j++ {
 					key := kv.TenantKey(t, fmt.Sprintf("k%d", j))
 					val := []byte(fmt.Sprintf("value-%04d-%02d-%024d", t, j, 0))
 					if err := stores[f].Preload(env, []byte(key), val); err != nil {
-						errs.set(fmt.Errorf("frontend %d preload tenant %d: %w", f, t, err))
-						return
+						return fmt.Errorf("frontend %d preload tenant %d: %w", f, t, err)
 					}
 				}
 			}
 			guard := kv.TenantGuard(stores[f].Handler())
-			fe, err := svc.NewFrontend(world.SB, env, perFE+1, core.FrontendConfig{Pol: pol},
+			var err error
+			fes[f], err = svc.NewFrontend(c.SB, env, perFE+1, core.FrontendConfig{Pol: pol},
 				func(env *mk.Env, tenant int, req svc.Req) svc.Resp {
 					return guard(env, localToGlobal[f][tenant], req)
 				})
 			if err != nil {
-				errs.set(fmt.Errorf("frontend %d: %w", f, err))
-				return
+				return fmt.Errorf("frontend %d: %w", f, err)
 			}
-			fes[f] = fe
+			return nil
 		})
 	}
-	if err := world.run(&errs); err != nil {
+	if err := c.settle(); err != nil {
 		return nil, err
 	}
 
@@ -242,136 +240,102 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 	// order (tenant IDs are per-frontend open order). Hot rings attribute
 	// to the hot call site, cold to the cold one.
 	procs := make([]*mk.Process, tenants)
-	conns := make([]*svc.TenantConn, tenants)
-	for t := 0; t < tenants; t++ {
+	for t := range procs {
 		procs[t] = k.NewProcess(fmt.Sprintf("t%04d", t))
 	}
-	for t := 0; t < tenants; t++ {
-		t := t
-		procs[t].Spawn("bind", k.Mach.Cores[serverCores+t%clientCores], func(env *mk.Env) {
-			tc, err := fes[t%serverCores].OpenTenant(env, 0, 2+64)
-			if err != nil {
-				errs.set(fmt.Errorf("tenant %d bind: %w", t, err))
-				return
-			}
-			conns[t] = tc
-		})
-	}
-	if err := world.run(&errs); err != nil {
+	conns := make([]*svc.TenantConn, tenants)
+	if err := c.phase(procs, "bind", tenantCore, func(t int, env *mk.Env) error {
+		var err error
+		if conns[t], err = fes[t%serverCores].OpenTenant(env, 0, 2+64); err != nil {
+			return fmt.Errorf("tenant %d bind: %w", t, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	for t := 0; t < tenants; t++ {
 		localToGlobal[t%serverCores][conns[t].Tenant] = t
 		site := coldSite
-		if opsOf[t] > 2*cfg.OpsPerTenant {
+		if hot(t) {
 			site = hotSite
 		}
 		conns[t].Ring.SetObserver(site.Obs)
 	}
 
 	// Measurement window.
-	k.Mach.AlignClocks()
-	k.Mach.ResetStats()
-	s.callSite(label).Obs.Reset()
-	hotSite.Obs.Reset()
-	coldSite.Obs.Reset()
-
+	c.open(true, c.label, hotSite.Label, coldSite.Label)
 	for f, fe := range fes {
-		f, fe := f, fe
-		stores[f].Proc.Spawn("drain", k.Mach.Cores[f], func(env *mk.Env) {
-			if err := fe.Serve(env); err != nil {
-				errs.set(fmt.Errorf("frontend %d drain: %w", f, err))
-			}
-		})
+		c.serve(stores[f].Proc, "drain", k.Mach.Cores[f], fe)
 	}
-	durations := make([]uint64, tenants)
-	remaining := tenants
-	for t := 0; t < tenants; t++ {
-		t := t
+	// Each tenant starts after a deterministic stagger, so tenant
+	// first-ops do not stampede.
+	stagger := func(t int) uint64 { return uint64(t) * 2654435761 % 4096 * think(t) / 4096 }
+	durations, err := c.drive(procs, tenantCore, stagger, func(t int, env *mk.Env) error {
 		ops := opsOf[t]
-		hot := ops > 2*cfg.OpsPerTenant
 		classHist := coldHist
-		if hot {
+		if hot(t) {
 			classHist = hotHist
 		}
-		procs[t].Spawn("drive", k.Mach.Cores[serverCores+t%clientCores], func(env *mk.Env) {
-			defer func() {
-				if remaining--; remaining == 0 {
-					for _, fe := range fes {
-						fe.Close(env)
-					}
+		tc := conns[t]
+		qd := tc.Ring.QD
+		t0s := make([]uint64, qd)
+		submitted, completed := 0, 0
+		observe := func(cs []core.Completion) error {
+			for _, comp := range cs {
+				if comp.Regs[0] != kv.StatusOK && comp.Regs[0] != kv.StatusNotFound {
+					return fmt.Errorf("tenant %d status %d", t, comp.Regs[0])
 				}
-			}()
-			tc := conns[t]
-			qd := tc.Ring.QD
-			// Deterministic stagger so tenant first-ops do not stampede.
-			think := window / uint64(ops)
-			env.Sleep(uint64(t) * 2654435761 % 4096 * think / 4096)
-			start := env.Now()
-			t0s := make([]uint64, qd)
-			submitted, completed := 0, 0
-			observe := func(cs []core.Completion) error {
-				for _, c := range cs {
-					if c.Regs[0] != kv.StatusOK && c.Regs[0] != kv.StatusNotFound {
-						return fmt.Errorf("tenant %d status %d", t, c.Regs[0])
-					}
-					lat := env.Now() - t0s[c.Seq%uint32(qd)]
-					classHist.Observe(lat)
-					h.Observe(lat)
-					completed++
-				}
-				return nil
+				lat := env.Now() - t0s[comp.Seq%uint32(qd)]
+				classHist.Observe(lat)
+				c.h.Observe(lat)
+				completed++
 			}
-			submit := func() error {
-				t0s[uint32(submitted)%uint32(qd)] = env.Now()
-				var req svc.Req
-				key := kv.TenantKey(t, fmt.Sprintf("k%d", submitted%tenantKeys))
-				if submitted%4 == 3 {
-					val := fmt.Sprintf("value-%04d-%02d-%024d", t, submitted%tenantKeys, submitted)
-					req = svc.Req{Op: kv.OpPut, Data: kv.PutFrame([]byte(key), []byte(val))}
-				} else {
-					req = svc.Req{Op: kv.OpGet, Data: []byte(key)}
-				}
-				if err := tc.Submit(env, req); err != nil {
-					return fmt.Errorf("tenant %d submit %d: %w", t, submitted, err)
-				}
-				submitted++
-				return nil
+			return nil
+		}
+		submit := func() error {
+			t0s[uint32(submitted)%uint32(qd)] = env.Now()
+			var req svc.Req
+			key := kv.TenantKey(t, fmt.Sprintf("k%d", submitted%tenantKeys))
+			if submitted%4 == 3 {
+				val := fmt.Sprintf("value-%04d-%02d-%024d", t, submitted%tenantKeys, submitted)
+				req = svc.Req{Op: kv.OpPut, Data: kv.PutFrame([]byte(key), []byte(val))}
+			} else {
+				req = svc.Req{Op: kv.OpGet, Data: []byte(key)}
 			}
-			for completed < ops {
-				if hot {
-					// Greedy: keep the ring at full credit.
-					for submitted < ops && tc.Inflight() < qd {
-						if err := submit(); err != nil {
-							errs.set(err)
-							return
-						}
-					}
-				} else {
-					env.Sleep(think)
+			if err := tc.Submit(env, req); err != nil {
+				return fmt.Errorf("tenant %d submit %d: %w", t, submitted, err)
+			}
+			submitted++
+			return nil
+		}
+		for completed < ops {
+			if hot(t) {
+				// Greedy: keep the ring at full credit.
+				for submitted < ops && tc.Inflight() < qd {
 					if err := submit(); err != nil {
-						errs.set(err)
-						return
+						return err
 					}
 				}
-				if err := tc.Flush(env); err != nil {
-					errs.set(fmt.Errorf("tenant %d flush: %w", t, err))
-					return
-				}
-				cs, err := tc.Ring.Reap(env, 1)
-				if err != nil {
-					errs.set(fmt.Errorf("tenant %d reap: %w", t, err))
-					return
-				}
-				if err := observe(cs); err != nil {
-					errs.set(err)
-					return
+			} else {
+				env.Sleep(think(t))
+				if err := submit(); err != nil {
+					return err
 				}
 			}
-			durations[t] = env.Now() - start
-		})
-	}
-	if err := world.run(&errs); err != nil {
+			if err := tc.Flush(env); err != nil {
+				return fmt.Errorf("tenant %d flush: %w", t, err)
+			}
+			cs, err := tc.Ring.Reap(env, 1)
+			if err != nil {
+				return fmt.Errorf("tenant %d reap: %w", t, err)
+			}
+			if err := observe(cs); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -379,7 +343,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		Tenants: tenants, ServerCores: serverCores, Dist: dist,
 		TotalOps: totalOps, Credit: core.TenantCredit, Quantum: core.TenantQuantum,
 		HotTenants:   hotTenants,
-		wakeCounters: readWake(world),
+		wakeCounters: readWake(c.World),
 		SpinCycles:   k.SpinCycles,
 	}
 	for _, fe := range fes {
@@ -392,15 +356,15 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 		cell.ServiceCycles += fe.FE.ServiceCycles
 	}
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, totalOps)
-	cell.Latency = s.latencyOf(label)
-	if cs := s.latencyOf(label + "/cold"); cs != nil {
+	cell.Latency = s.latencyOf(c.label)
+	if cs := s.latencyOf(coldSite.Label); cs != nil {
 		cell.ColdP99 = cs.P99
 	}
-	if hs := s.latencyOf(label + "/hot"); hs != nil {
+	if hs := s.latencyOf(hotSite.Label); hs != nil {
 		cell.HotP99 = hs.P99
 	}
-	cell.BreakdownCold = s.breakdownOf(label + "/cold")
-	cell.BreakdownHot = s.breakdownOf(label + "/hot")
+	cell.BreakdownCold = s.breakdownOf(coldSite.Label)
+	cell.BreakdownHot = s.breakdownOf(hotSite.Label)
 
 	values := map[string]float64{
 		"ops_per_megacycle":  cell.OpsPerMcyc,
@@ -442,12 +406,7 @@ func (s *Session) runTenantsCell(cfg TenantsConfig, tenants, serverCores int, di
 
 // cell looks up (dist, tenants, serverCores).
 func (r *TenantsResult) cell(dist string, tenants, scores int) *TenantsCell {
-	for _, c := range r.Cells {
-		if c.Dist == dist && c.Tenants == tenants && c.ServerCores == scores {
-			return c
-		}
-	}
-	return nil
+	return find(r.Cells, func(c *TenantsCell) bool { return c.Dist == dist && c.Tenants == tenants && c.ServerCores == scores })
 }
 
 // Render formats the sweep: aggregate throughput and cold-tenant p99 per

@@ -11,7 +11,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
 	"skybridge/internal/core"
@@ -91,28 +90,6 @@ func MustWorld(cfg WorldConfig) *World {
 		panic(fmt.Sprintf("bench: world setup: %v", err))
 	}
 	return w
-}
-
-// firstErr holds the first error the simulated threads of a cell report;
-// later ones, usually knock-on failures of the first, are dropped. A
-// thread that records an error returns at once.
-type firstErr struct{ err error }
-
-// set records err unless an earlier error is held.
-func (e *firstErr) set(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// run drives w's engine until every thread has exited, then returns the
-// first error a thread recorded in errs joined with the engine's. The
-// thread's error comes first: a thread that fails can leave its siblings
-// parked (at a barrier, or on a server endpoint nobody closes), and the
-// deadlock the engine then reports is only the symptom.
-func (w *World) run(errs *firstErr) error {
-	err := w.Eng.Run()
-	return errors.Join(errs.err, err)
 }
 
 // mustRun drives w's engine until every thread has exited, or panics

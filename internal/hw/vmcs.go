@@ -94,19 +94,3 @@ type VMCS struct {
 	// CurrentIndex is the EPTP-list index currently installed.
 	CurrentIndex int
 }
-
-// InstallEPTPList replaces the list contents. Slot 0 conventionally holds
-// the caller's own EPT.
-func (v *VMCS) InstallEPTPList(epts []*EPT) error {
-	if len(epts) > EPTPListSize {
-		return fmt.Errorf("hw: EPTP list of %d entries exceeds hardware limit %d", len(epts), EPTPListSize)
-	}
-	for i := range v.EPTPList {
-		if i < len(epts) {
-			v.EPTPList[i] = epts[i]
-		} else {
-			v.EPTPList[i] = nil
-		}
-	}
-	return nil
-}

@@ -16,12 +16,9 @@ func hotspotWorkload(dist string, records, shiftEvery int) Workload {
 }
 
 func TestHotspotConcentratesOps(t *testing.T) {
-	const records, n = 1000, 40000
+	// The declared hot set is the first HotDataFrac of the keyspace.
+	const records, n, size = 1000, 40000, 1000 / 4
 	g := NewGenerator(hotspotWorkload(DistHotspot, records, 0), 11)
-	start, size := g.HotWindow()
-	if start != 0 || size != records/4 {
-		t.Fatalf("hot window = [%d,+%d), want [0,+%d)", start, size, records/4)
-	}
 	hot := 0
 	for i := 0; i < n; i++ {
 		k := g.Next().Key
@@ -40,9 +37,8 @@ func TestHotspotConcentratesOps(t *testing.T) {
 }
 
 func TestHotspotColdIsUniformOverComplement(t *testing.T) {
-	const records = 400
+	const records, size = 400, 400 / 4
 	g := NewGenerator(hotspotWorkload(DistHotspot, records, 0), 5)
-	_, size := g.HotWindow()
 	counts := make([]int, records)
 	const n = 60000
 	for i := 0; i < n; i++ {
@@ -50,7 +46,7 @@ func TestHotspotColdIsUniformOverComplement(t *testing.T) {
 	}
 	// Every cold key should be reachable: the complement draw covers
 	// the whole keyspace outside the window.
-	for k := int64(size); k < records; k++ {
+	for k := size; k < records; k++ {
 		if counts[k] == 0 {
 			t.Fatalf("cold key %d never drawn", k)
 		}
@@ -58,18 +54,14 @@ func TestHotspotColdIsUniformOverComplement(t *testing.T) {
 }
 
 func TestShiftingHotspotMoves(t *testing.T) {
-	const records, every = 1000, 5000
+	const records, every, size = 1000, 5000, 1000 / 4
 	g := NewGenerator(hotspotWorkload(DistShifting, records, every), 3)
-	_, size := g.HotWindow()
-	// Phase p's hot window starts at (p*size) mod records. Check the
-	// observed hot mass tracks the moving window for several phases,
-	// including one past the wraparound.
-	phases := int(int64(records)/size) + 2
-	for p := 0; p < phases; p++ {
-		wantStart := (int64(p) * size) % records
-		if s, _ := g.HotWindow(); s != wantStart {
-			t.Fatalf("phase %d window start = %d, want %d", p, s, wantStart)
-		}
+	// Phase p's hot window starts at (p*size) mod records, p advancing
+	// every HotShiftEvery draws. Check the observed hot mass tracks the
+	// moving window for several phases, including one past the
+	// wraparound.
+	for p := 0; p < records/size+2; p++ {
+		wantStart := int64(p*size) % records
 		inWindow := 0
 		for i := 0; i < every; i++ {
 			k := g.Next().Key
@@ -133,12 +125,19 @@ func TestTinyHotSetClamped(t *testing.T) {
 	w := hotspotWorkload(DistHotspot, 3, 0)
 	w.HotDataFrac = 0.01 // rounds below one key; clamps to 1
 	g := NewGenerator(w, 2)
-	if _, size := g.HotWindow(); size != 1 {
-		t.Fatalf("hot size = %d, want clamped 1", size)
-	}
-	for i := 0; i < 200; i++ {
-		if k := g.Next().Key; k < 0 || k >= 3 {
+	const n = 2000
+	hot := 0
+	for i := 0; i < n; i++ {
+		k := g.Next().Key
+		if k < 0 || k >= 3 {
 			t.Fatalf("key %d out of range", k)
 		}
+		if k == 0 {
+			hot++
+		}
+	}
+	// The clamped window is key 0 alone, drawn HotOpFrac of the time.
+	if hot < n*85/100 || hot > n*95/100 {
+		t.Fatalf("key 0 drawn %d/%d times, want ~90%%", hot, n)
 	}
 }

@@ -146,16 +146,6 @@ func NewGenerator(w Workload, seed int64) *Generator {
 	return g
 }
 
-// HotWindow reports the hot set [start, start+size) (mod RecordCount)
-// that the NEXT key draw would use. Size is 0 for non-hotspot
-// distributions.
-func (g *Generator) HotWindow() (start, size int64) {
-	if g.hotSize == 0 {
-		return 0, 0
-	}
-	return g.hotStart(), g.hotSize
-}
-
 // hotStart is the current base of the hot window: fixed at 0 for
 // "hotspot", advancing one window width per HotShiftEvery draws for
 // "shifting-hotspot".
