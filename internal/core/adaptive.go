@@ -178,7 +178,7 @@ func (sb *SkyBridge) NewDirector(env *mk.Env, cfg DirectorConfig, fes []*Fronten
 	}
 	for i, fe := range fes {
 		d.active[i] = true
-		d.gates[i] = mk.NewGate()
+		d.gates[i] = mk.NewGate(func() bool { return fe.closed })
 		fe.dir = d
 		fe.slot = i
 	}
@@ -331,7 +331,7 @@ func (d *Director) tick(env *mk.Env, fe *Frontend) (int, error) {
 	d.ScaleDowns++
 	g := d.gates[slot]
 	g.Shut()
-	g.Wait(env, gatePol, func() bool { return fe.closed })
+	g.Wait(env, gatePol)
 	return served, nil
 }
 

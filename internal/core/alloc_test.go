@@ -176,6 +176,65 @@ func TestRingRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestFrontendIdleWaitAllocs: a warm frontend drain's idle wait allocates
+// nothing. Each round trip first leaves the drain idle while the tenant
+// computes in 100-cycle slices on another core, so the drain's spin yields
+// at its checkpoints; then the tenant submits and flushes, the spin sees
+// the directory bit and ends in a spin wake, and the tenant reaps. The
+// round trip allocates only the completion slice Reap returns.
+func TestFrontendIdleWaitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector can add allocations")
+	}
+	eng, k, _, sb := newWorld(t)
+	server := k.NewProcess("server")
+	fe := startFrontend(t, eng, k, sb, server, k.Mach.Cores[1], FrontendConfig{})
+	procs, rings := openTenants(t, eng, k, fe, 1, 0, 64, k.Mach.Cores[0])
+	spawnDrain(t, fe, server, k.Mach.Cores[1])
+	var allocs float64
+	var spinWakes, parks uint64
+	procs[0].Spawn("cli", k.Mach.Cores[0], func(env *mk.Env) {
+		defer fe.Close(env)
+		r := rings[0]
+		roundTrip := func() error {
+			for i := 0; i < 8; i++ {
+				env.Compute(100)
+				env.T.Checkpoint()
+			}
+			if err := r.Submit(env, Request{Regs: [4]uint64{1}}); err != nil {
+				return err
+			}
+			if err := r.Flush(env); err != nil {
+				return err
+			}
+			_, err := r.Reap(env, 1)
+			return err
+		}
+		for i := 0; i < 256; i++ {
+			if err := roundTrip(); err != nil {
+				t.Errorf("round trip: %v", err)
+				return
+			}
+		}
+		spinWakes, parks = k.SpinWakes, k.Parks
+		allocs = warmAllocs(t, roundTrip)
+		spinWakes, parks = k.SpinWakes-spinWakes, k.Parks-parks
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// warmAllocs runs 256 warm-up and 201 measured round trips; each has
+	// the drain's idle wait and the tenant's blocking Reap.
+	const rounds = 256 + 201
+	if parks != 0 || spinWakes != 2*rounds {
+		t.Fatalf("%d spin wakes and %d parks over %d round trips, want %d and 0: the waits must end in the spin",
+			spinWakes, parks, rounds, 2*rounds)
+	}
+	if allocs != 1 {
+		t.Errorf("%v allocations per round trip, want 1 (the reaped completions)", allocs)
+	}
+}
+
 // BenchmarkDirectCall times one warm echo DirectCall on the host with a
 // call observer attached: register-only, and a 1 KiB payload the client
 // writes in place and reads back. ns/op is host time per simulated call.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -183,6 +182,17 @@ type AsyncRing struct {
 
 	pol       mk.WakePolicy
 	cliParker mk.Parker
+	// wait is a blocking Reap's wait: the reaper's environment, the
+	// quorum, and the availability (or the error) the last ready probe
+	// read, with the closures over them that initWait builds once.
+	wait struct {
+		env         *mk.Env
+		min         int
+		avail       uint32
+		err         error
+		ready       func() bool
+		arm, disarm func()
+	}
 
 	// callObs, when non-nil, overrides sb.Calls as this ring's
 	// attribution sink (SetObserver) — the tenants sweep splits hot and
@@ -334,15 +344,11 @@ func (r *AsyncRing) observer() *obs.CallObserver {
 // operation through the given mapping. Ring cursors are uint32 values
 // held zero-extended in the word's low half.
 func readU64(env *mk.Env, base hw.VA, off int) uint64 {
-	var b [8]byte
-	env.Read(base+hw.VA(off), b[:], 8)
-	return binary.LittleEndian.Uint64(b[:])
+	return env.LoadU64(base + hw.VA(off))
 }
 
 func writeU64(env *mk.Env, base hw.VA, off int, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	env.Write(base+hw.VA(off), b[:], 8)
+	env.StoreU64(base+hw.VA(off), v)
 }
 
 // flowID returns the deterministic flow ID of submission seq on this
@@ -520,8 +526,8 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 	if err != nil {
 		return nil, err
 	}
-	// AdaptiveWait's ready closure refreshes avail while spinning, but a
-	// parked thread returns on the waker's kick *without* a final ready
+	// The wait's ready closure refreshes r.wait.avail while spinning, but
+	// a parked thread returns on the waker's kick *without* a final ready
 	// call — so re-read the tail after every wait and loop until the
 	// quorum is really there (a spurious wake just waits again).
 	// totSpin/totDelivery accumulate the waits' cycle decomposition for
@@ -529,23 +535,22 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 	var totSpin, totDelivery uint64
 	var wake mk.WakeKind
 	for int(avail) < minN {
-		var verr error
-		env.AdaptiveWait(&r.cliParker, r.pol, func() bool {
-			avail, verr = r.availCompletions(env)
-			return verr != nil || int(avail) >= minN
-		}, func() {
-			writeU64(env, r.conn.ClientBuf, ctlClientWait, 1)
-		}, func() {
-			writeU64(env, r.conn.ClientBuf, ctlClientWait, 0)
-		})
+		w := &r.wait
+		if w.ready == nil {
+			r.initWait()
+		}
+		w.env, w.min, w.avail, w.err = env, minN, avail, nil
+		env.AdaptiveWait(&r.cliParker, r.pol, w.ready, w.arm, w.disarm)
+		avail, err = w.avail, w.err
+		w.env = nil
 		totSpin += r.cliParker.Last.Spin
 		totDelivery += r.cliParker.Last.Delivery
 		wake = r.cliParker.Last.Kind
-		if verr == nil && int(avail) < minN {
-			avail, verr = r.availCompletions(env)
+		if err == nil && int(avail) < minN {
+			avail, err = r.availCompletions(env)
 		}
-		if verr != nil {
-			return nil, verr
+		if err != nil {
+			return nil, err
 		}
 	}
 	if avail == 0 {
@@ -581,6 +586,18 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 		r.observeReaped(env.T.Core.Clock, out, totSpin, totDelivery, wake, o)
 	}
 	return out, nil
+}
+
+// initWait builds the blocking Reap's wait closures over r.wait, once per
+// ring.
+func (r *AsyncRing) initWait() {
+	w := &r.wait
+	w.ready = func() bool {
+		w.avail, w.err = r.availCompletions(w.env)
+		return w.err != nil || int(w.avail) >= w.min
+	}
+	w.arm = func() { writeU64(w.env, r.conn.ClientBuf, ctlClientWait, 1) }
+	w.disarm = func() { writeU64(w.env, r.conn.ClientBuf, ctlClientWait, 0) }
 }
 
 // observeReaped assembles one attribution record per completion just
@@ -649,6 +666,19 @@ func (rs *RingServer) Serve(env *mk.Env) error {
 		return fmt.Errorf("core: ring server for %s serving from process %s",
 			rs.srv.Proc.Name, env.P.Name)
 	}
+	ready := func() bool {
+		if rs.closed {
+			return true
+		}
+		for _, r := range rs.rings {
+			if uint32(readU64(env, r.conn.ServerBuf, ctlSQTail)) != r.srvSeq {
+				return true
+			}
+		}
+		return false
+	}
+	arm := func() { rs.arm(env, 1) }
+	disarm := func() { rs.arm(env, 0) }
 	for {
 		env.T.Checkpoint()
 		progressed := false
@@ -667,17 +697,7 @@ func (rs *RingServer) Serve(env *mk.Env) error {
 		if rs.closed {
 			return nil
 		}
-		env.AdaptiveWait(&rs.parker, rs.pol, func() bool {
-			if rs.closed {
-				return true
-			}
-			for _, r := range rs.rings {
-				if uint32(readU64(env, r.conn.ServerBuf, ctlSQTail)) != r.srvSeq {
-					return true
-				}
-			}
-			return false
-		}, func() { rs.arm(env, 1) }, func() { rs.arm(env, 0) })
+		env.AdaptiveWait(&rs.parker, rs.pol, ready, arm, disarm)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"skybridge/internal/hw"
@@ -111,10 +110,9 @@ func (x *crossing) switchIn() error {
 	// Calling-key check against the server's table, read through the
 	// server's address space (§4.4: "checks the key against its
 	// calling-key table"). The client presents the connection's key.
-	var kb [8]byte
-	x.senv.Read(srv.keyTable+hw.VA(8*x.conn.slot), kb[:], 8)
+	key := x.senv.LoadU64(srv.keyTable + hw.VA(8*x.conn.slot))
 	cpu.Tick(4) // compare + branch
-	if binary.LittleEndian.Uint64(kb[:]) != x.conn.ServerKey {
+	if key != x.conn.ServerKey {
 		// Deny and notify the Subkernel (§4.4).
 		srv.Rejected++
 		cpu.Syscall()

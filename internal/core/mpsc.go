@@ -356,6 +356,29 @@ func (fe *Frontend) Serve(env *mk.Env) error {
 		return fmt.Errorf("core: frontend for %s serving from process %s",
 			fe.sink.srv.Proc.Name, env.P.Name)
 	}
+	armed := false
+	ready := func() bool {
+		if fe.closed {
+			return true
+		}
+		if !armed {
+			// Spin probe: bitmap words only (plus sibling bitmaps when
+			// stealing is on).
+			return fe.anyBit(env) || (fe.dir != nil && fe.dir.stealable(env, fe))
+		}
+		// Post-arm re-check: every tail, directly. A tenant whose bit was
+		// cleared out from under it is found here — repair the bit so the
+		// next sweep drains it instead of spinning back here.
+		return fe.rescan(env, true)
+	}
+	arm := func() {
+		armed = true
+		writeU64(env, fe.dirSrv, dirOffSleep, 1)
+	}
+	disarm := func() {
+		armed = false
+		writeU64(env, fe.dirSrv, dirOffSleep, 0)
+	}
 	for {
 		env.T.Checkpoint()
 		n, err := fe.sweep(env)
@@ -385,27 +408,7 @@ func (fe *Frontend) Serve(env *mk.Env) error {
 				continue
 			}
 		}
-		armed := false
-		env.AdaptiveWait(&fe.sink.parker, fe.cfg.Pol, func() bool {
-			if fe.closed {
-				return true
-			}
-			if !armed {
-				// Spin probe: bitmap words only (plus sibling bitmaps
-				// when stealing is on).
-				return fe.anyBit(env) || (fe.dir != nil && fe.dir.stealable(env, fe))
-			}
-			// Post-arm re-check: every tail, directly. A tenant whose bit
-			// was cleared out from under it is found here — repair the bit
-			// so the next sweep drains it instead of spinning back here.
-			return fe.rescan(env, true)
-		}, func() {
-			armed = true
-			writeU64(env, fe.dirSrv, dirOffSleep, 1)
-		}, func() {
-			armed = false
-			writeU64(env, fe.dirSrv, dirOffSleep, 0)
-		})
+		env.AdaptiveWait(&fe.sink.parker, fe.cfg.Pol, ready, arm, disarm)
 		fe.IdleParkedCycles += fe.sink.parker.Last.Parked
 	}
 }

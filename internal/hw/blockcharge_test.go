@@ -129,8 +129,9 @@ const (
 	repeatDataFrameBase    = 0x10_0000
 )
 
-// repeatPair is two identical single-core machines: a charges each run
-// with ReadRepeat, b with the per-byte ReadData loop it stands for.
+// repeatPair is two identical single-core machines: a charges each access
+// with a fast path (ReadRepeat, LoadU64, StoreU64), b with the reference
+// it stands for (the per-byte ReadData loop, ReadData, WriteData).
 type repeatPair struct{ a, b *Machine }
 
 // newRepeatPair builds the pair, natively or under an identity EPT, with a
@@ -228,31 +229,31 @@ func (p *repeatPair) same(t *testing.T, after string) {
 	t.Helper()
 	a, b := p.a.Cores[0], p.b.Cores[0]
 	if a.Clock != b.Clock || a.Counters != b.Counters {
-		t.Fatalf("after %s: clock %d counters %+v, per-byte loop clock %d counters %+v",
+		t.Fatalf("after %s: clock %d counters %+v, reference clock %d counters %+v",
 			after, a.Clock, a.Counters, b.Clock, b.Counters)
 	}
 	for _, pair := range [][2]*TLB{{a.DTLB, b.DTLB}, {a.ITLB, b.ITLB}} {
 		x, y := pair[0], pair[1]
 		if x.Stats != y.Stats || x.clock != y.clock || !reflect.DeepEqual(tlbEntries(x), tlbEntries(y)) {
-			t.Fatalf("after %s: TLB stats %+v clock %d entries %+v, per-byte loop %+v clock %d entries %+v",
+			t.Fatalf("after %s: TLB stats %+v clock %d entries %+v, reference %+v clock %d entries %+v",
 				after, x.Stats, x.clock, tlbEntries(x), y.Stats, y.clock, tlbEntries(y))
 		}
 	}
 	for _, pair := range [][2]*Cache{{a.L1I, b.L1I}, {a.L1D, b.L1D}, {a.L2, b.L2}, {p.a.L3, p.b.L3}} {
 		x, y := pair[0], pair[1]
 		if x.Stats != y.Stats || x.clock != y.clock {
-			t.Fatalf("after %s: %s stats %+v clock %d, per-byte loop %+v clock %d",
+			t.Fatalf("after %s: %s stats %+v clock %d, reference %+v clock %d",
 				after, x.cfg.Name, x.Stats, x.clock, y.Stats, y.clock)
 		}
 		// Equal way arrays are equal per-set contents; only a difference
 		// needs the canonical, slot-order-free comparison.
 		if (!slices.Equal(x.tags, y.tags) || !slices.Equal(x.lrus, y.lrus)) &&
 			!reflect.DeepEqual(setContents(x), setContents(y)) {
-			t.Fatalf("after %s: %s set contents differ from the per-byte loop's", after, x.cfg.Name)
+			t.Fatalf("after %s: %s set contents differ from the reference's", after, x.cfg.Name)
 		}
 	}
 	if !reflect.DeepEqual(p.a.VMExits, p.b.VMExits) {
-		t.Fatalf("after %s: VM exits %v, per-byte loop %v", after, p.a.VMExits, p.b.VMExits)
+		t.Fatalf("after %s: VM exits %v, reference %v", after, p.a.VMExits, p.b.VMExits)
 	}
 }
 

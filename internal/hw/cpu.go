@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"skybridge/internal/obs"
@@ -254,6 +255,47 @@ func (c *CPU) ReadRepeat(va VA, n, reps int) error {
 // may be nil to model the access pattern only; the memory is then zeroed).
 func (c *CPU) WriteData(va VA, buf []byte, n int) error {
 	return c.accessData(va, buf, n, AccessWrite)
+}
+
+// LoadU64 is ReadData of the 8 bytes at va, decoded little-endian; it
+// returns 0 with the error of a faulting read. An aligned word lies in one
+// cache line of one page, so it charges what ReadData charges for it (one
+// translation, one L1D access, one data access) and reads the word with
+// one PhysMem.ReadU64 instead of a byte copy. An unaligned word goes
+// through ReadData's own path.
+func (c *CPU) LoadU64(va VA) (uint64, error) {
+	if va&7 != 0 {
+		var b [8]byte
+		if err := c.accessData(va, b[:], 8, AccessRead); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
+	hpa, err := c.translate(va, AccessRead, c.DTLB)
+	if err != nil {
+		return 0, err
+	}
+	c.Clock += c.L1D.Access(hpa, false)
+	c.Counters.DataAccesses++
+	return c.mach.Mem.ReadU64(hpa), nil
+}
+
+// StoreU64 is WriteData of v's 8 little-endian bytes at va, charged as
+// LoadU64 charges a read.
+func (c *CPU) StoreU64(va VA, v uint64) error {
+	if va&7 != 0 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return c.accessData(va, b[:], 8, AccessWrite)
+	}
+	hpa, err := c.translate(va, AccessWrite, c.DTLB)
+	if err != nil {
+		return err
+	}
+	c.Clock += c.L1D.Access(hpa, true)
+	c.Counters.DataAccesses++
+	c.mach.Mem.WriteU64(hpa, v)
+	return nil
 }
 
 func (c *CPU) accessData(va VA, buf []byte, n int, acc Access) error {

@@ -356,13 +356,9 @@ func (k *Kernel) CurrentIdentity(cpu *hw.CPU) uint64 {
 	prevMode := cpu.Mode
 	cpu.Mode = hw.ModeKernel
 	defer func() { cpu.Mode = prevMode }()
-	var buf [8]byte
-	if err := cpu.ReadData(KernelIdentityVA, buf[:], 8); err != nil {
+	pid, err := cpu.LoadU64(KernelIdentityVA)
+	if err != nil {
 		return 0
-	}
-	var pid uint64
-	for i := 7; i >= 0; i-- {
-		pid = pid<<8 | uint64(buf[i])
 	}
 	return pid
 }

@@ -32,8 +32,6 @@ type Process struct {
 
 	// Ext carries SkyBridge per-process state (owned by internal/core).
 	Ext any
-
-	threads int
 }
 
 // NewProcess creates a process with the kernel footprint mapped.
@@ -203,7 +201,6 @@ func (e *Env) DirectEnv(p *Process, dst *Env) *Env {
 
 // Spawn starts a thread of process p on the given core.
 func (p *Process) Spawn(name string, core *hw.CPU, body func(env *Env)) *sim.Thread {
-	p.threads++
 	return p.kernel.Eng.Go(fmt.Sprintf("%s/%s", p.Name, name), core, func(t *sim.Thread) {
 		env := &Env{T: t, P: p, K: p.kernel}
 		env.enter()
@@ -242,6 +239,26 @@ func (e *Env) ReadRepeat(va hw.VA, n, reps int) {
 	e.enter()
 	if err := e.T.Core.ReadRepeat(va, n, reps); err != nil {
 		panic(fmt.Sprintf("mk: %s: read %#x: %v", e.T.Name, uint64(va), err))
+	}
+}
+
+// LoadU64 performs a charged user-mode load of the 8-byte little-endian
+// word at va: what Read of those 8 bytes charges, without the byte copy.
+func (e *Env) LoadU64(va hw.VA) uint64 {
+	e.enter()
+	v, err := e.T.Core.LoadU64(va)
+	if err != nil {
+		panic(fmt.Sprintf("mk: %s: read %#x: %v", e.T.Name, uint64(va), err))
+	}
+	return v
+}
+
+// StoreU64 performs a charged user-mode store of v's 8 little-endian bytes
+// at va: what Write of those 8 bytes charges.
+func (e *Env) StoreU64(va hw.VA, v uint64) {
+	e.enter()
+	if err := e.T.Core.StoreU64(va, v); err != nil {
+		panic(fmt.Sprintf("mk: %s: write %#x: %v", e.T.Name, uint64(va), err))
 	}
 }
 

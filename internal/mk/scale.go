@@ -10,28 +10,35 @@ package mk
 type Gate struct {
 	parker Parker
 	open   bool
+	// done ends a wait while the gate is still shut (e.g. frontend
+	// shutdown); ready is the wait's condition, built once.
+	done  func() bool
+	ready func() bool
 
 	ParkedCycles uint64 // cycles spent shut, measured on the sleeper's clock
 }
 
-// NewGate returns an open gate (core in service).
-func NewGate() *Gate { return &Gate{open: true} }
+// NewGate returns an open gate (core in service) whose waits also end
+// once done turns true.
+func NewGate(done func() bool) *Gate {
+	g := &Gate{open: true, done: done}
+	g.ready = func() bool { return g.open || g.done() }
+	return g
+}
 
 // Shut marks the core out of service; the owning thread must call Wait
 // next. Host-side state only — the engine runs one simulated thread at a
 // time, so no atomics are needed.
 func (g *Gate) Shut() { g.open = false }
 
-// Wait blocks the calling thread until the gate reopens or done turns
-// true (e.g. frontend shutdown). On return the thread re-establishes
-// its address space on the core via Kernel.EnsureOn — the core may have
-// run nothing, or anything, while the gate was shut.
-func (g *Gate) Wait(e *Env, pol WakePolicy, done func() bool) {
+// Wait blocks the calling thread until the gate reopens or its done
+// condition turns true. On return the thread re-establishes its address
+// space on the core via Kernel.EnsureOn — the core may have run nothing,
+// or anything, while the gate was shut.
+func (g *Gate) Wait(e *Env, pol WakePolicy) {
 	t0 := e.T.Core.Clock
-	for !g.open && !done() {
-		e.AdaptiveWait(&g.parker, pol, func() bool {
-			return g.open || done()
-		}, nil, nil)
+	for !g.ready() {
+		e.AdaptiveWait(&g.parker, pol, g.ready, nil, nil)
 	}
 	g.ParkedCycles += e.T.Core.Clock - t0
 	e.K.EnsureOn(e.T.Core, e.P)
@@ -48,7 +55,7 @@ func (g *Gate) Unpark(e *Env) {
 }
 
 // Close wakes a parked thread for shutdown without reopening the gate;
-// pair it with a done predicate passed to Wait.
+// pair it with the done condition given to NewGate.
 func (g *Gate) Close(e *Env) {
 	e.K.CloseParker(e.T.Core, &g.parker)
 }

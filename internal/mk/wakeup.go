@@ -1,6 +1,8 @@
 package mk
 
 import (
+	"fmt"
+
 	"skybridge/internal/hw"
 	"skybridge/internal/obs"
 	"skybridge/internal/sim"
@@ -78,7 +80,7 @@ type WaitStats struct {
 	Delivery uint64
 }
 
-// Parker is one adaptive-wait sleep slot: at most one thread parks on it
+// Parker is one adaptive-wait sleep slot: at most one thread waits on it
 // at a time (the SPSC rings have exactly one server poll thread and one
 // client per ring side).
 type Parker struct {
@@ -93,6 +95,33 @@ type Parker struct {
 	// which terminates it on its own track after resuming. Set only while
 	// tracing is attached.
 	flowID uint64
+
+	// The spin phase of the wait in progress: the waiter's environment
+	// (nil when no spin runs), its ready condition, policy and start
+	// clock, and whether ready ended the spin. step is the sim.Spin step
+	// over these fields, built on the parker's first wait.
+	env     *Env
+	ready   func() bool
+	pol     WakePolicy
+	start   uint64
+	readyOK bool
+	step    func() bool
+}
+
+// spinStep is one iteration of the spin phase, run after its checkpoint:
+// probe ready, give up once the budget is spent, else charge one poll
+// iteration.
+func (p *Parker) spinStep() bool {
+	if p.ready() {
+		p.readyOK = true
+		return true
+	}
+	cpu := p.env.T.Core
+	if cpu.Clock-p.start >= p.pol.SpinBudget {
+		return true
+	}
+	cpu.Tick(p.pol.SpinStep)
+	return false
 }
 
 // Waiting reports whether a thread is parked here.
@@ -107,22 +136,29 @@ func (p *Parker) Waiting() bool { return p.wq.Len() > 0 }
 // contains no Checkpoint, so no producer can slip between the flag
 // becoming visible and the thread parking: any wakeup is either seen by
 // the re-check or delivered to the parked thread.
+//
+// The spin is a sim.Spin: each iteration checkpoints, then probes ready
+// and charges pol.SpinStep, and the engine runs the iterations that
+// follow a yield without resuming the thread. ready must not park, and
+// callers that wait often pass the same closure every time, so a wait
+// allocates nothing. A second wait on p while a spin runs on it panics.
 func (e *Env) AdaptiveWait(p *Parker, pol WakePolicy, ready func() bool, arm, disarm func()) WakeKind {
-	pol = pol.withDefaults()
+	if p.env != nil {
+		panic(fmt.Sprintf("mk: %s: AdaptiveWait on a parker while %s is still spinning on it", e.T.Name, p.env.T.Name))
+	}
 	k, cpu := e.K, e.T.Core
 	start := cpu.Clock
-	for {
-		e.T.Checkpoint()
-		if ready() {
-			k.SpinWakes++
-			k.SpinCycles += cpu.Clock - start
-			p.Last = WaitStats{Kind: WokeSpin, Spin: cpu.Clock - start}
-			return WokeSpin
-		}
-		if cpu.Clock-start >= pol.SpinBudget {
-			break
-		}
-		e.Compute(pol.SpinStep)
+	p.env, p.ready, p.pol, p.start, p.readyOK = e, ready, pol.withDefaults(), start, false
+	if p.step == nil {
+		p.step = p.spinStep
+	}
+	e.T.Spin(p.step)
+	p.env, p.ready = nil, nil
+	if p.readyOK {
+		k.SpinWakes++
+		k.SpinCycles += cpu.Clock - start
+		p.Last = WaitStats{Kind: WokeSpin, Spin: cpu.Clock - start}
+		return WokeSpin
 	}
 	if arm != nil {
 		arm()

@@ -13,7 +13,9 @@
 //
 // Interaction points (locks, IPC endpoints) call Checkpoint first, so
 // shared resources are claimed in global time order and runs are fully
-// deterministic (ties broken by event sequence number).
+// deterministic (ties broken by event sequence number). A polling loop
+// runs as Thread.Spin: Run calls its step at each of the thread's wakes
+// and switches into the coroutine only when the loop ends.
 package sim
 
 import (
@@ -104,6 +106,10 @@ type Thread struct {
 	yield func(struct{}) bool
 	// val carries the wake value from Run to the Park it resumes.
 	val any
+	// spin is the step of the Spin in progress, nil outside one. While it
+	// is set, Run calls it at the thread's wakes instead of resuming the
+	// coroutine.
+	spin func() bool
 }
 
 // Engine owns the event queue and the machine. Run pops events on its
@@ -202,6 +208,9 @@ func (e *Engine) Run() error {
 		}
 		th.state = StateRunning
 		th.val = ev.val
+		if th.spin != nil && !e.spinSteps(th) {
+			continue
+		}
 		th.next()
 	}
 	var stuck []string
@@ -221,8 +230,11 @@ func (t *Thread) Now() uint64 { return t.Core.Clock }
 
 // Park blocks the thread until another thread or closure wakes it. It
 // returns the value passed to Wake. The thread's coroutine yields back to
-// Run, which resumes it when it pops the wake.
+// Run, which resumes it when it pops the wake. A Spin step must not park.
 func (t *Thread) Park() any {
+	if t.spin != nil {
+		panic(fmt.Sprintf("sim: Park from a Spin step of thread %q", t.Name))
+	}
 	t.state = StateParked
 	t.yield(struct{}{})
 	v := t.val
@@ -235,8 +247,7 @@ func (t *Thread) Park() any {
 // primitives call this before touching shared state so resources are
 // claimed in global time order.
 func (t *Thread) Checkpoint() {
-	e := t.eng
-	if len(e.events) == 0 || e.events[0].t > t.Core.Clock {
+	if !t.mustYield() {
 		// Fast path: every pending event is strictly later than this
 		// thread's clock, so parking would pop the freshly pushed wake
 		// straight back and resume this same thread with nothing run in
@@ -245,8 +256,66 @@ func (t *Thread) Checkpoint() {
 		// the schedule is identical.
 		return
 	}
-	e.Wake(t, t.Core.Clock, nil)
+	t.eng.Wake(t, t.Core.Clock, nil)
 	t.Park()
+}
+
+// mustYield reports whether a Checkpoint at the thread's clock has to
+// yield: some pending event is due at or before it.
+func (t *Thread) mustYield() bool {
+	ev := t.eng.events
+	return len(ev) > 0 && ev[0].t <= t.Core.Clock
+}
+
+// Spin behaves exactly like
+//
+//	for {
+//		t.Checkpoint()
+//		if step() {
+//			return
+//		}
+//	}
+//
+// except that a yielding checkpoint does not switch coroutines: Run calls
+// step itself when it pops the thread's wake, and resumes the coroutine
+// only once step returns true. The wakes pushed, their times and sequence
+// numbers, and the clocks step sees are the loop's, so the schedule is
+// identical; what goes is two coroutine switches per yield. step runs on
+// the thread's core like the loop body does, but it must not park (Park
+// panics); it may charge the clock and wake other threads.
+func (t *Thread) Spin(step func() bool) {
+	t.spin = step
+	for !t.mustYield() {
+		if step() {
+			t.spin = nil
+			return
+		}
+	}
+	t.eng.Wake(t, t.Core.Clock, nil)
+	t.state = StateParked
+	t.yield(struct{}{})
+	// Run resumed the coroutine because step returned true; it has already
+	// cleared t.spin.
+	t.val = nil
+}
+
+// spinSteps runs a spinning thread from one of its wakes: step, then the
+// loop's checkpoint, until step returns true (true: resume the coroutine)
+// or the checkpoint has to yield (false: the wake is pushed and the
+// thread parked again).
+func (e *Engine) spinSteps(th *Thread) bool {
+	th.val = nil
+	for {
+		if th.spin() {
+			th.spin = nil
+			return true
+		}
+		if th.mustYield() {
+			e.Wake(th, th.Core.Clock, nil)
+			th.state = StateParked
+			return false
+		}
+	}
 }
 
 // Engine returns the engine this thread belongs to.

@@ -1,8 +1,6 @@
 package svc
 
 import (
-	"encoding/binary"
-
 	"skybridge/internal/core"
 	"skybridge/internal/hw"
 	"skybridge/internal/mk"
@@ -55,9 +53,7 @@ func (rt *Router) refresh(env *mk.Env) {
 // ownerOf returns the drain slot currently owning shard, re-reading
 // the owner table if the routing epoch moved since the last look.
 func (rt *Router) ownerOf(env *mk.Env, shard int) int {
-	var b [8]byte
-	env.Read(rt.routeVA, b[:], 8)
-	if e := binary.LittleEndian.Uint64(b[:]); e != rt.epoch {
+	if e := env.LoadU64(rt.routeVA); e != rt.epoch {
 		rt.epoch = e
 		rt.refresh(env)
 	}
