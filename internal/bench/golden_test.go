@@ -53,8 +53,8 @@ func TestCatalogUnitsGolden(t *testing.T) {
 			want: [4]string{
 				"aa99b818901b6eafea628c09aec0d1617d3b3aa9db176a3b470a44676770b9da",
 				"b99ad7d91b78026d492eafdd600a1795c2a6d00990dedd38ab02cf978a318624",
-				"19361f17e7f94177be6ac1e171600c883a7ae0ec8429db82fdbd40d401c18925",
-				"2bd728f4f11bf0021bc3731f118c9870436932d743816d18f9700dff58785403",
+				"ed4bc8806ad64e8f967cf69e073c7dd78289eff0849a2f4dca737a48a792daa9",
+				"279da787ec5d72523b7ba0a4cd469032214696d544871ff6bd3b2e3871270604",
 			},
 		},
 	} {

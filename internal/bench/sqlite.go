@@ -170,11 +170,11 @@ func (st *DBStack) Close() {
 	}
 }
 
-// dbCell builds an unobserved cell over cfg with the paper-faithful stack
-// in mode; its last driver closes the stack's IPC servers.
-func dbCell(cfg WorldConfig, mode ServerMode) (*cell, *DBStack, error) {
-	c := &cell{World: MustWorld(cfg)}
-	st, err := BuildDBStack(c.World, mode)
+// dbCell builds a cell over w with the paper-faithful stack in mode; its
+// last driver closes the stack's IPC servers.
+func dbCell(w *World, mode ServerMode) (*cell, *DBStack, error) {
+	c := &cell{World: w}
+	st, err := BuildDBStack(w, mode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -421,7 +421,7 @@ func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
 	}
 	res := &Table4Result{Flavor: cfg.Flavor}
 	for _, mode := range []ServerMode{ModeST, ModeMT, ModeSB} {
-		row, err := runTable4Mode(cfg, mode)
+		row, err := s.runTable4Mode(cfg, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -440,8 +440,11 @@ func (s *Session) Table4(cfg Table4Config) (*Table4Result, error) {
 	return res, nil
 }
 
-func runTable4Mode(cfg Table4Config, mode ServerMode) (*Table4Row, error) {
-	c, st, err := dbCell(WorldConfig{Flavor: cfg.Flavor, Cores: 4, SkyBridge: mode == ModeSB}, mode)
+// runTable4Mode runs one mode's four phases on a world the session
+// observes under the label "table4/<flavor>/<mode>".
+func (s *Session) runTable4Mode(cfg Table4Config, mode ServerMode) (*Table4Row, error) {
+	label := fmt.Sprintf("table4/%s/%s", cfg.Flavor, mode)
+	c, st, err := dbCell(s.world(label, WorldConfig{Flavor: cfg.Flavor, Cores: 4, SkyBridge: mode == ModeSB}), mode)
 	if err != nil {
 		return nil, err
 	}
@@ -569,10 +572,10 @@ func (s *Session) paperCell(c ycsbCell) (ycsbRun, error) {
 // from the first client's start to the last client's end; client i draws
 // its ops from seed 1000+i.
 func runYCSBCell(pc ycsbCell) (ycsbRun, error) {
-	c, st, err := dbCell(WorldConfig{
+	c, st, err := dbCell(MustWorld(WorldConfig{
 		Flavor: pc.Flavor, Cores: min(max(pc.Threads, 2), 8),
 		SkyBridge: pc.Mode == ModeSB, Virtualized: pc.Virtualized,
-	}, pc.Mode)
+	}), pc.Mode)
 	if err != nil {
 		return ycsbRun{}, err
 	}

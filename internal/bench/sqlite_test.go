@@ -55,7 +55,7 @@ func TestSQLClientChecksReplies(t *testing.T) {
 		}, "skipped"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, st, err := dbCell(WorldConfig{Flavor: mk.SeL4, Cores: 2}, ModeMT)
+			c, st, err := dbCell(MustWorld(WorldConfig{Flavor: mk.SeL4, Cores: 2}), ModeMT)
 			if err != nil {
 				t.Fatal(err)
 			}
