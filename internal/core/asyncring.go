@@ -542,7 +542,6 @@ func (r *AsyncRing) Reap(env *mk.Env, minN int) ([]Completion, error) {
 		w.env, w.min, w.avail, w.err = env, minN, avail, nil
 		env.AdaptiveWait(&r.cliParker, r.pol, w.ready, w.arm, w.disarm)
 		avail, err = w.avail, w.err
-		w.env = nil
 		totSpin += r.cliParker.Last.Spin
 		totDelivery += r.cliParker.Last.Delivery
 		wake = r.cliParker.Last.Kind

@@ -10,9 +10,8 @@ package mk
 type Gate struct {
 	parker Parker
 	open   bool
-	// done ends a wait while the gate is still shut (e.g. frontend
-	// shutdown); ready is the wait's condition, built once.
-	done  func() bool
+	// ready is the wait's condition, built once: the gate is open, or
+	// NewGate's done condition holds.
 	ready func() bool
 
 	ParkedCycles uint64 // cycles spent shut, measured on the sleeper's clock
@@ -21,8 +20,8 @@ type Gate struct {
 // NewGate returns an open gate (core in service) whose waits also end
 // once done turns true.
 func NewGate(done func() bool) *Gate {
-	g := &Gate{open: true, done: done}
-	g.ready = func() bool { return g.open || g.done() }
+	g := &Gate{open: true}
+	g.ready = func() bool { return g.open || done() }
 	return g
 }
 

@@ -153,7 +153,7 @@ func (e *Env) AdaptiveWait(p *Parker, pol WakePolicy, ready func() bool, arm, di
 		p.step = p.spinStep
 	}
 	e.T.Spin(p.step)
-	p.env, p.ready = nil, nil
+	p.env = nil
 	if p.readyOK {
 		k.SpinWakes++
 		k.SpinCycles += cpu.Clock - start

@@ -126,7 +126,7 @@ func TestSpinMatchesCheckpointLoop(t *testing.T) {
 		got, _ := spinWorld(t, seed, true)
 		if i := firstDiff(want, got); i >= 0 {
 			t.Fatalf("seed %d: Spin diverges from the Checkpoint loop at record %d:\nloop: %s\nSpin: %s",
-				seed, i, at(want, i), at(got, i))
+				seed, i, logAt(want, i), logAt(got, i))
 		}
 	}
 	if yields == 0 {
@@ -146,7 +146,7 @@ func firstDiff(a, b []string) int {
 	return -1
 }
 
-func at(log []string, i int) string {
+func logAt(log []string, i int) string {
 	if i < len(log) {
 		return log[i]
 	}
