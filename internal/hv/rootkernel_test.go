@@ -304,6 +304,50 @@ func TestEPTPSlotLRU(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	// One process on two cores: a miss on core 0 loads the long-evicted
+	// first server into an evicted slot, and the thread on core 1, which
+	// installed the list before the load, reaches that server through the
+	// slot without a reinstall.
+	cpu1 := k.Mach.Cores[1]
+	client.Spawn("cli1", cpu1, func(env *mk.Env) { env.Enter() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var slot int
+	loads, evictions := rk.SlotLoads(), rk.SlotEvictions()
+	client.Spawn("cli0", cpu, func(env *mk.Env) {
+		var err error
+		if slot, _, err = rk.ResolveSlot(cpu, client, ids[0], []int{0}); err != nil {
+			t.Errorf("resolve on core 0: %v", err)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rk.SlotLoads() != loads+1 || rk.SlotEvictions() != evictions+1 {
+		t.Fatalf("resolve on core 0: loads +%d, evictions +%d; want a load into an evicted slot",
+			rk.SlotLoads()-loads, rk.SlotEvictions()-evictions)
+	}
+	installs := rk.ListInstall
+	client.Spawn("cli1", cpu1, func(env *mk.Env) {
+		env.Enter()
+		if err := cpu1.VMFunc(0, slot); err != nil {
+			t.Errorf("core 1 vmfunc to slot %d: %v", slot, err)
+			return
+		}
+		hpa, v := cpu1.EPT().Translate(client.PT.Root.PageBase(), hw.AccessRead)
+		if v != nil || hpa != hw.HPA(procs[0].PT.Root) {
+			t.Errorf("core 1 slot %d: CR3 maps to %#x, want %#x", slot, uint64(hpa), uint64(procs[0].PT.Root))
+		}
+		cpu1.VMFunc(0, 0)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rk.ListInstall != installs {
+		t.Errorf("core 1 reinstalled the list %d times", rk.ListInstall-installs)
+	}
 }
 
 // TestEPTPSlotPinning: pinned slots (an active nested call chain) survive
