@@ -142,8 +142,8 @@ func TestResetStatsZeroesWindowCounters(t *testing.T) {
 		return map[string]uint64{
 			"direct_calls":      w.SB.DirectCalls,
 			"batch_calls":       w.SB.BatchCalls,
-			"slot_loads":        w.RK.SlotLoads(),
-			"slot_evictions":    w.RK.SlotEvictions(),
+			"slot_loads":        w.RK.SlotLoads,
+			"slot_evictions":    w.RK.SlotEvictions,
 			"ring_ops":          wc.RingOps,
 			"doorbells":         wc.Doorbells,
 			"doorbells_skipped": wc.DoorbellsSkipped,

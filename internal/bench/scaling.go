@@ -220,8 +220,8 @@ func (s *Session) runScalingCell(cfg ScalingConfig, w ycsb.Workload, cores, batc
 		ClientCycles:   durations,
 		BatchCrossings: c.SB.BatchCalls,
 		DirectCalls:    c.SB.DirectCalls,
-		SlotLoads:      c.RK.SlotLoads(),
-		SlotEvictions:  c.RK.SlotEvictions(),
+		SlotLoads:      c.RK.SlotLoads,
+		SlotEvictions:  c.RK.SlotEvictions,
 	}
 	cell.Makespan, cell.OpsPerMcyc, cell.CyclesPerOp = closedLoop(durations, cfg.TotalOps)
 	for i, id := range kvIDs {

@@ -90,7 +90,7 @@ func (x *crossing) switchIn() error {
 	sb.ensureContext(cpu, x.tc)
 	prev := cpu.FlowID
 	cpu.FlowID = x.fid
-	slot, _, err := sb.RK.ResolveSlot(cpu, x.tc.proc, srv.ID, x.tc.stack)
+	slot, err := sb.RK.ResolveSlot(cpu, x.tc.proc, srv.ID, x.tc.stack)
 	if err != nil {
 		cpu.FlowID = prev
 		return x.fail(fmt.Errorf("core: slot resolve for server %d: %w", srv.ID, err))

@@ -66,10 +66,10 @@ func TestManyServersWithSlotEviction(t *testing.T) {
 	if err := k.Eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rk.SlotEvictions() == 0 {
+	if rk.SlotEvictions == 0 {
 		t.Fatal("no slot evictions despite 530 bindings")
 	}
-	t.Logf("slot loads: %d, evictions: %d", rk.SlotLoads(), rk.SlotEvictions())
+	t.Logf("slot loads: %d, evictions: %d", rk.SlotLoads, rk.SlotEvictions)
 }
 
 // TestRemapCodePagesRescansJITCode exercises the §9 W⊕X extension: code

@@ -223,7 +223,7 @@ func TestSecMaliciousServerCall(t *testing.T) {
 		// The client CAN hardware-switch to s2's view (the EPTP list must
 		// contain it for nesting) — the paper concedes this — but it holds
 		// no calling key for s2, so a protocol-level call is denied.
-		slot, _, err := rk.ResolveSlot(env.T.Core, client, id2, []int{0})
+		slot, err := rk.ResolveSlot(env.T.Core, client, id2, []int{0})
 		if err != nil {
 			t.Errorf("resolve dep slot: %v", err)
 			return

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"fmt"
+	"slices"
 
 	"skybridge/internal/hw"
 	"skybridge/internal/mk"
@@ -16,30 +17,14 @@ import (
 // Design: server IDs become virtual. Each process's hardware EPTP list is a
 // 512-slot cache of its (potentially much larger) binding set. The
 // SkyBridge user-level library resolves a server ID to a slot before each
-// VMFUNC; a resolution miss issues the HCLoadSlot hypercall, and the
-// Rootkernel installs the binding into the least recently loaded slot that
-// is neither slot 0 (the caller's own view) nor pinned by the active call
-// chain (a nested call must be able to VMFUNC back through its ancestors).
+// VMFUNC; a resolution miss issues a hypercall, and the Rootkernel loads
+// the binding into the least recently loaded slot that is neither slot 0
+// (the caller's own view) nor pinned by the active call chain (a nested
+// call must be able to VMFUNC back through its ancestors).
 
 // MaxVirtualServers bounds the virtual server ID space (a sanity limit far
 // above the hardware's 512).
 const MaxVirtualServers = 4096
-
-// HCLoadSlot is the hypercall resolving a (process, server) binding into a
-// hardware EPTP slot, evicting an unpinned LRU slot if necessary.
-const HCLoadSlot = 100
-
-// LoadSlotArgs is the HCLoadSlot payload.
-type LoadSlotArgs struct {
-	Proc     *mk.Process
-	ServerID int
-	// Pinned slots must not be evicted (the caller's active call chain).
-	Pinned []int
-	// Slot receives the assigned hardware slot.
-	Slot int
-	// Evicted reports whether an older binding was displaced.
-	Evicted bool
-}
 
 // slotState tracks one process's hardware EPTP-slot cache.
 type slotState struct {
@@ -53,122 +38,77 @@ type slotState struct {
 	loadSeq  uint64
 }
 
-func (rk *Rootkernel) slotStateOf(ps *procState) *slotState {
-	if ps.slots == nil {
-		ps.slots = &slotState{serverSlot: make(map[int]int)}
-	}
-	return ps.slots
+func (ss *slotState) touch(slot int) {
+	ss.loadSeq++
+	ss.lastLoad[slot] = ss.loadSeq
 }
 
-// SlotLoads counts HCLoadSlot invocations (each is one VM exit).
-func (rk *Rootkernel) SlotLoads() uint64 { return rk.slotLoads }
-
-// SlotEvictions counts displaced bindings.
-func (rk *Rootkernel) SlotEvictions() uint64 { return rk.slotEvictions }
-
-// loadSlot implements HCLoadSlot in root mode.
-func (rk *Rootkernel) loadSlot(cpu *hw.CPU, args *LoadSlotArgs) error {
-	ps := rk.ensureProc(args.Proc)
-	ept, ok := ps.bindings[args.ServerID]
+// loadSlot loads proc's binding for serverID into a hardware slot of its
+// list in root mode, evicting the least recently loaded slot that is not
+// pinned by the caller's active call chain when none is free. Every core
+// running proc sees the new entry. cpu is nil for the eager load issued
+// from bind (no core context, so no trace).
+func (rk *Rootkernel) loadSlot(cpu *hw.CPU, proc *mk.Process, serverID int, pinned []int) (int, error) {
+	ps := rk.ensureProc(proc)
+	ept, ok := ps.bindings[serverID]
 	if !ok {
-		return fmt.Errorf("hv: process %s has no binding for server %d", args.Proc.Name, args.ServerID)
+		return 0, fmt.Errorf("hv: process %s has no binding for server %d", proc.Name, serverID)
 	}
-	ss := rk.slotStateOf(ps)
-	rk.slotLoads++
-
-	if slot, ok := ss.serverSlot[args.ServerID]; ok {
-		// Already resident (raced with another thread's load).
-		args.Slot = slot
-		rk.touchSlot(ss, slot)
-		rk.syncSlot(cpu, ps, slot, ept)
-		return nil
+	ss := &ps.slots
+	rk.SlotLoads++
+	if slot, ok := ss.serverSlot[serverID]; ok {
+		// Already resident (a rebind): the slot keeps the view it holds.
+		ss.touch(slot)
+		return slot, nil
 	}
 
-	pinned := map[int]bool{0: true}
-	for _, s := range args.Pinned {
-		pinned[s] = true
-	}
 	// Pick a free slot, or the LRU unpinned one.
-	victim := -1
-	for i := 1; i < hw.EPTPListSize; i++ {
-		if ss.slotServer[i] == 0 {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		var oldest uint64 = ^uint64(0)
+	victim := slices.Index(ss.slotServer[1:], 0) + 1 // 0: none free
+	var evicted uint64
+	if victim == 0 {
+		oldest := ^uint64(0)
 		for i := 1; i < hw.EPTPListSize; i++ {
-			if pinned[i] {
-				continue
-			}
-			if ss.lastLoad[i] < oldest {
-				oldest = ss.lastLoad[i]
-				victim = i
+			if ss.lastLoad[i] < oldest && !slices.Contains(pinned, i) {
+				oldest, victim = ss.lastLoad[i], i
 			}
 		}
-		if victim < 0 {
-			return fmt.Errorf("hv: all EPTP slots pinned; call chain too deep")
+		if victim == 0 {
+			return 0, fmt.Errorf("hv: all EPTP slots pinned; call chain too deep")
 		}
 		delete(ss.serverSlot, ss.slotServer[victim])
-		ss.slotServer[victim] = 0
-		rk.slotEvictions++
-		args.Evicted = true
+		rk.SlotEvictions++
+		evicted = 1
 	}
-
-	ss.slotServer[victim] = args.ServerID
-	ss.serverSlot[args.ServerID] = victim
-	rk.touchSlot(ss, victim)
+	ss.slotServer[victim] = serverID
+	ss.serverSlot[serverID] = victim
+	ss.touch(victim)
 	ps.list[victim] = ept
-	rk.syncSlot(cpu, ps, victim, ept)
-	args.Slot = victim
-	// cpu is nil for the eager load issued from bind (no core context).
 	if cpu != nil && cpu.Trace != nil {
-		var evicted uint64
-		if args.Evicted {
-			evicted = 1
-		}
 		cpu.Trace.Instant(cpu.Clock, "eptp.load_slot", "hv",
-			obs.U("server", uint64(args.ServerID)), obs.U("slot", uint64(victim)),
+			obs.U("server", uint64(serverID)), obs.U("slot", uint64(victim)),
 			obs.U("evicted", evicted))
 		if fid := cpu.FlowID; fid != 0 {
 			cpu.Trace.FlowStep(cpu.Clock, fid, "flow.eptp_load", "flow")
 		}
 	}
-	return nil
-}
-
-func (rk *Rootkernel) touchSlot(ss *slotState, slot int) {
-	ss.loadSeq++
-	ss.lastLoad[slot] = ss.loadSeq
-}
-
-// syncSlot updates the hardware EPTP list on every core currently running
-// the process.
-func (rk *Rootkernel) syncSlot(cpu *hw.CPU, ps *procState, slot int, ept *hw.EPT) {
-	for _, c := range rk.Mach.Cores {
-		if rk.installed[c.ID] == ps.proc {
-			c.VMCS.EPTPList[slot] = ept
-		}
-	}
-	_ = cpu
+	return victim, nil
 }
 
 // ResolveSlot is the Subkernel/user-library entry: return the hardware slot
-// for (proc, serverID), loading it via hypercall on a miss. The fast path
+// for (proc, serverID), loading it by hypercall on a miss. The fast path
 // is a user-level lookup with no kernel involvement.
-func (rk *Rootkernel) ResolveSlot(cpu *hw.CPU, proc *mk.Process, serverID int, pinned []int) (int, bool, error) {
-	ps := rk.ensureProc(proc)
-	ss := rk.slotStateOf(ps)
+func (rk *Rootkernel) ResolveSlot(cpu *hw.CPU, proc *mk.Process, serverID int, pinned []int) (int, error) {
+	ss := &rk.ensureProc(proc).slots
 	if slot, ok := ss.serverSlot[serverID]; ok {
 		// Resident: the user-level table lookup costs a few cycles.
 		cpu.Tick(6)
-		rk.touchSlot(ss, slot)
-		return slot, false, nil
+		ss.touch(slot)
+		return slot, nil
 	}
-	args := &LoadSlotArgs{Proc: proc, ServerID: serverID, Pinned: pinned}
-	if _, err := cpu.VMCall(&hw.Hypercall{Nr: HCLoadSlot, Ptr: args}); err != nil {
-		return 0, false, err
-	}
-	return args.Slot, true, nil
+	var slot int
+	err := cpu.VMCall(func(cpu *hw.CPU) (err error) {
+		slot, err = rk.loadSlot(cpu, proc, serverID, pinned)
+		return err
+	})
+	return slot, err
 }

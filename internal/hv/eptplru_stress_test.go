@@ -154,17 +154,17 @@ func TestSlotLRUShardChurn(t *testing.T) {
 
 	// The client's working set exceeds the list, so the second sweep must
 	// have evicted: at least nShards loads (first touch) plus reloads.
-	if rk.SlotLoads() < uint64(nShards) {
-		t.Errorf("SlotLoads = %d, want >= %d", rk.SlotLoads(), nShards)
+	if rk.SlotLoads < uint64(nShards) {
+		t.Errorf("SlotLoads = %d, want >= %d", rk.SlotLoads, nShards)
 	}
-	if rk.SlotEvictions() == 0 {
+	if rk.SlotEvictions == 0 {
 		t.Error("two sweeps over an oversubscribed EPTP list evicted nothing")
 	}
 	// The counters are Rootkernel-global, so residency (loads minus
 	// evictions) spans both caching processes: the client caps at
 	// EPTPListSize-1 (slot 0 is its own view) and the hub holds its two
 	// leaf bindings.
-	if resident := int(rk.SlotLoads() - rk.SlotEvictions()); resident > (hw.EPTPListSize-1)+2 {
+	if resident := int(rk.SlotLoads - rk.SlotEvictions); resident > (hw.EPTPListSize-1)+2 {
 		t.Errorf("resident slots %d exceed the per-process hardware lists (%d+2)",
 			resident, hw.EPTPListSize-1)
 	}

@@ -27,19 +27,6 @@ import (
 	"skybridge/internal/obs"
 )
 
-// Hypercall numbers (the VMCALL interface between Subkernel and Rootkernel).
-const (
-	// HCBind binds a client to a server: clone the base EPT, remap the
-	// client's CR3 GPA to the server's page-table root, and install the
-	// result at the server's global EPTP index in the client's list.
-	HCBind = iota + 1
-	// HCInstallList installs a process's EPTP list on the current core
-	// (issued by the Subkernel on context switch, §4.2).
-	HCInstallList
-	// HCRegisterServer assigns a global EPTP-list index to a server.
-	HCRegisterServer
-)
-
 // Config tunes the Rootkernel.
 type Config struct {
 	// TrapAll configures a legacy-hypervisor-style VMCS where CR3 writes
@@ -77,23 +64,18 @@ func (r *regionAlloc) AllocFrame() (hw.HPA, error) {
 
 // procState is the Rootkernel's per-process bookkeeping.
 type procState struct {
-	proc *mk.Process
-	// selfEPT is the process's slot-0 EPT (an unmodified shallow clone of
-	// the base EPT except for the identity page, "EPT-C" in Figure 6).
-	selfEPT *hw.EPT
 	// identityFrame backs this process's identity page (§4.2): every EPT
 	// maps IdentityGPA to the frame of the process whose view it is.
 	identityFrame hw.HPA
-	// list is the process's hardware EPTP-list image, indexed by slot.
+	// list is the process's hardware EPTP list, indexed by slot; a core
+	// running the process points its VMCS at it. Slot 0 is the process's
+	// own view, an unmodified shallow clone of the base EPT except for the
+	// identity page ("EPT-C" in Figure 6).
 	list [hw.EPTPListSize]*hw.EPT
 	// bindings maps virtual server IDs to their CR3-remapped EPT views;
-	// the hardware list caches up to 511 of them (see eptplru.go).
+	// the list caches up to 511 of them (see eptplru.go).
 	bindings map[int]*hw.EPT
-	// slots is the slot-cache state (lazily created).
-	slots *slotState
-	// hasBindings marks processes whose list differs from the trivial
-	// one; only those require an EPTP-list install on context switch.
-	hasBindings bool
+	slots    slotState
 }
 
 // Rootkernel is the hypervisor instance.
@@ -122,11 +104,13 @@ type Rootkernel struct {
 	// Stats. All of these are bound into the machine's obs registry at
 	// Boot, so Machine.ResetStats clears them together with the hardware
 	// counters.
-	Hypercalls    uint64
-	ListInstall   uint64
-	Bindings      uint64
-	slotLoads     uint64
-	slotEvictions uint64
+	Hypercalls  uint64
+	ListInstall uint64
+	Bindings    uint64
+	// SlotLoads counts slot loads (each eager bind and each resolve miss,
+	// which is one VM exit); SlotEvictions counts displaced bindings.
+	SlotLoads     uint64
+	SlotEvictions uint64
 }
 
 // Boot self-virtualizes: the Subkernel (already running) loads the
@@ -155,8 +139,8 @@ func Boot(sub *mk.Kernel, cfg Config) (*Rootkernel, error) {
 	mach.Obs.Bind("hv.hypercalls", &rk.Hypercalls)
 	mach.Obs.Bind("hv.list_installs", &rk.ListInstall)
 	mach.Obs.Bind("hv.bindings", &rk.Bindings)
-	mach.Obs.Bind("hv.slot_loads", &rk.slotLoads)
-	mach.Obs.Bind("hv.slot_evictions", &rk.slotEvictions)
+	mach.Obs.Bind("hv.slot_loads", &rk.SlotLoads)
+	mach.Obs.Bind("hv.slot_evictions", &rk.SlotEvictions)
 
 	controls := hw.VMExitControls{ExitOnCPUID: true}
 	if cfg.TrapAll {
@@ -164,10 +148,10 @@ func Boot(sub *mk.Kernel, cfg Config) (*Rootkernel, error) {
 		controls.ExitOnExternalIntr = true
 		controls.ExitOnHLT = true
 	}
+	// Every core starts on one base list: the base EPT alone.
+	base := &[hw.EPTPListSize]*hw.EPT{rk.BaseEPT}
 	for _, cpu := range mach.Cores {
-		vmcs := &hw.VMCS{Controls: controls}
-		vmcs.EPTPList[0] = rk.BaseEPT
-		cpu.VMCS = vmcs
+		cpu.VMCS = &hw.VMCS{Controls: controls, EPTPList: base}
 		cpu.NonRoot = true
 		cpu.SetEPT(rk.BaseEPT)
 	}
@@ -234,33 +218,26 @@ func (rk *Rootkernel) ensureProc(p *mk.Process) *procState {
 	if ps, ok := rk.procs[p]; ok {
 		return ps
 	}
-	ps := &procState{proc: p, selfEPT: rk.BaseEPT.CloneShallow(), bindings: make(map[int]*hw.EPT)}
+	self := rk.BaseEPT.CloneShallow()
+	frame, err := rk.alloc.AllocFrame()
+	if err != nil {
+		panic(err)
+	}
+	ps := &procState{identityFrame: frame, bindings: make(map[int]*hw.EPT)}
+	ps.slots.serverSlot = make(map[int]int)
+	ps.list[0] = self
 	// Identity page: a per-process frame holding the PID, remapped at the
 	// shared IdentityGPA in this process's own EPT view and mapped into
 	// the kernel half of its page table.
-	ps.identityFrame = mustAlloc(rk.alloc)
-	writePID(rk.Mach.Mem, ps.identityFrame, uint64(p.PID))
-	if _, err := ps.selfEPT.RemapGPA(rk.IdentityGPA(), ps.identityFrame, hw.EPTRead|hw.EPTWrite); err != nil {
+	rk.Mach.Mem.WriteU64(frame, uint64(p.PID))
+	if _, err := self.RemapGPA(rk.IdentityGPA(), frame, hw.EPTRead|hw.EPTWrite); err != nil {
 		panic(fmt.Sprintf("hv: identity remap: %v", err))
 	}
 	if err := p.PT.Map(mk.KernelIdentityVA, rk.IdentityGPA(), hw.PTEWrite); err != nil {
 		panic(fmt.Sprintf("hv: identity kernel mapping: %v", err))
 	}
-	ps.list[0] = ps.selfEPT
 	rk.procs[p] = ps
 	return ps
-}
-
-func mustAlloc(src hw.FrameSource) hw.HPA {
-	h, err := src.AllocFrame()
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-func writePID(mem *hw.PhysMem, frame hw.HPA, pid uint64) {
-	mem.WriteU64(frame, pid)
 }
 
 // onContextSwitch installs the next process's EPTP list ("before scheduling
@@ -275,82 +252,54 @@ func (rk *Rootkernel) onContextSwitch(cpu *hw.CPU, next *mk.Process) {
 	if !rk.haveBindings || rk.installed[cpu.ID] == next {
 		return
 	}
-	call := &hw.Hypercall{Nr: HCInstallList, Ptr: next}
-	if _, err := cpu.VMCall(call); err != nil {
+	if err := rk.InstallFor(cpu, next); err != nil {
 		panic(fmt.Sprintf("hv: EPTP list install failed: %v", err))
 	}
 }
 
-// handleExit is the machine's VM-exit handler.
+// handleExit is the machine's VM-exit handler. A hypercall's work runs
+// here, after the exit has been charged, counted and traced.
 func (rk *Rootkernel) handleExit(cpu *hw.CPU, exit *hw.VMExit) error {
 	switch exit.Reason {
-	case hw.ExitCPUID:
-		return nil // emulate and resume
-	case hw.ExitHLT, hw.ExitCR3Write, hw.ExitExternalInterrupt:
-		return nil // trap-all ablation: bounce back in
+	case hw.ExitCPUID, hw.ExitHLT, hw.ExitCR3Write, hw.ExitExternalInterrupt:
+		return nil // emulate CPUID; the trap-all ablation's exits bounce back in
 	case hw.ExitVMCall:
 		rk.Hypercalls++
-		return rk.hypercall(cpu, exit.Hypercall)
-	case hw.ExitEPTViolation:
-		// A genuine violation: the guest touched unmapped or forbidden
-		// host memory (e.g. the Rootkernel's reservation). Refuse.
-		return exit
-	case hw.ExitVMFuncFail:
-		return exit
+		return exit.Hypercall(cpu)
 	default:
+		// A genuine EPT violation (the guest touched unmapped or forbidden
+		// host memory, e.g. the Rootkernel's reservation) or a failed
+		// VMFUNC. Refuse.
 		return exit
 	}
 }
 
-// hypercall dispatches the VMCALL interface.
-func (rk *Rootkernel) hypercall(cpu *hw.CPU, call *hw.Hypercall) error {
-	switch call.Nr {
-	case HCRegisterServer:
-		p := call.Ptr.(*mk.Process)
-		idx, err := rk.registerServer(p)
-		if err != nil {
-			call.Err = err
-			return nil
+// RegisterServer assigns the next global EPTP index to a server process,
+// by hypercall from the given core.
+func (rk *Rootkernel) RegisterServer(cpu *hw.CPU, p *mk.Process) (int, error) {
+	var idx int
+	err := cpu.VMCall(func(*hw.CPU) error {
+		rk.ensureProc(p)
+		if rk.nextIndex >= MaxVirtualServers {
+			return fmt.Errorf("hv: virtual server space exhausted (%d)", rk.nextIndex-1)
 		}
-		call.Ret = uint64(idx)
+		idx = rk.nextIndex
+		rk.nextIndex++
 		return nil
-	case HCBind:
-		args := call.Ptr.(*BindArgs)
-		call.Err = rk.bind(args)
-		return nil
-	case HCInstallList:
-		p := call.Ptr.(*mk.Process)
-		rk.installList(cpu, p)
-		return nil
-	case HCLoadSlot:
-		args := call.Ptr.(*LoadSlotArgs)
-		call.Err = rk.loadSlot(cpu, args)
-		return nil
-	default:
-		call.Err = fmt.Errorf("hv: unknown hypercall %d", call.Nr)
-		return nil
-	}
+	})
+	return idx, err
 }
 
-// registerServer assigns the next global EPTP index to a server process.
-func (rk *Rootkernel) registerServer(p *mk.Process) (int, error) {
-	rk.ensureProc(p)
-	if rk.nextIndex >= MaxVirtualServers {
-		return 0, fmt.Errorf("hv: virtual server space exhausted (%d)", rk.nextIndex-1)
-	}
-	idx := rk.nextIndex
-	rk.nextIndex++
-	return idx, nil
-}
-
-// BindArgs is the HCBind payload.
-type BindArgs struct {
-	Client *mk.Process
-	Server *mk.Process
-	// Index is the server's global EPTP index (from HCRegisterServer).
-	Index int
-	// PagesCopied reports how many EPT table pages the remap touched.
-	PagesCopied int
+// Bind binds client to the server with global EPTP index index, by
+// hypercall from the given core, and reports how many EPT table pages the
+// remap touched.
+func (rk *Rootkernel) Bind(cpu *hw.CPU, client, server *mk.Process, index int) (int, error) {
+	var pages int
+	err := cpu.VMCall(func(*hw.CPU) (err error) {
+		pages, err = rk.bind(client, server, index)
+		return err
+	})
+	return pages, err
 }
 
 // bind creates the server-view EPT for a client: a shallow clone of the
@@ -359,57 +308,49 @@ type BindArgs struct {
 // recorded under the server's virtual ID and eagerly loaded into a
 // hardware slot (evicting LRU entries once more than 511 servers are
 // bound, §10).
-func (rk *Rootkernel) bind(args *BindArgs) error {
-	if args.Index <= 0 || args.Index >= MaxVirtualServers {
-		return fmt.Errorf("hv: bind with invalid index %d", args.Index)
+func (rk *Rootkernel) bind(client, server *mk.Process, index int) (int, error) {
+	if index <= 0 || index >= MaxVirtualServers {
+		return 0, fmt.Errorf("hv: bind with invalid index %d", index)
 	}
-	cps := rk.ensureProc(args.Client)
-	rk.ensureProc(args.Server)
+	cps := rk.ensureProc(client)
+	sps := rk.ensureProc(server)
 
-	clientCR3 := args.Client.PT.Root.PageBase()
 	// Under the identity base EPT the server's page-table root frame is at
 	// HPA == GPA.
-	serverRootHPA := hw.HPA(args.Server.PT.Root)
-
 	eptS := rk.BaseEPT.CloneShallow()
-	copied, err := eptS.RemapGPA(clientCR3, serverRootHPA, hw.EPTRead|hw.EPTWrite)
+	copied, err := eptS.RemapGPA(client.PT.Root.PageBase(), hw.HPA(server.PT.Root), hw.EPTRead|hw.EPTWrite)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// The server view also carries the server's identity page, so a kernel
 	// entry while the thread executes server code attributes correctly.
-	sps := rk.ensureProc(args.Server)
 	if _, err := eptS.RemapGPA(rk.IdentityGPA(), sps.identityFrame, hw.EPTRead|hw.EPTWrite); err != nil {
-		return err
+		return 0, err
 	}
-	args.PagesCopied = copied + 1 // + the cloned root
-	cps.bindings[args.Index] = eptS
-	cps.hasBindings = true
+	cps.bindings[index] = eptS
 	rk.Bindings++
 	rk.haveBindings = true
 	// Eagerly load the binding into a hardware slot.
-	load := &LoadSlotArgs{Proc: args.Client, ServerID: args.Index}
-	if err := rk.loadSlot(nil, load); err != nil {
-		return err
+	if _, err := rk.loadSlot(nil, client, index, nil); err != nil {
+		return 0, err
 	}
-	// Refresh the list on any core currently running this client (we are
-	// in root mode handling the hypercall, so a direct install is legal).
+	// Reinstall the list on any core currently running this client (we
+	// are in root mode handling the hypercall, so a direct install is
+	// legal). The slot load is already visible there; the install resets
+	// the active EPT to slot 0 and is counted and traced.
 	for _, cpu := range rk.Mach.Cores {
-		if rk.installed[cpu.ID] == args.Client {
-			rk.installList(cpu, args.Client)
+		if rk.installed[cpu.ID] == client {
+			rk.installList(cpu, client)
 		}
 	}
-	return nil
+	return copied + 1, nil // + the cloned root
 }
 
-// installList loads a process's EPTP list into the core's VMCS and makes
+// installList points the core's VMCS at a process's EPTP list and makes
 // slot 0 (the process's own view) the active EPT.
 func (rk *Rootkernel) installList(cpu *hw.CPU, p *mk.Process) {
 	ps := rk.ensureProc(p)
-	for i := range cpu.VMCS.EPTPList {
-		cpu.VMCS.EPTPList[i] = ps.list[i]
-	}
-	cpu.VMCS.CurrentIndex = 0
+	cpu.VMCS.EPTPList = &ps.list
 	cpu.SetEPT(ps.list[0])
 	rk.installed[cpu.ID] = p
 	rk.ListInstall++
@@ -421,30 +362,12 @@ func (rk *Rootkernel) installList(cpu *hw.CPU, p *mk.Process) {
 	}
 }
 
-// Bind is the Subkernel-side convenience wrapper issuing the HCBind
-// hypercall from the given core.
-func (rk *Rootkernel) Bind(cpu *hw.CPU, client, server *mk.Process, index int) (int, error) {
-	args := &BindArgs{Client: client, Server: server, Index: index}
-	if _, err := cpu.VMCall(&hw.Hypercall{Nr: HCBind, Ptr: args}); err != nil {
-		return 0, err
-	}
-	return args.PagesCopied, nil
-}
-
-// RegisterServer issues HCRegisterServer from the given core.
-func (rk *Rootkernel) RegisterServer(cpu *hw.CPU, p *mk.Process) (int, error) {
-	call := &hw.Hypercall{Nr: HCRegisterServer, Ptr: p}
-	idx, err := cpu.VMCall(call)
-	if err != nil {
-		return 0, err
-	}
-	return int(idx), nil
-}
-
-// InstallFor force-installs a process's EPTP list on a core via hypercall.
-// The SkyBridge registration path calls this so a freshly bound process can
+// InstallFor installs a process's EPTP list on a core by hypercall. The
+// SkyBridge registration path calls this so a freshly bound process can
 // VMFUNC without waiting for its next context switch.
 func (rk *Rootkernel) InstallFor(cpu *hw.CPU, p *mk.Process) error {
-	_, err := cpu.VMCall(&hw.Hypercall{Nr: HCInstallList, Ptr: p})
-	return err
+	return cpu.VMCall(func(cpu *hw.CPU) error {
+		rk.installList(cpu, p)
+		return nil
+	})
 }

@@ -259,7 +259,7 @@ func TestEPTPSlotLRU(t *testing.T) {
 			t.Fatalf("bind %d: %v", i, err)
 		}
 	}
-	if rk.SlotEvictions() == 0 {
+	if rk.SlotEvictions == 0 {
 		t.Fatal("600 eager binds produced no evictions from the 511-slot cache")
 	}
 
@@ -268,7 +268,7 @@ func TestEPTPSlotLRU(t *testing.T) {
 		// reloaded, and each reloaded view must translate the client's CR3
 		// to the right server's page table.
 		for i, id := range ids {
-			slot, _, err := rk.ResolveSlot(cpu, client, id, []int{0})
+			slot, err := rk.ResolveSlot(cpu, client, id, []int{0})
 			if err != nil {
 				t.Fatalf("resolve %d: %v", i, err)
 				return
@@ -290,15 +290,15 @@ func TestEPTPSlotLRU(t *testing.T) {
 		// A hot server stays resident: repeated calls take the user-level
 		// hit path with no further loads.
 		hot := ids[len(ids)-1]
-		loadsBefore := rk.SlotLoads()
+		loadsBefore := rk.SlotLoads
 		for i := 0; i < 50; i++ {
-			if _, _, err := rk.ResolveSlot(cpu, client, hot, []int{0}); err != nil {
+			if _, err := rk.ResolveSlot(cpu, client, hot, []int{0}); err != nil {
 				t.Fatal(err)
 				return
 			}
 		}
-		if rk.SlotLoads() != loadsBefore {
-			t.Errorf("hot server reloaded %d times; expected pure hits", rk.SlotLoads()-loadsBefore)
+		if rk.SlotLoads != loadsBefore {
+			t.Errorf("hot server reloaded %d times; expected pure hits", rk.SlotLoads-loadsBefore)
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -315,19 +315,19 @@ func TestEPTPSlotLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	var slot int
-	loads, evictions := rk.SlotLoads(), rk.SlotEvictions()
+	loads, evictions := rk.SlotLoads, rk.SlotEvictions
 	client.Spawn("cli0", cpu, func(env *mk.Env) {
 		var err error
-		if slot, _, err = rk.ResolveSlot(cpu, client, ids[0], []int{0}); err != nil {
+		if slot, err = rk.ResolveSlot(cpu, client, ids[0], []int{0}); err != nil {
 			t.Errorf("resolve on core 0: %v", err)
 		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rk.SlotLoads() != loads+1 || rk.SlotEvictions() != evictions+1 {
+	if rk.SlotLoads != loads+1 || rk.SlotEvictions != evictions+1 {
 		t.Fatalf("resolve on core 0: loads +%d, evictions +%d; want a load into an evicted slot",
-			rk.SlotLoads()-loads, rk.SlotEvictions()-evictions)
+			rk.SlotLoads-loads, rk.SlotEvictions-evictions)
 	}
 	installs := rk.ListInstall
 	client.Spawn("cli1", cpu1, func(env *mk.Env) {
@@ -374,27 +374,27 @@ func TestEPTPSlotPinning(t *testing.T) {
 		// Pin the slot of server ids[0] (as if a nested chain holds it),
 		// then churn through every other server; the pinned slot must keep
 		// its binding.
-		pinnedSlot, _, err := rk.ResolveSlot(cpu, client, ids[0], []int{0})
+		pinnedSlot, err := rk.ResolveSlot(cpu, client, ids[0], []int{0})
 		if err != nil {
 			t.Fatal(err)
 			return
 		}
 		pins := []int{0, pinnedSlot}
 		for _, id := range ids[1:] {
-			if _, _, err := rk.ResolveSlot(cpu, client, id, pins); err != nil {
+			if _, err := rk.ResolveSlot(cpu, client, id, pins); err != nil {
 				t.Fatal(err)
 				return
 			}
 		}
-		loads := rk.SlotLoads()
-		got, _, err := rk.ResolveSlot(cpu, client, ids[0], pins)
+		loads := rk.SlotLoads
+		got, err := rk.ResolveSlot(cpu, client, ids[0], pins)
 		if err != nil {
 			t.Fatal(err)
 			return
 		}
-		if got != pinnedSlot || rk.SlotLoads() != loads {
+		if got != pinnedSlot || rk.SlotLoads != loads {
 			t.Errorf("pinned slot was evicted (slot %d -> %d, loads %d -> %d)",
-				pinnedSlot, got, loads, rk.SlotLoads())
+				pinnedSlot, got, loads, rk.SlotLoads)
 		}
 	})
 	if err := eng.Run(); err != nil {

@@ -447,7 +447,6 @@ func (c *CPU) VMFunc(fn int, index int) error {
 	if index < 0 || index >= EPTPListSize || c.VMCS.EPTPList[index] == nil {
 		return c.mach.deliverExit(c, &VMExit{Reason: ExitVMFuncFail, Index: index})
 	}
-	c.VMCS.CurrentIndex = index
 	c.ept = c.VMCS.EPTPList[index]
 	return nil
 }
@@ -462,18 +461,13 @@ func (c *CPU) CPUID() error {
 	return nil
 }
 
-// VMCall issues a hypercall to the Rootkernel and returns its result.
-func (c *CPU) VMCall(call *Hypercall) (uint64, error) {
+// VMCall issues a hypercall to the Rootkernel: a VM exit whose handler
+// runs call in root mode. It returns the exit's or the call's error.
+func (c *CPU) VMCall(call Hypercall) error {
 	if !c.NonRoot {
-		return 0, fmt.Errorf("hw: VMCALL outside VMX non-root mode")
+		return fmt.Errorf("hw: VMCALL outside VMX non-root mode")
 	}
-	if err := c.mach.deliverExit(c, &VMExit{Reason: ExitVMCall, Hypercall: call}); err != nil {
-		return 0, err
-	}
-	if call.Err != nil {
-		return 0, call.Err
-	}
-	return call.Ret, nil
+	return c.mach.deliverExit(c, &VMExit{Reason: ExitVMCall, Hypercall: call})
 }
 
 // Interrupt models delivery of a local external interrupt. Under

@@ -3,6 +3,7 @@ package hw
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -172,8 +173,7 @@ func installVirt(t *testing.T, m *Machine, cpu *CPU) (*EPT, *VMCS) {
 	if err := base.MapIdentityRange(0, 1, Page1GSize, EPTAll); err != nil {
 		t.Fatal(err)
 	}
-	vmcs := &VMCS{}
-	vmcs.EPTPList[0] = base
+	vmcs := &VMCS{EPTPList: &[EPTPListSize]*EPT{base}}
 	cpu.NonRoot = true
 	cpu.VMCS = vmcs
 	cpu.SetEPT(base)
@@ -318,17 +318,27 @@ func TestCPUHypercall(t *testing.T) {
 	installVirt(t, m, cpu)
 	m.SetExitHandler(func(c *CPU, e *VMExit) error {
 		if e.Reason == ExitVMCall {
-			e.Hypercall.Ret = e.Hypercall.Args[0] + 1
-			return nil
+			return e.Hypercall(c)
 		}
 		return e
 	})
-	ret, err := cpu.VMCall(&Hypercall{Nr: 1, Args: [4]uint64{41}})
+	ret := 0
+	err := cpu.VMCall(func(c *CPU) error {
+		if c != cpu {
+			return fmt.Errorf("hypercall ran on cpu %d", c.ID)
+		}
+		ret = 41 + 1
+		return nil
+	})
 	if err != nil || ret != 42 {
 		t.Fatalf("hypercall: ret=%d err=%v", ret, err)
 	}
-	if m.VMExits[ExitVMCall] != 1 {
-		t.Fatal("VMCALL exit not counted")
+	want := errors.New("refused")
+	if err := cpu.VMCall(func(*CPU) error { return want }); err != want {
+		t.Fatalf("hypercall error = %v, want %v", err, want)
+	}
+	if m.VMExits[ExitVMCall] != 2 {
+		t.Fatal("VMCALL exits not counted")
 	}
 }
 

@@ -50,7 +50,7 @@ func (r ExitReason) String() string {
 type VMExit struct {
 	Reason    ExitReason
 	Violation *EPTViolation // set for ExitEPTViolation
-	Hypercall *Hypercall    // set for ExitVMCall
+	Hypercall Hypercall     // set for ExitVMCall
 	Index     int           // set for ExitVMFuncFail: the offending EPTP index
 }
 
@@ -58,18 +58,11 @@ type VMExit struct {
 // memory-access paths.
 func (e *VMExit) Error() string { return "vm exit: " + e.Reason.String() }
 
-// Hypercall is the VMCALL payload: the Subkernel -> Rootkernel interface.
-type Hypercall struct {
-	Nr   int
-	Args [4]uint64
-	// Ptr carries structured arguments. A real hypercall marshals through
-	// guest memory; the simulator passes the value directly while still
-	// charging the VM-exit cost.
-	Ptr any
-	// Ret receives the handler's result.
-	Ret uint64
-	Err error
-}
+// Hypercall is a VMCALL's root-mode work: the Subkernel -> Rootkernel
+// interface. A real hypercall marshals its arguments through guest
+// memory; the simulator hands the exit handler the work itself, which it
+// runs after the VM exit has been charged.
+type Hypercall func(c *CPU) error
 
 // VMExitControls selects which events leave non-root mode. SkyBridge's
 // Rootkernel clears everything clearable so that "there are no VM exits
@@ -82,15 +75,14 @@ type VMExitControls struct {
 	ExitOnExternalIntr bool
 }
 
-// VMCS models the per-virtual-CPU control structure: the EPTP list consulted
-// by VMFUNC, the currently installed EPT, and the exit controls.
+// VMCS models the per-virtual-CPU control structure: the address of the
+// EPTP list consulted by VMFUNC, and the exit controls.
 type VMCS struct {
 	Controls VMExitControls
 
-	// EPTPList is the 512-entry list VMFUNC(0, idx) selects from. A nil
-	// entry is invalid and causes a VM exit if selected.
-	EPTPList [EPTPListSize]*EPT
-
-	// CurrentIndex is the EPTP-list index currently installed.
-	CurrentIndex int
+	// EPTPList points at the 512-entry list VMFUNC(0, idx) selects from;
+	// installing a list is one write of this pointer, and a write to an
+	// entry is seen by every core pointing at the list. A nil entry is
+	// invalid and causes a VM exit if selected.
+	EPTPList *[EPTPListSize]*EPT
 }
