@@ -16,7 +16,7 @@ import (
 // (1 to 600), then each step is an op byte and its operands (missing
 // bytes read as 0):
 //
-//   - op%4 == 0: bind the next a+1 unbound servers in order;
+//   - op%4 == 0: bind the next a+1 servers in population order;
 //   - op%4 == 1: bind server (a<<8|b) % n (a rebind if already bound);
 //   - otherwise: resolve server (a<<8|b) % n on core 0 with op>>2&3 pins,
 //     each read as one more byte r: the resident slot of LRU rank r %
@@ -41,10 +41,9 @@ type slotCacheWorld struct {
 	k       *mk.Kernel
 	client  *mk.Process
 	ps      *procState
-	servers []*mk.Process // by population index; nil until registered
+	servers []*mk.Process // by population index; nil until first bound
 	ids     []int         // server IDs by population index
-	nbound  int           // bind-next cursor
-	bound   map[int]bool  // population indexes bound
+	next    int           // bind-next cursor
 	pins    []int         // the last resolve's pins
 	pinned  []int         // the servers they held
 	prog    []byte
@@ -57,8 +56,8 @@ func newSlotCacheWorld(t *testing.T, prog []byte) *slotCacheWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &slotCacheWorld{rk: rk, k: k, client: k.NewProcess("client"), bound: map[int]bool{}, prog: prog}
-	n := 1 + int(c.next())*599/255
+	c := &slotCacheWorld{rk: rk, k: k, client: k.NewProcess("client"), prog: prog}
+	n := 1 + int(c.read())*599/255
 	c.servers, c.ids = make([]*mk.Process, n), make([]int, n)
 	c.ps = rk.ensureProc(c.client)
 	for _, cpu := range k.Mach.Cores {
@@ -69,8 +68,8 @@ func newSlotCacheWorld(t *testing.T, prog []byte) *slotCacheWorld {
 	return c
 }
 
-// next consumes one program byte (0 past the end).
-func (c *slotCacheWorld) next() byte {
+// read consumes one program byte (0 past the end).
+func (c *slotCacheWorld) read() byte {
 	if len(c.prog) == 0 {
 		return 0
 	}
@@ -92,29 +91,28 @@ func (c *slotCacheWorld) bind(t *testing.T, i int) {
 	if _, err := c.rk.Bind(cpu, c.client, c.servers[i], c.ids[i]); err != nil {
 		t.Fatalf("bind server %d: %v", i, err)
 	}
-	c.bound[i] = true
 }
 
 func (c *slotCacheWorld) step(t *testing.T) {
 	n := len(c.servers)
-	op, a := c.next(), c.next()
+	op, a := c.read(), c.read()
 	c.pins, c.pinned = c.pins[:0], c.pinned[:0]
 	switch op % 4 {
 	case 0:
-		for j := 0; j <= int(a) && c.nbound < n; j++ {
-			c.bind(t, c.nbound)
-			c.nbound++
+		for j := 0; j <= int(a) && c.next < n; j++ {
+			c.bind(t, c.next)
+			c.next++
 		}
 		return
 	case 1:
-		c.bind(t, (int(a)<<8|int(c.next()))%n)
+		c.bind(t, (int(a)<<8|int(c.read()))%n)
 		return
 	}
-	i := (int(a)<<8 | int(c.next())) % n
+	i := (int(a)<<8 | int(c.read())) % n
 	lru := c.residentByAge()
 	c.pins = append(c.pins, 0)
 	for j := 0; j < int(op>>2&3); j++ {
-		r := c.next()
+		r := c.read()
 		if len(lru) > 0 {
 			c.pins = append(c.pins, lru[int(r)%len(lru)])
 		}
@@ -123,7 +121,7 @@ func (c *slotCacheWorld) step(t *testing.T) {
 		c.pinned = append(c.pinned, c.ps.slots.slotServer[s])
 	}
 	slot, err := c.rk.ResolveSlot(c.k.Mach.Cores[0], c.client, c.ids[i], c.pins)
-	if !c.bound[i] {
+	if c.servers[i] == nil {
 		if err == nil {
 			t.Fatalf("resolve of unbound server %d gave slot %d", i, slot)
 		}
