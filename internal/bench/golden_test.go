@@ -20,10 +20,12 @@ import (
 // The micro case runs the fast paper units (Table 2, Figure 7, Table 1,
 // Figures 2 and 8, and the ablations) at skybench's default options. The
 // multi-threaded case runs Table 4, Figures 9-11, Table 5 and the five
-// sweeps at small knobs; the BENCH files pin only the sweeps' cells.
+// sweeps at small knobs; the BENCH files pin only the sweeps' cells. The
+// table6 case runs Table 6's scan and rewrite of its synthetic corpus at
+// the default scale.
 func TestCatalogUnitsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs sixteen catalog units")
+		t.Skip("runs seventeen catalog units")
 	}
 	for _, tc := range []struct {
 		name  string
@@ -55,6 +57,14 @@ func TestCatalogUnitsGolden(t *testing.T) {
 				"b99ad7d91b78026d492eafdd600a1795c2a6d00990dedd38ab02cf978a318624",
 				"ed4bc8806ad64e8f967cf69e073c7dd78289eff0849a2f4dca737a48a792daa9",
 				"279da787ec5d72523b7ba0a4cd469032214696d544871ff6bd3b2e3871270604",
+			},
+		},
+		{
+			name: "table6", units: "table6", opts: DefaultOptions, slow: true,
+			want: [4]string{
+				"a0d42f881b5bba19c53c4813a16d9a33d5c47f047971a63809817f4b127d0a55",
+				"35a25e44b5d951e3b5ac68e5ac565002617dc1bdbcd803647fd033d58e718300",
+				"e7fbe1492f87fab9b4be9471939013147ec9787470e2a7eb6d28d0ef4bf0d330",
 			},
 		},
 	} {
