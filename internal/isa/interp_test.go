@@ -94,7 +94,7 @@ func TestInterpBranching(t *testing.T) {
 		a.MovRI32(RCX, 5)
 		top := a.Len()
 		a.AluRR(ADD, RAX, RCX)
-		a.AluRI8(SUB, RCX, 1)
+		subRCX1(a)
 		body := a.Len()
 		a.Jcc(CondNE, 0) // placeholder
 		// Patch the rel32 to jump back to top.
@@ -198,6 +198,10 @@ func TestInterpRIPRelative(t *testing.T) {
 	}
 }
 
+// subRCX1 appends SUB RCX, 1 in its short form (REX.W 83 /5 ib), which
+// only the decoder meets.
+func subRCX1(a *Asm) { a.buf = append(a.buf, 0x48, 0x83, 0xe9, 0x01) }
+
 // loopProgram assembles a sum-1..n loop, which re-executes the same RIPs
 // many times.
 func loopProgram(n int32) []byte {
@@ -206,7 +210,7 @@ func loopProgram(n int32) []byte {
 	a.MovRI32(RCX, n)
 	top := a.Len()
 	a.AluRR(ADD, RAX, RCX)
-	a.AluRI8(SUB, RCX, 1)
+	subRCX1(&a)
 	a.Jcc(CondNE, int32(top-(a.Len()+6)))
 	a.Hlt()
 	return a.Bytes()

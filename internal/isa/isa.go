@@ -1,7 +1,8 @@
 // Package isa implements a faithful subset of the x86-64 instruction set:
-// variable-length encoding (legacy/REX prefixes, one- and two-byte opcodes,
-// ModRM, SIB, displacement, immediate), a linear decoder, an assembler, and
-// a small interpreter.
+// one table of its variable-length encodings (REX prefix, one- to
+// three-byte opcodes, ModRM, SIB, displacement, immediate), which a linear
+// decoder, an assembler and a re-encoder all read, and a small
+// interpreter.
 //
 // SkyBridge's defense against the VMFUNC-faking attack (paper §5) scans and
 // rewrites real instruction encodings, exploiting exactly the places the

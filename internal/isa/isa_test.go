@@ -101,6 +101,7 @@ func TestEncodeDecodeMemoryForms(t *testing.T) {
 
 func TestEncodeDecodeALU(t *testing.T) {
 	ops := []Op{ADD, SUB, AND, OR, XOR, CMP}
+	exts := map[Op]byte{ADD: 0, OR: 1, AND: 4, SUB: 5, XOR: 6, CMP: 7}
 	for _, op := range ops {
 		var a Asm
 		a.AluRR(op, RBX, RSI)
@@ -114,9 +115,8 @@ func TestEncodeDecodeALU(t *testing.T) {
 		if in.Op != op || in.Dst != RDX || !in.HasImm || in.Imm != 0x1234 {
 			t.Fatalf("%v imm: %v", op, in)
 		}
-		var c Asm
-		c.AluRI8(op, RDX, -5)
-		in = decodeOne(t, c.Bytes())
+		// The short form REX.W 83 /n ib, which only the decoder meets.
+		in = decodeOne(t, []byte{0x48, 0x83, 0xc0 | exts[op]<<3 | byte(RDX), 0xfb})
 		if in.Op != op || in.Imm != -5 {
 			t.Fatalf("%v imm8: %v", op, in)
 		}
@@ -166,9 +166,7 @@ func TestEncodeDecodeBranches(t *testing.T) {
 	if in.Op != JMP || in.Rel != 0x1000 {
 		t.Fatalf("%v", in)
 	}
-	var b Asm
-	b.JmpRel8(-4)
-	in = decodeOne(t, b.Bytes())
+	in = decodeOne(t, []byte{0xeb, 0xfc}) // JMP rel8, which only the decoder meets
 	if in.Op != JMP || in.Rel != -4 {
 		t.Fatalf("%v", in)
 	}

@@ -528,13 +528,14 @@ func TestRewriteSpanningViaImm8(t *testing.T) {
 	// `add esp, edx` (bytes 01 D4): a genuine C2 spanning case distinct
 	// from the imm32 variant.
 	var a isa.Asm
-	a.AluRI8(isa.AND, isa.RDX, 0x0F)
 	a.Alu32RR(isa.ADD, isa.RSP, isa.RDX)
 	for i := 0; i < 8; i++ {
 		a.Nop()
 	}
 	a.Hlt()
-	code := a.Bytes()
+	// and rdx, 0x0f in the short form REX.W 83 /4 ib, which only the
+	// decoder meets.
+	code := append([]byte{0x48, 0x83, 0xe2, 0x0f}, a.Bytes()...)
 	occs, err := Scan(code)
 	if err != nil {
 		t.Fatal(err)
