@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"skybridge/internal/hv"
 	"skybridge/internal/hw"
@@ -473,7 +474,8 @@ func (sb *SkyBridge) RegisterClient(env *mk.Env, serverID int) (*Connection, err
 }
 
 // dependencyClosure returns srv plus every server reachable through srv's
-// own client registrations.
+// own client registrations, depth first and each server's dependencies in
+// ID order, so a client binds them into the same EPTP slots every run.
 func (sb *SkyBridge) dependencyClosure(srv *Server) []*Server {
 	seen := map[int]bool{}
 	var out []*Server
@@ -484,7 +486,12 @@ func (sb *SkyBridge) dependencyClosure(srv *Server) []*Server {
 		}
 		seen[s.ID] = true
 		out = append(out, s)
+		ids := make([]int, 0, len(sb.bindings[s.Proc]))
 		for id := range sb.bindings[s.Proc] {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
 			if dep, ok := sb.servers[id]; ok {
 				walk(dep)
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"skybridge/internal/hv"
@@ -494,5 +496,55 @@ func TestSharedBufferIsolationPerConnection(t *testing.T) {
 	}
 	if conn1.ClientBuf == conn2.ClientBuf && conn1.Client == conn2.Client {
 		t.Fatal("connections share a buffer")
+	}
+}
+
+// TestDependencyBindingOrder: a client registered to a hub that is itself
+// a client of four servers binds the hub and then the hub's dependencies
+// in server-ID order, so in every fresh world the dependencies land in the
+// same ascending EPTP slots.
+func TestDependencyBindingOrder(t *testing.T) {
+	var want []int
+	for world := 0; world < 32; world++ {
+		eng, k, rk, sb := newWorld(t)
+		core0 := k.Mach.Cores[0]
+		var deps []int
+		for i := 0; i < 4; i++ {
+			deps = append(deps, registerEcho(t, eng, k, sb, k.NewProcess(fmt.Sprintf("dep%d", i)), core0))
+		}
+		hubProc := k.NewProcess("hub")
+		hub := registerEcho(t, eng, k, sb, hubProc, core0)
+		bind := func(p *mk.Process, ids ...int) {
+			p.Spawn("bind", core0, func(env *mk.Env) {
+				for _, id := range ids {
+					if _, err := sb.RegisterClient(env, id); err != nil {
+						t.Errorf("bind %s to %d: %v", p.Name, id, err)
+					}
+				}
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bind(hubProc, deps...)
+		client := k.NewProcess("client")
+		bind(client, hub)
+
+		var slots []int
+		for _, id := range deps {
+			slot, err := rk.ResolveSlot(core0, client, id, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots = append(slots, slot)
+		}
+		if !slices.IsSorted(slots) {
+			t.Fatalf("world %d: dependencies %v landed in slots %v, want ascending", world, deps, slots)
+		}
+		if world == 0 {
+			want = slots
+		} else if !slices.Equal(slots, want) {
+			t.Fatalf("world %d: dependency slots %v, world 0 had %v", world, slots, want)
+		}
 	}
 }
