@@ -128,25 +128,13 @@ func (ip *Interp) setZS(res uint64) {
 // fetchWindow returns the up-to-15-byte fetch window at the current RIP,
 // clamped to the containing region.
 func (ip *Interp) fetchWindow() ([]byte, error) {
-	code, err := ip.region(ip.RIP, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Extend the fetch window up to 15 bytes within the region.
-	if len(code) > 15 {
-		code = code[:15]
-	} else {
-		for _, r := range ip.regions {
-			if ip.RIP >= r.Base && ip.RIP < r.Base+uint64(len(r.Data)) {
-				off := ip.RIP - r.Base
-				code = r.Data[off:]
-				if len(code) > 15 {
-					code = code[:15]
-				}
-			}
+	for _, r := range ip.regions {
+		if ip.RIP >= r.Base && ip.RIP < r.Base+uint64(len(r.Data)) {
+			code := r.Data[ip.RIP-r.Base:]
+			return code[:min(len(code), 15)], nil
 		}
 	}
-	return code, nil
+	return nil, fmt.Errorf("isa: interpreter fault: access of 1 bytes at %#x", ip.RIP)
 }
 
 // Step fetches, decodes, and executes one instruction.
@@ -155,8 +143,8 @@ func (ip *Interp) Step() error {
 	if err != nil {
 		return err
 	}
-	in, err := Decode(code)
-	if err != nil {
+	var in Inst
+	if err := decode(code, &in); err != nil {
 		return fmt.Errorf("isa: at rip %#x: %w", ip.RIP, err)
 	}
 	end := ip.RIP + uint64(in.Len)

@@ -32,10 +32,10 @@ func (r *Result) CaseCounts() map[Case]int {
 type Rewriter struct {
 	CodeBase    uint64
 	RewriteBase uint64
-	// MaxFixes bounds the fix loop (safety net against pathological
-	// inputs). Zero means the default of 1024.
-	MaxFixes int
 }
+
+// maxFixes bounds the fix loop (a safety net against pathological inputs).
+const maxFixes = 1024
 
 // New returns a Rewriter with the conventional rewriting page at 0x1000.
 func New(codeBase uint64) *Rewriter {
@@ -86,10 +86,6 @@ func pickScratch(in isa.Inst, attempt int) (isa.Reg, error) {
 func (rw *Rewriter) Rewrite(code []byte) (*Result, error) {
 	out := append([]byte(nil), code...)
 	res := &Result{}
-	maxFixes := rw.MaxFixes
-	if maxFixes == 0 {
-		maxFixes = 1024
-	}
 	for iter := 0; ; iter++ {
 		if iter > maxFixes {
 			return nil, fmt.Errorf("rewrite: fix loop did not converge after %d fixes", iter)
@@ -172,7 +168,7 @@ func (rw *Rewriter) fix(out []byte, page *[]byte, o Occurrence) error {
 
 		emitErr := func() error {
 			if !selfMoved {
-				if err := rw.emitReplacement(&a, o, snipVA, attempt); err != nil {
+				if err := emitReplacement(&a, o, attempt); err != nil {
 					return err
 				}
 			}
@@ -271,13 +267,14 @@ func (rw *Rewriter) emitMoved(a *isa.Asm, mi movedInst, snipVA uint64) error {
 
 // emitReplacement emits the functionally equivalent expansion of the
 // offending instruction, per Table 3.
-func (rw *Rewriter) emitReplacement(a *isa.Asm, o Occurrence, snipVA uint64, attempt int) error {
+func emitReplacement(a *isa.Asm, o Occurrence, attempt int) error {
 	in := o.Inst
 	switch o.Case {
 	case CaseModRM, CaseSIB:
 		// Rows 2-3: "push/pop used register; use new register". The 0F
 		// ModRM/SIB byte encodes a base register of rdi/r15; copying the
-		// base into a scratch register changes the byte.
+		// base into a scratch register changes the byte. The scratch is
+		// never RSP, so the push does not move the operand.
 		scratch, err := pickScratch(in, attempt)
 		if err != nil {
 			return err
@@ -289,7 +286,6 @@ func (rw *Rewriter) emitReplacement(a *isa.Asm, o Occurrence, snipVA uint64, att
 		a.MovRR(scratch, in.M.Base)
 		sub := in
 		sub.M.Base = scratch
-		adjustRSPBase(&sub) // base can't be RSP here, but keep uniform
 		if err := a.Encode(sub); err != nil {
 			return err
 		}
@@ -297,10 +293,10 @@ func (rw *Rewriter) emitReplacement(a *isa.Asm, o Occurrence, snipVA uint64, att
 		return nil
 
 	case CaseDisp:
-		return rw.emitDispSplit(a, in, snipVA, attempt)
+		return emitDispSplit(a, in, attempt)
 
 	case CaseImm:
-		return rw.emitImmRewrite(a, in, snipVA, attempt)
+		return emitImmRewrite(a, in, attempt)
 	}
 	return fmt.Errorf("rewrite: no replacement strategy for case %v", o.Case)
 }
@@ -317,7 +313,7 @@ func adjustRSPBase(in *isa.Inst) {
 // the instruction". The displacement is split d = d1 + d2; a LEA computes
 // base+index*scale+d1 into a scratch register and the instruction is
 // re-issued as [scratch + d2].
-func (rw *Rewriter) emitDispSplit(a *isa.Asm, in isa.Inst, snipVA uint64, attempt int) error {
+func emitDispSplit(a *isa.Asm, in isa.Inst, attempt int) error {
 	scratch, err := pickScratch(in, attempt)
 	if err != nil {
 		return err
@@ -346,8 +342,9 @@ func (rw *Rewriter) emitDispSplit(a *isa.Asm, in isa.Inst, snipVA uint64, attemp
 // emitImmRewrite handles Table 3 row 5: "apply instruction twice with
 // different immediates", with op-specific split rules, falling back to a
 // scratch register for non-splittable operations (CMP, IMUL3) and to a
-// flag-preserving MOV+LEA pair for MOV-immediate.
-func (rw *Rewriter) emitImmRewrite(a *isa.Asm, in isa.Inst, snipVA uint64, attempt int) error {
+// flag-preserving MOV+LEA pair for MOV-immediate. A branch's immediate
+// never reaches here: fix moves the branch instead.
+func emitImmRewrite(a *isa.Asm, in isa.Inst, attempt int) error {
 	delta := deltaCandidates[attempt%len(deltaCandidates)]
 
 	switch in.Op {
@@ -470,15 +467,6 @@ func (rw *Rewriter) emitImmRewrite(a *isa.Asm, in isa.Inst, snipVA uint64, attem
 		a.MovRR(in.Dst, scratch)
 		a.PopReg(scratch)
 		return nil
-
-	case isa.JMP, isa.CALL, isa.JCC:
-		// "Jump-like instruction: modify immediate after moving this
-		// instruction" — the caller's window machinery moves it; emitting
-		// at the snippet position recomputes the relative displacement.
-		// o.InstOff is supplied by the caller through the moved path, so
-		// this branch is handled in fix(); reaching here means a direct
-		// call with the instruction's original offset unknown.
-		return fmt.Errorf("rewrite: branch immediate must be handled by the move path")
 	}
 	return fmt.Errorf("rewrite: no immediate strategy for %v", in.Op)
 }

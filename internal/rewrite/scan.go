@@ -82,16 +82,19 @@ type Occurrence struct {
 	SpanEnd int
 }
 
-// FindPattern returns the offsets of every (possibly overlapping)
-// occurrence of the VMFUNC byte pattern in b.
+// FindPattern returns the offsets of every occurrence of the VMFUNC byte
+// pattern in b. No proper suffix of the pattern is also its prefix, so
+// occurrences never overlap.
 func FindPattern(b []byte) []int {
 	var offs []int
-	for i := 0; i+len(Pattern) <= len(b); i++ {
-		if bytes.Equal(b[i:i+len(Pattern)], Pattern) {
-			offs = append(offs, i)
+	for off := 0; ; {
+		i := bytes.Index(b[off:], Pattern)
+		if i < 0 {
+			return offs
 		}
+		offs = append(offs, off+i)
+		off += i + len(Pattern)
 	}
-	return offs
 }
 
 // Scan decodes code linearly ("the Subkernel will bookkeep the current
