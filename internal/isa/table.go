@@ -397,11 +397,12 @@ func (f *form) fits(in *Inst) bool {
 }
 
 // Encode appends the encoding of a (possibly modified) decoded instruction:
-// the first table row of its operation that fits its operands. The
-// rewriter decodes an instruction, substitutes registers or operand
-// values, and calls Encode to produce the replacement bytes. Branches are
-// emitted with the Rel stored on the Inst — callers adjust Rel when moving
-// an instruction to a new address. A NOP re-encodes as Len one-byte NOPs.
+// the first table row of its operation that fits its operands, or returns
+// an error when none does. The rewriter decodes an instruction,
+// substitutes registers or operand values, and calls Encode to produce the
+// replacement bytes. Branches are emitted with the Rel stored on the Inst
+// — callers adjust Rel when moving an instruction to a new address. A NOP
+// re-encodes as Len one-byte NOPs.
 func (a *Asm) Encode(in Inst) error { return a.encode(&in) }
 
 func (a *Asm) encode(in *Inst) error {
